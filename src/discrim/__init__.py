@@ -36,6 +36,7 @@ from .discriminator import (
     DiscriminatorRecord,
     NonValueCertificate,
     discriminator_brute,
+    discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     recheck_certificate,
@@ -63,6 +64,7 @@ from .periods import (
     PeriodInfo,
     incongruence_index,
     iota_equals_rho_scan,
+    iota_table,
     iota_prime_bound,
     period_brute,
     salajan_period_formula,

@@ -19,10 +19,6 @@ from .numtheory import is_prime, mult_order, smallest_primitive_root
 MAX_DIRECT_PRIME = 500     # O(p^3) enumeration guard
 MAX_DFT_ORDER = 4096       # (p-1) x (p-1) grid guard for the DFT path
 
-# double precision leaves plenty of room under the 1e-6 identity tolerance:
-# each character sum adds at most p^2 unit-modulus terms
-FLOAT_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class CharSumReport:

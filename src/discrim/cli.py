@@ -3,7 +3,6 @@
 Exit codes: 0 success, 1 verification failure (a cross-checked pair of
 methods disagreed, a bound failed, or a verify suite went red), 2 usage
 error. Output formats: human (default), csv, json (one object per line).
-DISCRIM_JOBS sets the default worker count for the verify scans.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .sequences import (
     parse_spec,
     salajan,
 )
-from .verify import SUITES, default_jobs, run_suites
+from .verify import SUITES, run_suites
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -296,10 +295,14 @@ def _cmd_artin(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    ok, results = run_suites(args.suite, n_max=args.nmax, jobs=default_jobs())
-    for res in results:
-        flag = "PASS" if res.passed else "FAIL"
-        out.write(f"[{flag}] {res.suite}: {res.detail}\n")
+    ok, results = run_suites(args.suite, n_max=args.nmax)
+    if args.format == "human":
+        for res in results:
+            flag = "PASS" if res.passed else "FAIL"
+            out.write(f"[{flag}] {res.suite}: {res.detail}\n")
+    else:
+        rows = [{"suite": r.suite, "passed": r.passed, "detail": r.detail} for r in results]
+        _emit(rows, args.format, out)
     return 0 if ok else 1
 
 

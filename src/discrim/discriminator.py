@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
 from .numtheory import euler_phi, factorize, is_prime, mult_order
-from .periods import incongruence_index, salajan_period_formula
+from .periods import incongruence_index, iota_table, salajan_period_formula
 from .sequences import (
     SALAJAN,
     CapExceeded,
@@ -103,6 +103,33 @@ def discriminator_brute(
         if distinct_prefix_length(spec, m, n) == n:
             return DiscriminatorRecord(n, m, METHOD_BRUTE)
     raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
+
+
+def discriminator_table(spec: SequenceSpec, n_max: int) -> list[int]:
+    """D(1), ..., D(n_max) by brute force from one iota table.
+
+    m separates the first n terms exactly when iota(m) >= n (which forces
+    m >= n, as iota(m) <= m), and D is nondecreasing (a modulus that
+    separates n + 1 terms separates n), so one table of min(iota(m), n_max)
+    and a pointer that only moves up give D(n) = min{m : iota(m) >= n} for
+    every n. The table reaches the same search cap as `discriminator_brute`:
+    2 * n_max for the flagship sequence, 4 * n_max otherwise.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    search_cap = 2 * n_max if spec.kind == SALAJAN else 4 * n_max
+    if spec.kind != SALAJAN:
+        _check_admissible(spec, n_max)
+    iota = iota_table(spec, search_cap, n_max)
+    values = []
+    m = 1
+    for n in range(1, n_max + 1):
+        while m <= search_cap and iota[m - 1] < n:
+            m += 1
+        if m > search_cap:
+            raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
+        values.append(m)
+    return values
 
 
 def salajan_discriminator_closed(n: int) -> DiscriminatorRecord:

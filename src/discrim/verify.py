@@ -9,8 +9,6 @@ used by both the CLI and the acceptance tests.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass
 
@@ -19,7 +17,7 @@ from . import charsum as charsum_mod
 from .discriminator import (
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
-    discriminator_brute,
+    discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     salajan_discriminator_closed,
@@ -79,17 +77,10 @@ class CheckResult:
 
 
 def default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("DISCRIM_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(fn, items)
-    return [fn(x) for x in items]
+    """Worker count for the scan-heavy suites: always 1, since every suite
+    runs in this process. Kept with the suites' `jobs=` keyword so that
+    callers written against the process pool still work."""
+    return 1
 
 
 # ---------------------------------------------------------------- table
@@ -107,24 +98,18 @@ def check_table(n_max: int = 32768) -> CheckResult:
 # ---------------------------------------------------------------- theorem1
 
 
-def _brute_chunk(bounds: tuple[int, int]) -> list[int]:
-    lo, hi = bounds
-    bad = []
-    for n in range(lo, hi + 1):
-        if discriminator_brute(salajan(), n).value != salajan_discriminator_closed(n).value:
-            bad.append(n)
-    return bad
-
-
 def check_theorem1(n_max: int = 4096, jobs: int | None = None) -> CheckResult:
     """Brute force equals the closed form for every n <= n_max, and the
-    closed-form value is tight at every tabulated range boundary."""
-    jobs = jobs or default_jobs()
-    step = max(64, n_max // max(jobs * 8, 1))
-    chunks = [(lo, min(lo + step - 1, n_max)) for lo in range(1, n_max + 1, step)]
-    mismatches = [n for part in _pmap(_brute_chunk, chunks, jobs) for n in part]
+    closed-form value is tight at every tabulated range boundary.
 
+    The brute force side is one `discriminator_table` sweep; `jobs` is
+    accepted and ignored (see `default_jobs`)."""
     seq = salajan()
+    brute = discriminator_table(seq, n_max)
+    mismatches = [
+        n for n in range(1, n_max + 1) if brute[n - 1] != salajan_discriminator_closed(n).value
+    ]
+
     boundaries = sorted({r[0] for r in EXPECTED_TABLE} | {r[1] for r in EXPECTED_TABLE})
     bad_bounds = []
     failing_moduli = 0
@@ -222,23 +207,15 @@ def check_iota_anchors(prime_limit: int = 2000) -> CheckResult:
 # ---------------------------------------------------------------- iota bounds
 
 
-def _iota_bound_chunk(bounds: tuple[int, int]) -> list[int]:
-    seq = salajan()
-    lo, hi = bounds
-    bad = []
-    for p in primes_up_to(hi).tolist():
-        if p <= max(5, lo - 1):
-            continue
-        if incongruence_index(seq, p) > iota_prime_bound(p):
-            bad.append(p)
-    return bad
-
-
 def check_iota_bounds(prime_limit: int = 100_000, jobs: int | None = None) -> CheckResult:
-    jobs = jobs or default_jobs()
-    step = max(5000, prime_limit // max(jobs * 4, 1))
-    chunks = [(lo, min(lo + step - 1, prime_limit)) for lo in range(2, prime_limit + 1, step)]
-    bad = [p for part in _pmap(_iota_bound_chunk, chunks, jobs) for p in part]
+    """iota(p) stays under the proven prime bound; `jobs` is accepted and
+    ignored (see `default_jobs`)."""
+    seq = salajan()
+    bad = [
+        p
+        for p in primes_up_to(prime_limit).tolist()
+        if p > 5 and incongruence_index(seq, p) > iota_prime_bound(p)
+    ]
     ok = not bad
     detail = f"iota(p) <= min((p-1)/2, 4p^0.75) for all primes 5 < p <= {prime_limit}"
     if bad:
@@ -489,7 +466,7 @@ SUITES = {
 }
 
 
-def run_suites(names, n_max: int | None = None, jobs: int | None = None):
+def run_suites(names, n_max: int | None = None):
     """Run the named suites ('all' for everything); returns (ok, results)."""
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
@@ -498,10 +475,5 @@ def run_suites(names, n_max: int | None = None, jobs: int | None = None):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
         fn = SUITES[name]
-        if name == "theorem1":
-            results.append(fn(n_max or 4096, jobs))
-        elif name == "iota-bounds":
-            results.append(fn(jobs=jobs))
-        else:
-            results.append(fn())
+        results.append(fn(n_max or 4096) if name == "theorem1" else fn())
     return all(r.passed for r in results), results

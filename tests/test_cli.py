@@ -248,6 +248,19 @@ def test_verify_single_suite(capsys):
     assert out.startswith("[PASS] table:")
 
 
+def test_verify_machine_formats(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "table", "--format", "json")
+    assert code == 0
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["suite"] == "table" and row["passed"] is True
+    assert row["detail"] == "20 rows, expected 20 reference rows: match"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "note", "--format", "csv")
+    assert code == 0
+    (row,) = parse_csv(out)   # the detail's commas come back quoted
+    assert (row["suite"], row["passed"]) == ("note", "True")
+    assert row["detail"].startswith("asymptotic claims are checked as finite scans with declared tolerances: ")
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2 and "unknown suite" in err

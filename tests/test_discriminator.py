@@ -1,5 +1,7 @@
 """Discriminator engines, the value table, and non-value certificates."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from discrim.discriminator import (
     VERDICT_UNDECIDED,
     NonValueCertificate,
     discriminator_brute,
+    discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     recheck_certificate,
@@ -127,6 +130,29 @@ def test_brute_caps_and_validation():
         discriminator_brute(SEQ, 17, search_cap=10)      # cap below n
     with pytest.raises(ValueError):
         discriminator_brute(SEQ, 0)
+
+
+def test_table_matches_brute_at_boundaries_and_a_sample():
+    # the one-sweep table against the per-n scan: every reference row's start
+    # and end up to 4096, then a seeded sample of n
+    table = discriminator_table(SEQ, 4096)
+    assert len(table) == 4096
+    edges = {n for row in EXPECTED_TABLE for n in row[:2] if n <= 4096}
+    sample = random.Random(20261018).sample(range(1, 4097), 40)
+    for n in sorted(edges | set(sample)):
+        assert table[n - 1] == discriminator_brute(SEQ, n).value, n
+
+
+def test_table_generic_sequences_and_validation():
+    fib_like = linear_recurrence(1, 1, 1, 2)
+    assert discriminator_table(fib_like, 15) == [
+        discriminator_brute(fib_like, n).value for n in range(1, 16)
+    ]
+    assert discriminator_table(polynomial(0, 1), 9) == list(range(1, 10))
+    with pytest.raises(SequenceNotAdmissible):
+        discriminator_table(polynomial(5), 3)
+    with pytest.raises(ValueError):
+        discriminator_table(SEQ, 0)
 
 
 def test_checked_discriminator_crosses_methods():

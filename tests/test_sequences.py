@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrim import sequences
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
+    TAIL_MAX_MODULUS,
     CapExceeded,
     SequenceSpec,
     distinct_prefix_length,
@@ -17,6 +19,7 @@ from discrim.sequences import (
     salajan_term_exact,
     salajan_term_mod,
     stream_residues,
+    tail_start,
     term_exact,
 )
 
@@ -201,3 +204,131 @@ def test_distinct_prefix_length_matches_pairwise_oracle(m, limit):
             break
         seen.add(r)
     assert distinct_prefix_length(seq, m, limit) == expected
+
+
+# ------------------------------------------------------------------ numpy tail
+
+
+def set_reference(c1, c2, v1, v2, m, limit):
+    """min(iota(m), limit) straight from the recurrence, one set insert a term."""
+    seen = set()
+    x, y = v1 % m, v2 % m
+    for k in range(limit):
+        if x in seen:
+            return k
+        seen.add(x)
+        x, y = y, (c1 * y + c2 * x) % m
+    return limit
+
+
+def block_edges(m, count=5):
+    """Term counts at which the scan mod m enters the numpy blocks and ends each block."""
+    edge = tail_start(m)
+    edges = [edge]
+    rows = sequences._FIRST_ROWS
+    for _ in range(count - 1):
+        edge += rows * sequences._WINDOW
+        edges.append(edge)
+        rows = min(4 * rows, sequences._MAX_BLOCK // sequences._WINDOW)
+    return edges
+
+
+# coefficient pairs whose scans often outlive tail_start(m): progressions
+# (2, -1) and (-2, -1), powers of 3 (3, 0), (+-4, -1), (2, 1) and the
+# flagship's (2, 3)
+LONG_SCANS = [(2, -1), (-2, -1), (4, -1), (-4, -1), (2, 1), (3, 0), (2, 3)]
+
+# limits on both sides of where the blocks start and of every block edge
+EDGE_LIMITS = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=-2, max_value=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=70_000),
+    st.one_of(EDGE_LIMITS, st.integers(min_value=1, max_value=10**9)),
+)
+def test_distinct_prefix_length_matches_set_reference(c1, c2, v1, v2, m, limit):
+    # any recurrence, c2 = 0 and negative coefficients included; constant
+    # (1, 0) and period-2 (0, 1) sequences repeat at once
+    if isinstance(limit, tuple):
+        limit = max(1, block_edges(m)[limit[0]] + limit[1])
+    limit = min(limit, m + 1)   # iota(m) <= m
+    spec = linear_recurrence(c1, c2, v1, v2)
+    assert distinct_prefix_length(spec, m, limit) == set_reference(c1, c2, v1, v2, m, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(LONG_SCANS),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=2000, max_value=70_000),
+    st.one_of(EDGE_LIMITS, st.just(None)),
+)
+def test_long_scans_match_set_reference(coeffs, v1, step, m, edge):
+    # scans that mostly reach the numpy blocks (v2 = v1 would repeat at
+    # once); limit None leaves them unbounded
+    c1, c2 = coeffs
+    v2 = v1 + step
+    limit = m + 1 if edge is None else block_edges(m)[edge[0]] + edge[1]
+    spec = linear_recurrence(c1, c2, v1, v2)
+    assert distinct_prefix_length(spec, m, limit) == set_reference(c1, c2, v1, v2, m, limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=257, max_value=70_000), st.one_of(EDGE_LIMITS, st.just(None)))
+def test_salajan_prefix_length_matches_set_reference(m, edge):
+    # the flagship sequence itself
+    limit = m + 1 if edge is None else block_edges(m)[edge[0]] + edge[1]
+    assert distinct_prefix_length(salajan(), m, limit) == set_reference(2, 3, 2, 1, m, limit)
+
+
+@pytest.mark.parametrize(
+    "c1, c2, v1, v2, m",
+    [
+        (2, 3, 2, 1, 20203),          # u_655 = u_650
+        (-2, -1, -78, -83, 3649),     # v_3481 = v_3480
+        (-3, -1, -48, -22, 67910),    # v_2452 = v_2442
+        (2, 1, 61, -70, 51444),       # v_1257 = v_1255
+        (1, 1, 87, -64, 61565),       # v_1654 = v_1638
+        (-4, -1, 45, -34, 37038),     # v_1100 = v_1094
+        (-4, -1, -92, -11, 59226),    # v_3901 = v_3899
+    ],
+)
+def test_first_repeat_inside_one_block(c1, c2, v1, v2, m):
+    # both terms of the first repeat fall in the same numpy block, so the
+    # table of earlier residues cannot see it
+    spec = linear_recurrence(c1, c2, v1, v2)
+    assert distinct_prefix_length(spec, m, m + 1) == set_reference(c1, c2, v1, v2, m, m + 1)
+
+
+def test_progression_repeats_on_every_block_edge():
+    # v_j = (j - 1) * q mod P * q repeats first at term P + 1, so iota = P;
+    # pick P on, just before and just after each block edge, for moduli
+    # whose blocks start at 256 (q = 1) and later (q = 7, 25)
+    for q in (1, 7, 25):
+        spec = linear_recurrence(2, -1, 0, q)
+        hits = set()
+        for period in range(200, 6000):
+            m = period * q
+            for i, edge in enumerate(block_edges(m)):
+                if abs(period - edge) <= 1:
+                    assert distinct_prefix_length(spec, m, m + 1) == period, m
+                    assert distinct_prefix_length(spec, m, period) == period, m
+                    hits.add((i, period - edge))
+        assert len(hits) == 15, q
+
+
+def test_large_moduli_stay_in_python():
+    # the blocks' table would need m entries; past TAIL_MAX_MODULUS, and past
+    # 2^31 where 2m^2 leaves int64, the set loop runs to the end
+    assert tail_start(TAIL_MAX_MODULUS + 1) is None
+    for m in (TAIL_MAX_MODULUS + 1, 2**31 + 11, 2**61 - 1):
+        assert distinct_prefix_length(linear_recurrence(2, -1, 0, 1), m, 3000) == 3000
+        assert distinct_prefix_length(salajan(), m, 2000) == set_reference(2, 3, 2, 1, m, 2000)
+        spec = linear_recurrence(-7, 5, 34, 15)
+        assert distinct_prefix_length(spec, m, 1500) == set_reference(-7, 5, 34, 15, m, 1500)
