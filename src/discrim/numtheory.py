@@ -77,6 +77,8 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 _SMALL_PRIMES: list[int] = [int(p) for p in _simple_sieve(4096)]
+# above this, trial division runs through every one of _SMALL_PRIMES
+_TRIAL_SQUARE = _SMALL_PRIMES[-1] ** 2
 
 
 def iter_prime_blocks(limit: int, block: int = _SIEVE_BLOCK):
@@ -144,6 +146,8 @@ def factorize(n: int) -> Factorization:
     """Full prime factorization for 1 <= n <= 2^64 - 1; n = 1 has no factors."""
     if not 1 <= n <= U64_MAX:
         raise ValueError("factorize expects 1 <= n <= 2^64 - 1")
+    if n > _TRIAL_SQUARE and is_prime(n):
+        return Factorization(n, ((n, 1),))
     value = n
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -188,6 +192,24 @@ def modpow(base: int, exp: int, modulus: int) -> int:
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
     return pow(base, exp, modulus)
+
+
+def _pow_mod_u32(base: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """base^exps mod mods elementwise, for exps >= 0 and 2 <= mods < 2^32.
+
+    Left-to-right square-and-multiply in uint64: every residue stays below
+    2^32, so every product stays below 2^64 and the result is exact.
+    """
+    mods = mods.astype(np.uint64)
+    exps = exps.astype(np.uint64)
+    b = np.uint64(base) % mods
+    r = np.ones_like(mods)
+    top = int(exps.max()).bit_length() if exps.size else 0
+    one = np.uint64(1)
+    for bit in range(top - 1, -1, -1):
+        r = r * r % mods
+        r = r * np.where((exps >> np.uint64(bit)) & one, b, one) % mods
+    return r
 
 
 def euler_phi(n: int) -> int:

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrim import census
 from discrim.census import (
     ARTIN_CONSTANT,
     BETA,
@@ -20,6 +22,7 @@ from discrim.census import (
     fset_member_weyl,
     fset_scan_interval,
 )
+from discrim.numtheory import factorize, primes_up_to
 from discrim.verify import LISTED_P1, LISTED_P2, LISTED_P3
 
 
@@ -106,6 +109,66 @@ def test_density_constants():
     assert BETA == pytest.approx(0.6780719051, abs=1e-9)
 
 
+def batch_classes(primes):
+    return [census._CLASSES[i] for i in census._classify_batch(np.asarray(primes, dtype=np.int64))]
+
+
+def scalar_classes(primes):
+    return [classify_prime(int(p)).pclass for p in primes]
+
+
+def test_batch_matches_scalar_below_10_5():
+    primes = primes_up_to(100_000)[2:]
+    assert batch_classes(primes) == scalar_classes(primes)
+    # the range has every factor shape the batch distinguishes: p - 1 with a
+    # repeated odd prime, and p - 1 with a prime above sqrt(10^5)
+    shapes = [factorize(int(p) - 1).factors for p in primes]
+    assert any(q > 2 and e > 1 for fac in shapes for q, e in fac)
+    assert any(fac[-1][0] > math.isqrt(100_000) for fac in shapes)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (2**20 - 20_000, 2**20 + 20_000),   # both sides of a sieve segment edge
+    (10**9, 10**9 + 3000),              # most p - 1 keep a prime cofactor above sqrt(p)
+    (2**32 - 30_000, 2**32),            # the top of the exact uint64 range
+])
+def test_batch_matches_scalar_on_windows(lo, hi):
+    primes = list(sympy.primerange(lo, hi))
+    assert batch_classes(primes) == scalar_classes(primes)
+
+
+def test_batch_handles_tiny_and_empty_input():
+    assert batch_classes([]) == []
+    assert batch_classes([5]) == ["P1"]
+    assert batch_classes([5, 7, 11, 13]) == ["P1", "P3", "P2", "none"]
+
+
+def test_census_scan_across_the_segment_edge():
+    below, above = census_scan(2**20 - 20_000), census_scan(2**20 + 20_000)
+    between = scalar_classes(sympy.primerange(2**20 - 20_000 + 1, 2**20 + 20_000 + 1))
+    assert above.pi_x - below.pi_x == len(between)
+    for cls in ("P1", "P2", "P3", "none"):
+        assert above.counts[cls] - below.counts[cls] == between.count(cls), cls
+
+
+def test_census_scan_10_6_counts():
+    # computed by the per-prime classify_prime loop
+    report = census_scan(1_000_000)
+    assert report.pi_x == 78498
+    assert report.counts == {"P1": 17620, "P2": 17703, "P3": 11772, "none": 31401}
+    assert all(type(v) is int for v in report.counts.values())
+
+
+def test_census_scan_sends_large_primes_to_the_scalar_path(monkeypatch):
+    want = census_scan(100_000)
+    calls = []
+    real = census.classify_prime
+    monkeypatch.setattr(census, "classify_prime", lambda p: calls.append(p) or real(p))
+    monkeypatch.setattr(census, "_BATCH_LIMIT", 50_000)
+    assert census_scan(100_000) == want
+    assert calls == [int(p) for p in primes_up_to(100_000) if p >= 50_000]
+
+
 def test_census_tracks_predictions_loosely_at_10_5():
     report = census_scan(100_000)
     for cls in ("P1", "P2", "P3"):
@@ -140,10 +203,12 @@ def test_fset_witness_is_the_power_inside():
 
 
 def test_fset_scan_matches_single_queries():
-    records = fset_scan_interval(200)
-    assert len(records) == 200
+    records = fset_scan_interval(2000)
+    assert len(records) == 2000
     for rec in records:
         assert rec == fset_member_interval(rec.b)
+        assert rec.witness == (None if rec.member else 2**rec.k)
+    assert fset_count(2000)[0] == sum(r.member for r in records)
     with pytest.raises(ValueError):
         fset_scan_interval(0)
 

@@ -1,7 +1,9 @@
 """Exact integer building blocks, cross-checked against sympy and brute force."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from discrim.numtheory import (
     U64_MAX,
+    _pow_mod_u32,
     Factorization,
     artin_constant,
     carmichael_lambda,
@@ -131,6 +134,23 @@ def test_factorize_near_64_bits(n):
     assert all(is_prime(p) for p, _ in fac.factors)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=U64_MAX))
+def test_factorize_matches_sympy_up_to_64_bits(n):
+    assert dict(factorize(n).factors) == sympy.factorint(n)
+
+
+def test_factorize_primes_and_semiprimes_past_trial_division():
+    # 4093 is the largest trial divisor: from 4093^2 on, a prime is no longer
+    # proved by running out of divisors, and a semiprime needs rho
+    primes = list(sympy.primerange(4093**2, 4093**2 + 400)) + [2**61 - 1, 2**64 - 59]
+    semis = [4093 * 4099, 4099 * 4111, 4093**2, 4099**2, 65537 * 6700417, 4294967291 * 4294967279]
+    for n in primes:
+        assert factorize(n).factors == ((n, 1),)
+    for n in semis:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
 # ------------------------------------------------------------------ valuations
 
 
@@ -165,6 +185,16 @@ def test_modpow_matches_builtin():
         modpow(2, 3, 1)
     with pytest.raises(ValueError):
         modpow(2, -1, 7)
+
+
+def test_pow_mod_u32_matches_builtin():
+    rng = random.Random(11)
+    mods = [2, 3, 4, 2**31 - 1, 2**32 - 5, 2**32 - 1] + [rng.randrange(2, 2**32) for _ in range(500)]
+    exps = [0, 1, 2**32 - 1, 2**32 - 2] + [rng.randrange(0, 2**32) for _ in range(502)]
+    for base in (0, 3, 9, 2**32 - 1):
+        got = _pow_mod_u32(base, np.array(exps, dtype=np.int64), np.array(mods, dtype=np.int64))
+        assert got.tolist() == [pow(base, e, m) for e, m in zip(exps, mods)]
+    assert _pow_mod_u32(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).size == 0
 
 
 # ------------------------------------------------------------------ unit group
