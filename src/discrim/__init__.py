@@ -64,7 +64,6 @@ from .periods import (
     PeriodInfo,
     incongruence_index,
     iota_equals_rho_scan,
-    iota_table,
     iota_prime_bound,
     period_brute,
     salajan_period_formula,

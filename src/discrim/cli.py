@@ -16,9 +16,10 @@ import sys
 from .census import census_scan, fset_member_interval, fset_member_weyl
 from .charsum import char_sum_report
 from .discriminator import (
-    METHOD_BOTH,
+    MethodsDisagree,
     discriminator_brute,
     nonvalue_screen,
+    salajan_discriminator_checked,
     salajan_discriminator_closed,
     table_ranges,
 )
@@ -139,15 +140,7 @@ def _cmd_discriminate(args, out) -> int:
     elif method == "brute":
         rec = discriminator_brute(spec, args.n, args.cap)
     else:
-        closed = salajan_discriminator_closed(args.n)
-        brute = discriminator_brute(spec, args.n, args.cap)
-        if closed.value != brute.value:
-            print(
-                f"methods disagree at n={args.n}: closed={closed.value} brute={brute.value}",
-                file=sys.stderr,
-            )
-            return 1
-        rec = type(closed)(args.n, closed.value, METHOD_BOTH)
+        rec = salajan_discriminator_checked(args.n, args.cap)
     _emit([{"n": rec.n, "value": rec.value, "method": rec.method}], args.format, out)
     return 0
 
@@ -173,11 +166,9 @@ def _cmd_period(args, out) -> int:
         formula = salajan_period_formula(args.d)
         brute = period_brute(spec, args.d)
         if (formula.pre_period, formula.period) != (brute.pre_period, brute.period):
-            print(
-                f"methods disagree at d={args.d}: formula={formula} brute={brute}",
-                file=sys.stderr,
+            raise MethodsDisagree(
+                f"methods disagree at d={args.d}: formula={formula} brute={brute}"
             )
-            return 1
         info = formula
     rows.append(
         {
@@ -255,8 +246,7 @@ def _cmd_fset(args, out) -> int:
             rec = fset_member_interval(b)
             weyl = fset_member_weyl(b)
             if weyl != rec.member:
-                print(f"methods disagree at b={b}: interval={rec.member} weyl={weyl}", file=sys.stderr)
-                return 1
+                raise MethodsDisagree(f"methods disagree at b={b}: interval={rec.member} weyl={weyl}")
             member, witness = rec.member, rec.witness
         rows.append({"b": b, "member": member, "witness": "" if witness is None else witness})
     _emit(rows, args.format, out)
@@ -334,6 +324,9 @@ def run(argv=None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"failure: {exc}", file=sys.stderr)
+        return 1
+    except MethodsDisagree as exc:
+        print(exc, file=sys.stderr)
         return 1
 
 

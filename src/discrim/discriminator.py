@@ -11,18 +11,22 @@ never occur as D(n).
 from __future__ import annotations
 
 import math
+from _blake2 import blake2b   # hashlib's blake2b, without loading OpenSSL (3.5 MB)
 from dataclasses import dataclass
 
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
 from .numtheory import euler_phi, factorize, is_prime, mult_order
-from .periods import incongruence_index, iota_table, salajan_period_formula
+from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
+    DEFAULT_EXACT_CAP,
+    LINEAR_RECURRENCE,
     SALAJAN,
     CapExceeded,
     SequenceNotAdmissible,
     SequenceSpec,
     distinct_prefix_length,
+    exact_terms,
     salajan,
     term_exact,
 )
@@ -44,6 +48,10 @@ REASON_BUDGET = "budget_exceeded"
 # any prime this large that discriminated n >= (p+1)/2 terms would have to
 # exceed floor(n/4)^(4/3), which is impossible once n >= 2060
 BIG_PRIME_REPORT_FLOOR = 2060
+
+
+class MethodsDisagree(AssertionError):
+    """Two methods that must give the same answer did not."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +79,41 @@ def verify_discriminates(spec: SequenceSpec, n: int, m: int) -> bool:
 
 
 def _check_admissible(spec: SequenceSpec, n: int) -> None:
-    seen: dict[int, int] = {}
-    for j in range(1, n + 1):
-        t = term_exact(spec, j)
-        if t in seen:
+    """Raise SequenceNotAdmissible if two of v_1..v_n are equal, walking the
+    exact terms once and keeping each as a 16-byte digest, so memory does not
+    grow with term size. A repeated digest counts only once the exact terms
+    agree; a repeat could go unseen only behind a 128-bit digest collision.
+    """
+    if spec.kind == LINEAR_RECURRENCE and n > DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"exact term index {n} exceeds cap {DEFAULT_EXACT_CAP}")
+    seen: dict[bytes, int] = {}
+    for j, t in enumerate(exact_terms(spec, n), start=1):
+        raw = t.to_bytes(t.bit_length() // 8 + 1, "little", signed=True)
+        i = seen.setdefault(blake2b(raw, digest_size=16).digest(), j)
+        if i != j and term_exact(spec, i) == t:
             raise SequenceNotAdmissible(
-                f"terms {seen[t]} and {j} are both {t}; no modulus can separate them"
+                f"terms {i} and {j} are both {t}; no modulus can separate them"
             )
-        seen[t] = j
+
+
+def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int) -> list[int]:
+    """[D(lo), ..., D(hi)] by brute force. m separates the first n <= hi terms
+    iff min(iota(m), hi) >= n, and D is nondecreasing, so one m that only moves
+    up from lo serves every n, with one first-collision scan per modulus tried.
+    """
+    if spec.kind != SALAJAN:
+        _check_admissible(spec, hi)
+    values = []
+    m = lo
+    k = distinct_prefix_length(spec, m, hi)
+    for n in range(lo, hi + 1):
+        while k < n:
+            m += 1
+            if m > search_cap:
+                raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
+            k = distinct_prefix_length(spec, m, hi)
+        values.append(m)
+    return values
 
 
 def discriminator_brute(
@@ -97,39 +132,16 @@ def discriminator_brute(
         search_cap = 2 * n if spec.kind == SALAJAN else 4 * n
     if search_cap < n:
         raise ValueError("search_cap must be at least n")
-    if spec.kind != SALAJAN:
-        _check_admissible(spec, n)
-    for m in range(max(n, 1), search_cap + 1):
-        if distinct_prefix_length(spec, m, n) == n:
-            return DiscriminatorRecord(n, m, METHOD_BRUTE)
-    raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
+    return DiscriminatorRecord(n, _least_moduli(spec, n, n, search_cap)[0], METHOD_BRUTE)
 
 
 def discriminator_table(spec: SequenceSpec, n_max: int) -> list[int]:
-    """D(1), ..., D(n_max) by brute force from one iota table.
-
-    m separates the first n terms exactly when iota(m) >= n (which forces
-    m >= n, as iota(m) <= m), and D is nondecreasing (a modulus that
-    separates n + 1 terms separates n), so one table of min(iota(m), n_max)
-    and a pointer that only moves up give D(n) = min{m : iota(m) >= n} for
-    every n. The table reaches the same search cap as `discriminator_brute`:
-    2 * n_max for the flagship sequence, 4 * n_max otherwise.
-    """
+    """D(1), ..., D(n_max) by brute force, from the same sweep as
+    `discriminator_brute`, with its cap for n_max: 2 * n_max for the
+    flagship sequence, 4 * n_max otherwise."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    search_cap = 2 * n_max if spec.kind == SALAJAN else 4 * n_max
-    if spec.kind != SALAJAN:
-        _check_admissible(spec, n_max)
-    iota = iota_table(spec, search_cap, n_max)
-    values = []
-    m = 1
-    for n in range(1, n_max + 1):
-        while m <= search_cap and iota[m - 1] < n:
-            m += 1
-        if m > search_cap:
-            raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
-        values.append(m)
-    return values
+    return _least_moduli(spec, 1, n_max, 2 * n_max if spec.kind == SALAJAN else 4 * n_max)
 
 
 def salajan_discriminator_closed(n: int) -> DiscriminatorRecord:
@@ -155,8 +167,8 @@ def salajan_discriminator_checked(n: int, search_cap: int | None = None) -> Disc
     closed = salajan_discriminator_closed(n)
     brute = discriminator_brute(salajan(), n, search_cap)
     if closed.value != brute.value:
-        raise AssertionError(
-            f"method disagreement at n={n}: closed={closed.value} brute={brute.value}"
+        raise MethodsDisagree(
+            f"methods disagree at n={n}: closed={closed.value} brute={brute.value}"
         )
     return DiscriminatorRecord(n, closed.value, METHOD_BOTH)
 

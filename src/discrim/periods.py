@@ -84,15 +84,6 @@ def incongruence_index(spec: SequenceSpec, m: int, cap: int | None = None) -> in
     return k
 
 
-def iota_table(spec: SequenceSpec, m_max: int, cap: int) -> list[int]:
-    """min(iota(m), cap) for m = 1..m_max; entry m - 1 belongs to modulus m."""
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    return [distinct_prefix_length(spec, m, cap) for m in range(1, m_max + 1)]
-
-
 def iota_equals_rho_scan(prime_limit: int) -> list[int]:
     """Primes p <= prime_limit with 3 not dividing p and iota(p) = rho(p).
 

@@ -158,13 +158,20 @@ def term_exact(spec: SequenceSpec, j: int, cap: int = DEFAULT_EXACT_CAP) -> int:
         return _poly_eval(spec.coeffs, j)
     if j > cap:
         raise CapExceeded(f"exact term index {j} exceeds cap {cap}")
-    c1, c2, v1, v2 = spec.as_recurrence()
-    if j == 1:
-        return v1
-    x, y = v1, v2
-    for _ in range(j - 2):
+    for t in exact_terms(spec, j):
+        pass
+    return t
+
+
+def exact_terms(spec: SequenceSpec, n: int):
+    """Yield v_1, ..., v_n exactly, walking a recurrence once."""
+    if spec.kind == POLYNOMIAL:
+        yield from (_poly_eval(spec.coeffs, j) for j in range(1, n + 1))
+        return
+    c1, c2, x, y = spec.as_recurrence()
+    for _ in range(n):
+        yield x
         x, y = y, c1 * y + c2 * x
-    return y
 
 
 def residue_iter(spec: SequenceSpec, m: int):

@@ -17,12 +17,12 @@ from . import charsum as charsum_mod
 from .discriminator import (
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
+    discriminator_brute,
     discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     salajan_discriminator_closed,
     table_ranges,
-    verify_discriminates,
 )
 from .numtheory import artin_constant, lte_valuation, padic_valuation, primes_up_to
 from .periods import (
@@ -76,13 +76,6 @@ class CheckResult:
     detail: str
 
 
-def default_jobs() -> int:
-    """Worker count for the scan-heavy suites: always 1, since every suite
-    runs in this process. Kept with the suites' `jobs=` keyword so that
-    callers written against the process pool still work."""
-    return 1
-
-
 # ---------------------------------------------------------------- table
 
 
@@ -98,12 +91,10 @@ def check_table(n_max: int = 32768) -> CheckResult:
 # ---------------------------------------------------------------- theorem1
 
 
-def check_theorem1(n_max: int = 4096, jobs: int | None = None) -> CheckResult:
-    """Brute force equals the closed form for every n <= n_max, and the
-    closed-form value is tight at every tabulated range boundary.
-
-    The brute force side is one `discriminator_table` sweep; `jobs` is
-    accepted and ignored (see `default_jobs`)."""
+def check_theorem1(n_max: int = 4096) -> CheckResult:
+    """Brute force equals the closed form for every n <= n_max (one
+    `discriminator_table` sweep) and at every tabulated range boundary
+    (`discriminator_brute`, which tries each modulus from n up)."""
     seq = salajan()
     brute = discriminator_table(seq, n_max)
     mismatches = [
@@ -115,14 +106,10 @@ def check_theorem1(n_max: int = 4096, jobs: int | None = None) -> CheckResult:
     failing_moduli = 0
     for n in boundaries:
         d = salajan_discriminator_closed(n).value
-        if not verify_discriminates(seq, n, d):
-            bad_bounds.append((n, d, "claimed value fails"))
-            continue
-        for m in range(n, d):
-            failing_moduli += 1
-            if verify_discriminates(seq, n, m):
-                bad_bounds.append((n, m, "smaller modulus works"))
-                break
+        m = discriminator_brute(seq, n).value
+        if m != d:
+            bad_bounds.append((n, d, m))
+        failing_moduli += m - n
     ok = not mismatches and not bad_bounds
     detail = (
         f"brute=closed for n<=n_max ({n_max}), {len(boundaries)} boundaries tight "
@@ -131,7 +118,7 @@ def check_theorem1(n_max: int = 4096, jobs: int | None = None) -> CheckResult:
     if mismatches:
         detail = f"closed/brute mismatch at n={mismatches[:10]}"
     if bad_bounds:
-        detail += f"; boundary failures: {bad_bounds[:5]}"
+        detail += f"; boundary failures (n, closed, brute): {bad_bounds[:5]}"
     return CheckResult("theorem1", ok, detail)
 
 
@@ -207,9 +194,8 @@ def check_iota_anchors(prime_limit: int = 2000) -> CheckResult:
 # ---------------------------------------------------------------- iota bounds
 
 
-def check_iota_bounds(prime_limit: int = 100_000, jobs: int | None = None) -> CheckResult:
-    """iota(p) stays under the proven prime bound; `jobs` is accepted and
-    ignored (see `default_jobs`)."""
+def check_iota_bounds(prime_limit: int = 100_000) -> CheckResult:
+    """iota(p) stays under the proven prime bound."""
     seq = salajan()
     bad = [
         p

@@ -33,7 +33,6 @@ from discrim.verify import (
     check_table,
     check_theorem1,
     check_valuation,
-    default_jobs,
 )
 
 
@@ -56,7 +55,13 @@ def test_criterion_02_theorem_oracle_equivalence():
     # brute force == closed form for all n <= 4096, and at every tabulated
     # range boundary up to 32768 the claimed value succeeds while every
     # smaller modulus >= n fails; exact.
-    _delegate(2, check_theorem1(4096, jobs=default_jobs()))
+    result = check_theorem1(4096)
+    _delegate(2, result)
+    # 40308 = the sum of D(n) - n over the 38 boundaries, each such modulus
+    # scanned once and failing
+    assert result.detail == (
+        "brute=closed for n<=n_max (4096), 38 boundaries tight (40308 smaller moduli all fail)"
+    )
 
 
 def test_criterion_03_period_formula():
@@ -99,7 +104,7 @@ def test_criterion_04_iota_anchors():
 
 def test_criterion_05_iota_prime_bounds():
     # iota(p) <= min((p-1)/2, 4 p^{3/4}) for all primes 5 < p <= 10^5; exact.
-    _delegate(5, check_iota_bounds(100_000, jobs=default_jobs()))
+    _delegate(5, check_iota_bounds(100_000))
 
 
 def test_criterion_06_valuation_formula():

@@ -52,6 +52,15 @@ def test_classify_anchors(p, pclass):
     assert rec.ord3 == sympy.n_order(3, p)
 
 
+def test_classify_ord3_above_the_trial_square():
+    # above 4093^2 factorize proves primality itself; classify_prime reduces
+    # p - 1 directly and must still give the exact order
+    primes = list(sympy.primerange(10**9, 10**9 + 1000))
+    assert len(primes) > 20
+    for p in primes:
+        assert classify_prime(p).ord3 == sympy.n_order(3, p), p
+
+
 def test_classify_rules():
     for p in sympy.primerange(5, 500):
         rec = classify_prime(p)

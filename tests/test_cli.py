@@ -69,6 +69,28 @@ def test_discriminate_cap_exhaustion_is_failure(capsys):
     assert code == 1 and "failure:" in err
 
 
+def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
+    from discrim import cli, discriminator
+    from discrim.periods import PeriodInfo
+
+    monkeypatch.setattr(
+        discriminator,
+        "discriminator_brute",
+        lambda spec, n, cap=None: discriminator.DiscriminatorRecord(n, 26, "brute_force"),
+    )
+    monkeypatch.setattr(cli, "period_brute", lambda spec, d: PeriodInfo(d, 1, 5))
+    real_weyl = cli.fset_member_weyl
+    monkeypatch.setattr(cli, "fset_member_weyl", lambda b: real_weyl(b) != (b == 3))
+    for argv, message in [
+        (("discriminate", "--n", "20"), "methods disagree at n=20: closed=25 brute=26"),
+        (("period", "--d", "5"), "methods disagree at d=5:"),
+        (("fset", "--max", "4"), "methods disagree at b=3:"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(message), argv
+
+
 def test_discriminate_rejects_nonpositive_n(capsys):
     code, _, err = run_cli(capsys, "discriminate", "--n", "0")
     assert code == 2 and "error:" in err

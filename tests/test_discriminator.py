@@ -1,11 +1,13 @@
 """Discriminator engines, the value table, and non-value certificates."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrim import discriminator
 from discrim.discriminator import (
     METHOD_BOTH,
     METHOD_BRUTE,
@@ -31,11 +33,14 @@ from discrim.discriminator import (
 )
 from discrim.charsum import prime_lemma_bound
 from discrim.sequences import (
+    DEFAULT_EXACT_CAP,
     CapExceeded,
     SequenceNotAdmissible,
     linear_recurrence,
+    parse_spec,
     polynomial,
     salajan,
+    term_exact,
 )
 from discrim.verify import EXPECTED_TABLE
 
@@ -123,6 +128,62 @@ def test_brute_rejects_repeating_sequences():
         discriminator_brute(polynomial(6, -5, 1), 4)     # j^2-5j+6 repeats (j=2,3 both 0)
 
 
+small = st.integers(min_value=-3, max_value=3)
+generic_specs = st.one_of(
+    st.builds(linear_recurrence, small, small, small, small),
+    st.lists(small, min_size=1, max_size=4).map(lambda cs: polynomial(*cs)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generic_specs, st.integers(min_value=1, max_value=30))
+def test_admissible_exactly_when_no_two_terms_are_equal(spec, n):
+    terms = [term_exact(spec, j) for j in range(1, n + 1)]
+    pairs = [(i + 1, j + 1) for j in range(n) for i in range(j) if terms[i] == terms[j]]
+    if not pairs:
+        discriminator._check_admissible(spec, n)
+        return
+    # the report names the first term that repeats an earlier one
+    j = min(j for _, j in pairs)
+    i = min(i for i, jj in pairs if jj == j)
+    with pytest.raises(SequenceNotAdmissible, match=rf"^terms {i} and {j} are both "):
+        discriminator._check_admissible(spec, n)
+
+
+@pytest.mark.parametrize(
+    "text,n,repeat",
+    [
+        ("linrec:2,0,1,2", 40, None),          # c2 = 0: v_j = 2^(j-1)
+        ("linrec:0,0,1,1", 3, (1, 2)),         # c1 = c2 = 0: 1, 1, 0, 0
+        ("linrec:1,0,3,3", 5, (1, 2)),         # constant
+        ("poly:7", 2, (1, 2)),                 # constant
+        ("linrec:0,1,1,2", 3, (1, 3)),         # period 2
+        ("linrec:1,-1,1,3", 7, (1, 7)),        # period 6: 1, 3, 2, -1, -3, -2, 1
+        ("linrec:-1,0,1,2", 4, (2, 4)),        # 1, 2, -2, 2
+        # every term a multiple of 2^61 - 1, so equal under Python's int hash
+        ("linrec:2,3,4611686018427387902,2305843009213693951", 2000, None),
+        ("poly:0,2305843009213693951", 2000, None),
+    ],
+)
+def test_admissibility_of_degenerate_specs(text, n, repeat):
+    spec = parse_spec(text)
+    if repeat is None:
+        discriminator._check_admissible(spec, n)
+    else:
+        with pytest.raises(SequenceNotAdmissible, match=rf"^terms {repeat[0]} and {repeat[1]} "):
+            discriminator._check_admissible(spec, n)
+
+
+def test_admissibility_walks_the_recurrence_once():
+    spec = parse_spec("linrec:2,3,2,1")
+    start = time.perf_counter()
+    discriminator._check_admissible(spec, 4000)
+    assert time.perf_counter() - start < 2.0      # 17 ms on 2 cores; restarting per term took 4.7 s
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        discriminator_brute(spec, DEFAULT_EXACT_CAP + 1)
+    assert time.perf_counter() - start < 2.0      # refused before any term is made
+
+
 def test_brute_caps_and_validation():
     with pytest.raises(CapExceeded):
         discriminator_brute(SEQ, 17, search_cap=24)      # true value is 25
@@ -153,6 +214,37 @@ def test_table_generic_sequences_and_validation():
         discriminator_table(polynomial(5), 3)
     with pytest.raises(ValueError):
         discriminator_table(SEQ, 0)
+
+
+def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
+    scanned = []
+    scan = discriminator.distinct_prefix_length
+
+    def counting(spec, m, limit):
+        scanned.append(m)
+        return scan(spec, m, limit)
+
+    monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
+    table = discriminator_table(SEQ, 512)
+    assert table[-1] == salajan_discriminator_closed(512).value == 512
+    assert scanned == list(range(1, 513))    # each modulus once, none above D(512)
+    scanned.clear()
+    assert discriminator_brute(SEQ, 17).value == 25
+    assert scanned == list(range(17, 26))    # from n up to D(n), nothing else
+
+
+def test_table_and_brute_run_out_of_cap_at_the_same_n():
+    # D(56) = 236 > 4 * 56 for v_j = v_(j-1) + 2 v_(j-2), v = 1, 3, 5, 11, ...
+    spec = parse_spec("linrec:1,2,1,3")
+    assert discriminator_brute(spec, 56, search_cap=300).value == 236
+    assert discriminator_table(spec, 55) == [
+        discriminator_brute(spec, n).value for n in range(1, 56)
+    ]
+    message = "no modulus <= 224 separates the first 56 terms"
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_table(spec, 56)
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(spec, 56)
 
 
 def test_checked_discriminator_crosses_methods():
