@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .numtheory import _order_dividing, _pow_mod_u32, is_prime, iter_prime_blocks, primes_up_to
+from .numtheory import _pow_mod_u32, is_prime, iter_prime_blocks, mult_order, primes_up_to
 
 ARTIN_CONSTANT = 0.3739558136
 DENSITY_P1 = 3 * ARTIN_CONSTANT / 5
@@ -76,7 +76,7 @@ def classify_prime(p: int) -> PrimeClassRecord:
     """Class of a prime p > 3 from p mod 4 and ord_3(p)."""
     if p <= 3 or not is_prime(p):
         raise ValueError("classification needs a prime p > 3")
-    ord3 = _order_dividing(3, p - 1, p)   # Fermat: 3^(p-1) = 1 mod the prime p
+    ord3 = mult_order(3, p)
     r4 = p % 4
     if r4 == 1 and ord3 == p - 1:
         pclass = CLASS_P1

@@ -11,7 +11,6 @@ never occur as D(n).
 from __future__ import annotations
 
 import math
-from _blake2 import blake2b   # hashlib's blake2b, without loading OpenSSL (3.5 MB)
 from dataclasses import dataclass
 
 from .census import fset_member_interval
@@ -79,21 +78,26 @@ def verify_discriminates(spec: SequenceSpec, n: int, m: int) -> bool:
 
 
 def _check_admissible(spec: SequenceSpec, n: int) -> None:
-    """Raise SequenceNotAdmissible if two of v_1..v_n are equal, walking the
-    exact terms once and keeping each as a 16-byte digest, so memory does not
-    grow with term size. A repeated digest counts only once the exact terms
-    agree; a repeat could go unseen only behind a 128-bit digest collision.
-    """
-    if spec.kind == LINEAR_RECURRENCE and n > DEFAULT_EXACT_CAP:
-        raise CapExceeded(f"exact term index {n} exceeds cap {DEFAULT_EXACT_CAP}")
+    """Raise SequenceNotAdmissible if two of v_1..v_n are equal. The exact
+    terms are walked once (a recurrence up to DEFAULT_EXACT_CAP, so a repeat
+    inside the cap is reported first) and kept as 16-byte digests, so memory
+    does not grow with term size; a repeated digest counts once the exact
+    terms agree, so only a 128-bit collision could hide a repeat."""
+    try:
+        from _blake2 import blake2b   # what hashlib hands out, without loading OpenSSL
+    except ImportError:
+        from hashlib import blake2b
+    walk = min(n, DEFAULT_EXACT_CAP) if spec.kind == LINEAR_RECURRENCE else n
     seen: dict[bytes, int] = {}
-    for j, t in enumerate(exact_terms(spec, n), start=1):
+    for j, t in enumerate(exact_terms(spec, walk), start=1):
         raw = t.to_bytes(t.bit_length() // 8 + 1, "little", signed=True)
         i = seen.setdefault(blake2b(raw, digest_size=16).digest(), j)
         if i != j and term_exact(spec, i) == t:
             raise SequenceNotAdmissible(
                 f"terms {i} and {j} are both {t}; no modulus can separate them"
             )
+    if walk < n:
+        raise CapExceeded(f"exact term index {walk + 1} exceeds cap {DEFAULT_EXACT_CAP}")
 
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int) -> list[int]:

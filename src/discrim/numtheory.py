@@ -240,11 +240,7 @@ def mult_order(a: int, m: int) -> int:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"gcd({a}, {m}) != 1, order undefined")
-    return _order_dividing(a, carmichael_lambda(m), m)
-
-
-def _order_dividing(a: int, t: int, m: int) -> int:
-    """ord_m(a) from any t with a^t = 1 mod m, by removing prime factors of t."""
+    t = carmichael_lambda(m)
     for q, _ in factorize(t).factors:
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q

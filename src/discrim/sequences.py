@@ -164,9 +164,10 @@ def term_exact(spec: SequenceSpec, j: int, cap: int = DEFAULT_EXACT_CAP) -> int:
 
 
 def exact_terms(spec: SequenceSpec, n: int):
-    """Yield v_1, ..., v_n exactly, walking a recurrence once."""
-    if spec.kind == POLYNOMIAL:
-        yield from (_poly_eval(spec.coeffs, j) for j in range(1, n + 1))
+    """Yield v_1, ..., v_n exactly: a recurrence is walked once, and the
+    terms of any other spec come one by one from `term_exact`."""
+    if spec.kind != LINEAR_RECURRENCE:
+        yield from (term_exact(spec, j) for j in range(1, n + 1))
         return
     c1, c2, x, y = spec.as_recurrence()
     for _ in range(n):

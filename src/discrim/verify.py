@@ -23,6 +23,7 @@ from .discriminator import (
     nonvalue_screen,
     salajan_discriminator_closed,
     table_ranges,
+    verify_discriminates,
 )
 from .numtheory import artin_constant, lte_valuation, padic_valuation, primes_up_to
 from .periods import (
@@ -92,9 +93,9 @@ def check_table(n_max: int = 32768) -> CheckResult:
 
 
 def check_theorem1(n_max: int = 4096) -> CheckResult:
-    """Brute force equals the closed form for every n <= n_max (one
-    `discriminator_table` sweep) and at every tabulated range boundary
-    (`discriminator_brute`, which tries each modulus from n up)."""
+    """Brute force equals the closed form for n <= n_max (one table sweep) and
+    at each range boundary: above n_max by `discriminator_brute`, or by one scan
+    if the previous boundary's D is the closed value (D is nondecreasing)."""
     seq = salajan()
     brute = discriminator_table(seq, n_max)
     mismatches = [
@@ -104,9 +105,13 @@ def check_theorem1(n_max: int = 4096) -> CheckResult:
     boundaries = sorted({r[0] for r in EXPECTED_TABLE} | {r[1] for r in EXPECTED_TABLE})
     bad_bounds = []
     failing_moduli = 0
+    m = 0
     for n in boundaries:
         d = salajan_discriminator_closed(n).value
-        m = discriminator_brute(seq, n).value
+        if n <= n_max:
+            m = brute[n - 1]
+        elif m != d or not verify_discriminates(seq, n, d):
+            m = discriminator_brute(seq, n).value
         if m != d:
             bad_bounds.append((n, d, m))
         failing_moduli += m - n

@@ -53,8 +53,7 @@ def test_classify_anchors(p, pclass):
 
 
 def test_classify_ord3_above_the_trial_square():
-    # above 4093^2 factorize proves primality itself; classify_prime reduces
-    # p - 1 directly and must still give the exact order
+    # above 4093^2 factorize proves primality itself before any trial division
     primes = list(sympy.primerange(10**9, 10**9 + 1000))
     assert len(primes) > 20
     for p in primes:

@@ -62,6 +62,13 @@ def test_discriminate_constant_sequence_is_usage_error(capsys):
     assert code == 2 and "no modulus" in err
 
 
+def test_discriminate_repeat_beyond_the_exact_cap_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "discriminate", "--seq", "linrec:1,0,3,3", "--n", "200001", "--method", "brute"
+    )
+    assert code == 2 and err.startswith("error: terms 1 and 2 are both 3;")
+
+
 def test_discriminate_cap_exhaustion_is_failure(capsys):
     code, _, err = run_cli(
         capsys, "discriminate", "--n", "17", "--method", "brute", "--cap", "24"

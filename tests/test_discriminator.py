@@ -179,9 +179,17 @@ def test_admissibility_walks_the_recurrence_once():
     start = time.perf_counter()
     discriminator._check_admissible(spec, 4000)
     assert time.perf_counter() - start < 2.0      # 17 ms on 2 cores; restarting per term took 4.7 s
-    with pytest.raises(CapExceeded, match="exceeds cap"):
-        discriminator_brute(spec, DEFAULT_EXACT_CAP + 1)
-    assert time.perf_counter() - start < 2.0      # refused before any term is made
+
+
+def test_admissibility_reports_a_repeat_before_the_exact_cap():
+    n = DEFAULT_EXACT_CAP + 5
+    with pytest.raises(SequenceNotAdmissible, match="^terms 1 and 2 are both 3;"):
+        discriminator_brute(parse_spec("linrec:1,0,3,3"), n)
+    # 1, 2, 3, ...: admissible, so the walk reaches the cap and names the
+    # first index past it, as `term_exact` does
+    message = f"^exact term index {DEFAULT_EXACT_CAP + 1} exceeds cap {DEFAULT_EXACT_CAP}$"
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(parse_spec("linrec:2,-1,1,2"), n)
 
 
 def test_brute_caps_and_validation():
@@ -202,6 +210,27 @@ def test_table_matches_brute_at_boundaries_and_a_sample():
     sample = random.Random(20261018).sample(range(1, 4097), 40)
     for n in sorted(edges | set(sample)):
         assert table[n - 1] == discriminator_brute(SEQ, n).value, n
+
+
+def test_theorem1_sweeps_range_starts_and_scans_range_ends(monkeypatch):
+    # above n_max a range start gets the sweep; its end gets one scan at the
+    # start's value, and the sweep again only when that does not settle it
+    from discrim import verify
+
+    swept = []
+
+    def brute(spec, n, search_cap=None):
+        swept.append(n)
+        lie = n == 2049   # a wrong brute value at one start
+        return discriminator.DiscriminatorRecord(
+            n, salajan_discriminator_closed(n).value + lie, METHOD_BRUTE)
+
+    monkeypatch.setattr(verify, "discriminator_brute", brute)
+    result = verify.check_theorem1(64)
+    starts = [r[0] for r in EXPECTED_TABLE if r[0] > 64]
+    assert swept == sorted(starts + [2500])   # 2500 ends the range of the wrong start
+    assert not result.passed
+    assert result.detail.endswith("boundary failures (n, closed, brute): [(2049, 3125, 3126)]")
 
 
 def test_table_generic_sequences_and_validation():
