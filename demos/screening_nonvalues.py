@@ -7,9 +7,13 @@ other d, a short chain of screens produces a machine-checkable certificate:
     period_screen    2 rho(d) <= d   (a full period pins iota(d) < d)
     iota_screen      iota(d) < d     (direct prefix scan, budgeted)
 
-Every certificate carries a witness that recheck_certificate re-derives
-from scratch.  Powers of 2 and 5 survive all screens, as they must.
-Runs in a few seconds.
+Every certificate carries a witness that recheck_certificate checks
+against the recurrence alone, sharing no code with the screens: a period
+witness by u_{1+rho} = u_1 and u_{2+rho} = u_2 mod d, an index witness by
+walking the terms to their first repeat.  Powers of 2 and 5 survive all
+screens, as they must: every survivor of the period screen is a power of 2
+or an odd prime power p^e with 2 ord_9(p^e) = phi(p^e), so no screen on
+factors or orders is needed.  Runs in a few seconds.
 """
 
 from collections import Counter

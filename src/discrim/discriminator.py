@@ -4,18 +4,19 @@ The discriminator D_v(n) of a sequence v is the smallest modulus m such that
 v_1, ..., v_n are pairwise incongruent mod m. For the flagship sequence the
 closed form is D(n) = min(2^e, 5^f) with e the least exponent where 2^e >= n
 and f the least where 5^f >= 5n/4; the brute-force engine exists to verify
-that claim independently, and the non-value screens certify which integers
-never occur as D(n).
+that claim independently. The non-value screens (a factor 3, a period of at
+most d/2, an incongruence index of at most d/2) certify which integers never
+occur as D(n), and `recheck_certificate` checks each certificate against the
+recurrence alone, with none of the screens' code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
-from .numtheory import euler_phi, factorize, is_prime, mult_order
+from .numtheory import is_prime
 from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
     DEFAULT_EXACT_CAP,
@@ -27,6 +28,7 @@ from .sequences import (
     distinct_prefix_length,
     exact_terms,
     salajan,
+    salajan_term_mod,
     term_exact,
 )
 
@@ -39,8 +41,6 @@ VERDICT_UNDECIDED = "undecided"
 
 REASON_DIV3 = "divisible_by_3"
 REASON_PERIOD = "period_screen"
-REASON_COMPOSITE = "composite_screen"
-REASON_ORDER = "order_screen"
 REASON_IOTA = "iota_screen"
 REASON_BUDGET = "budget_exceeded"
 
@@ -223,11 +223,9 @@ def nonvalue_screen(d: int, iota_budget: int | None = None) -> NonValueCertifica
     """Certify d as a non-value of the flagship discriminator, or stay undecided.
 
     Screens run in order: multiples of 3 are never values; a period rho(d) at
-    most d/2 forces a collision among any d/2+1 consecutive indices; moduli
-    with two coprime parts > 1 inherit a short period; odd prime powers whose
-    order of 9 is submaximal cannot be values; finally the incongruence index
-    itself is computed and compared with d/2. A non_value verdict is sound;
-    undecided makes no claim either way.
+    most d/2 forces a collision among any d/2+1 consecutive indices; finally
+    the incongruence index itself is computed and compared with d/2. A
+    non_value verdict is sound; undecided makes no claim either way.
     """
     if d < 2:
         raise ValueError("screen expects d >= 2")
@@ -238,31 +236,6 @@ def nonvalue_screen(d: int, iota_budget: int | None = None) -> NonValueCertifica
     rho = salajan_period_formula(d).period
     if 2 * rho <= d:
         return NonValueCertificate(d, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": rho})
-
-    fac = factorize(d).factors
-    if len(fac) > 1:
-        p0, e0 = fac[0]
-        part1 = p0**e0
-        return NonValueCertificate(
-            d,
-            VERDICT_NON_VALUE,
-            REASON_COMPOSITE,
-            {"coprime_part_1": part1, "coprime_part_2": d // part1},
-        )
-
-    p, mexp = fac[0]
-    if p > 3:
-        # powers of 2 are genuine values with ord_9(2^m) = 2^(m-3), so the
-        # submaximal-order screen is sound only for odd prime powers
-        ord9 = mult_order(9, d)
-        phi = (p - 1) * p ** (mexp - 1)
-        if 2 * ord9 < phi:
-            return NonValueCertificate(
-                d,
-                VERDICT_NON_VALUE,
-                REASON_ORDER,
-                {"p": p, "exponent": mexp, "ord9": ord9, "phi": phi},
-            )
 
     witness: dict = {}
     try:
@@ -278,8 +251,22 @@ def nonvalue_screen(d: int, iota_budget: int | None = None) -> NonValueCertifica
     return NonValueCertificate(d, VERDICT_UNDECIDED, None, witness)
 
 
+def _first_repeat(d: int) -> int:
+    """Index j of the first u_j that equals an earlier term mod d, by a plain
+    walk of the recurrence; there are d residues, so j <= d + 1."""
+    c1, c2, x, y = salajan().as_recurrence()
+    x, y = x % d, y % d
+    first: dict[int, int] = {}
+    j = 1
+    while first.setdefault(x, j) == j:
+        x, y = y, (c1 * y + c2 * x) % d
+        j += 1
+    return j
+
+
 def recheck_certificate(cert: NonValueCertificate) -> bool:
-    """Recompute a certificate's claim from its witness fields alone."""
+    """Check a certificate's claim from its witness fields and the recurrence
+    alone, sharing no code with the screen that made it."""
     d, w = cert.d, cert.witness
     if cert.verdict == VERDICT_UNDECIDED:
         return True   # no claim to falsify
@@ -288,24 +275,16 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
     if cert.reason == REASON_DIV3:
         return d % 3 == 0
     if cert.reason == REASON_PERIOD:
+        # two consecutive terms fix all later ones, so matching u_1, u_2 makes
+        # rho a period from index 1 (any period <= d/2 forces a repeat)
+        rho = w["rho"]
         return (
             d % 3 != 0
-            and salajan_period_formula(d).period == w["rho"]
-            and 2 * w["rho"] <= d
-        )
-    if cert.reason == REASON_COMPOSITE:
-        a, b = w["coprime_part_1"], w["coprime_part_2"]
-        return d % 3 != 0 and a > 1 and b > 1 and a * b == d and math.gcd(a, b) == 1
-    if cert.reason == REASON_ORDER:
-        p, e = w["p"], w["exponent"]
-        return (
-            p > 3
-            and is_prime(p)
-            and p**e == d
-            and mult_order(9, d) == w["ord9"]
-            and euler_phi(d) == w["phi"]
-            and 2 * w["ord9"] < w["phi"]
+            and 1 <= rho
+            and 2 * rho <= d
+            and salajan_term_mod(1 + rho, d) == salajan_term_mod(1, d)
+            and salajan_term_mod(2 + rho, d) == salajan_term_mod(2, d)
         )
     if cert.reason == REASON_IOTA:
-        return incongruence_index(salajan(), d) == w["iota"] and 2 * w["iota"] <= d
+        return 2 * w["iota"] <= d and _first_repeat(d) == w["iota"] + 1
     return False

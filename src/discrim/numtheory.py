@@ -152,11 +152,14 @@ def factorize(n: int) -> Factorization:
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
+            # no prime <= sqrt(n) divides n, so n is 1 or prime
+            if n > 1:
+                counts[n] = 1
             break
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    if n > 1:
+    else:   # every small prime tried, and n >= 4093^2 may still be composite
         stack = [n]
         while stack:
             m = stack.pop()

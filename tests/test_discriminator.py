@@ -4,19 +4,18 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discrim import discriminator
+from discrim import census, charsum, discriminator, numtheory, periods, sequences
 from discrim.discriminator import (
     METHOD_BOTH,
     METHOD_BRUTE,
     METHOD_CLOSED,
     REASON_BUDGET,
-    REASON_COMPOSITE,
     REASON_DIV3,
     REASON_IOTA,
-    REASON_ORDER,
     REASON_PERIOD,
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
@@ -32,6 +31,7 @@ from discrim.discriminator import (
     verify_discriminates,
 )
 from discrim.charsum import prime_lemma_bound
+from discrim.periods import period_brute
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
     CapExceeded,
@@ -368,11 +368,7 @@ def test_screen_histogram_up_to_4096():
     assert hist[REASON_PERIOD] == 2357
     assert hist[REASON_IOTA] == 356
     assert hist[None] == 17                       # 12 powers of 2, 5 powers of 5
-    # the composite and order screens are subsumed by the period screen run
-    # before them (lcm of even periods stays below d/2; an odd prime power
-    # with 4*ord9 > d forces ord9 = phi/2), so they never fire in the chain
-    assert hist[REASON_COMPOSITE] == 0
-    assert hist[REASON_ORDER] == 0
+    assert set(hist) == {REASON_DIV3, REASON_PERIOD, REASON_IOTA, None}
 
 
 def test_screen_never_certifies_table_values():
@@ -406,36 +402,32 @@ def test_recheck_all_screen_output_below_600():
         assert recheck_certificate(cert), d
 
 
-def test_recheck_synthetic_composite_and_order_certificates():
-    # composite: two coprime parts greater than 1 multiply to d
-    good = NonValueCertificate(
-        35, VERDICT_NON_VALUE, REASON_COMPOSITE,
-        {"coprime_part_1": 5, "coprime_part_2": 7},
-    )
-    assert recheck_certificate(good)
-    bad_parts = NonValueCertificate(
-        35, VERDICT_NON_VALUE, REASON_COMPOSITE,
-        {"coprime_part_1": 1, "coprime_part_2": 35},
-    )
-    assert not recheck_certificate(bad_parts)
-    not_coprime = NonValueCertificate(
-        50, VERDICT_NON_VALUE, REASON_COMPOSITE,
-        {"coprime_part_1": 10, "coprime_part_2": 5},
-    )
-    assert not recheck_certificate(not_coprime)
+def _is_power(base: int, d: int) -> bool:
+    while d % base == 0:
+        d //= base
+    return d == 1
 
-    # order: ord_9(41) = 4 is far below phi(41)/2 = 20, a valid certificate
-    # even though the live chain would have certified 41 by its period first
-    order_cert = NonValueCertificate(
-        41, VERDICT_NON_VALUE, REASON_ORDER,
-        {"p": 41, "exponent": 1, "ord9": 4, "phi": 40},
-    )
-    assert recheck_certificate(order_cert)
-    wrong_order = NonValueCertificate(
-        41, VERDICT_NON_VALUE, REASON_ORDER,
-        {"p": 41, "exponent": 1, "ord9": 20, "phi": 40},
-    )
-    assert not recheck_certificate(wrong_order)
+
+def test_screen_complete_below_10_5_and_period_survivors_are_prime_powers():
+    # the chain needs no composite or order screen after the period screen:
+    # for coprime a, b > 1, rho(ab) = lcm(rho(a), rho(b)) <= rho(a) rho(b) / 2
+    # <= ab/2, since every rho is even and rho(q) <= q for a prime power q;
+    # and an odd prime power with 4 ord_9 > d has ord_9 = phi/2
+    d_max = 10**5
+    image = set(image_of_discriminator(d_max))
+    holes, survivors = [], []
+    for d in range(2, d_max + 1):
+        cert = nonvalue_screen(d)
+        if cert.verdict != VERDICT_NON_VALUE and not (d in image or _is_power(2, d) or _is_power(5, d)):
+            holes.append(d)
+        if cert.reason not in (REASON_DIV3, REASON_PERIOD):
+            survivors.append(d)
+    assert holes == []
+    assert len(survivors) == 5853                 # 16 of them powers of 2
+    for d in survivors:
+        if not _is_power(2, d):
+            (p, _), = sympy.factorint(d).items()
+            assert p > 3 and 2 * sympy.n_order(9, d) == sympy.totient(d), d
 
 
 def test_recheck_rejects_tampered_witnesses():
@@ -447,7 +439,58 @@ def test_recheck_rejects_tampered_witnesses():
     bumped = NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 3})
     assert recheck_certificate(iota_cert) and not recheck_certificate(bumped)
 
+    # true witnesses that exceed d/2 prove nothing: rho(5) = 4, iota(32) = 32
+    long_period = NonValueCertificate(5, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 4})
+    long_index = NonValueCertificate(32, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 32})
+    assert not recheck_certificate(long_period) and not recheck_certificate(long_index)
+
     undecided = nonvalue_screen(32)
     assert recheck_certificate(undecided)       # no claim made, nothing to refute
     nonsense = NonValueCertificate(9, VERDICT_NON_VALUE, "made_up", {})
     assert not recheck_certificate(nonsense)
+
+
+_TAMPERS = {"plus_one": lambda v: v + 1, "minus_one": lambda v: v - 1,
+            "double": lambda v: 2 * v, "half": lambda v: v // 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5000), st.sampled_from(sorted(_TAMPERS)))
+def test_recheck_tampered_witness_needs_a_true_period_or_index(d, how):
+    cert = nonvalue_screen(d)
+    assume(cert.reason in (REASON_PERIOD, REASON_IOTA))
+    key = "rho" if cert.reason == REASON_PERIOD else "iota"
+    value = _TAMPERS[how](cert.witness[key])
+    tampered = NonValueCertificate(d, cert.verdict, cert.reason, {**cert.witness, key: value})
+    if key == "rho":
+        # any period <= d/2 proves the claim, not only the least one
+        period = period_brute(sequences.salajan(), d).period
+        still_true = value >= 1 and value % period == 0 and 2 * value <= d
+    else:
+        still_true = False   # the index is checked exactly
+    assert recheck_certificate(tampered) == still_true
+
+
+def test_recheck_accepts_exactly_the_periods_up_to_half_of_d():
+    for d in range(2, 301):
+        if d % 3 == 0:
+            continue
+        period = period_brute(sequences.salajan(), d).period
+        for rho in range(d // 2 + 2):
+            cert = NonValueCertificate(d, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": rho})
+            assert recheck_certificate(cert) == (rho >= 1 and rho % period == 0 and 2 * rho <= d), (d, rho)
+
+
+def test_recheck_needs_no_screen_engine(monkeypatch):
+    certs = [nonvalue_screen(d) for d in range(2, 601)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recheck called into the screen's engines")
+
+    names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
+             "mult_order", "factorize")
+    for module in (census, charsum, discriminator, numtheory, periods, sequences):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert all(recheck_certificate(cert) for cert in certs)

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrim import numtheory
 from discrim.numtheory import (
     U64_MAX,
     _pow_mod_u32,
@@ -144,11 +145,33 @@ def test_factorize_primes_and_semiprimes_past_trial_division():
     # 4093 is the largest trial divisor: from 4093^2 on, a prime is no longer
     # proved by running out of divisors, and a semiprime needs rho
     primes = list(sympy.primerange(4093**2, 4093**2 + 400)) + [2**61 - 1, 2**64 - 59]
-    semis = [4093 * 4099, 4099 * 4111, 4093**2, 4099**2, 65537 * 6700417, 4294967291 * 4294967279]
+    semis = [4091 * 4093, 4093 * 4099, 4099 * 4111, 4093**2, 4099**2, 65537 * 6700417,
+             4294967291 * 4294967279]
     for n in primes:
         assert factorize(n).factors == ((n, 1),)
-    for n in semis:
+    for n in semis + list(range(4093**2 - 64, 4093**2 + 65)):
         assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_factorize_matches_sympy_below_50000():
+    for n in range(1, 50_001):
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_factorize_trusts_trial_division_below_the_trial_square(monkeypatch):
+    # below 4093^2 trial division stops at p*p > n, which proves the
+    # cofactor prime, so no Miller-Rabin test is needed
+    calls = []
+    real = numtheory.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "is_prime", counting)
+    for n in range(1, 100_001):
+        factorize(n)
+    assert calls == []
 
 
 # ------------------------------------------------------------------ valuations
