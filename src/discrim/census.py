@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import mpmath
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .numtheory import _pow_mod_u32, is_prime, iter_prime_blocks, mult_order, primes_up_to
 
@@ -76,7 +77,7 @@ def classify_prime(p: int) -> PrimeClassRecord:
     """Class of a prime p > 3 from p mod 4 and ord_3(p)."""
     if p <= 3 or not is_prime(p):
         raise ValueError("classification needs a prime p > 3")
-    ord3 = mult_order(3, p)
+    ord3 = mult_order(3, p, ((p, 1),))
     r4 = p % 4
     if r4 == 1 and ord3 == p - 1:
         pclass = CLASS_P1
@@ -102,6 +103,8 @@ def _classify_batch(primes: np.ndarray) -> np.ndarray:
     iff it divides (p-1)/(2q); hence ord_3(p) = (p-1)/2 iff 3^((p-1)/2) = 1
     and 3^((p-1)/q) != 1 for every odd q.
     """
+    import numpy as np
+
     n = len(primes)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -144,6 +147,8 @@ def census_scan(x: int) -> DensityReport:
     One sieve segment at a time goes through the batch classifier; primes
     from 2^32 up, beyond its exact range, through `classify_prime`.
     """
+    import numpy as np
+
     if x < 5:
         raise ValueError("scan limit must be >= 5")
     tally = np.zeros(len(_CLASSES), dtype=np.int64)
@@ -209,10 +214,29 @@ _FIX_BITS = 192
 _FIX_ONE = 1 << _FIX_BITS
 
 
+def _atanh_inv(x: int, bits: int) -> int:
+    """atanh(1/x) * 2^bits for an integer x > 1, from the series
+    sum 1/((2k+1) x^(2k+1)); each term is truncated, so the result is low by
+    at most one unit per term."""
+    power = (1 << bits) // x
+    total = 0
+    k = 1
+    while power:
+        total += power // k
+        power //= x * x
+        k += 2
+    return total
+
+
 def _alpha_fixed() -> int:
-    """log2(5) as a 192-bit fixed-point integer, error below 2 units."""
-    with mpmath.workprec(_FIX_BITS + 64):
-        return int(mpmath.floor(mpmath.log(5) / mpmath.log(2) * _FIX_ONE))
+    """log2(5) as a 192-bit fixed-point integer, error below 2 units.
+
+    atanh(1/3) = ln(2)/2 and atanh(1/9) = ln(5/4)/2, so
+    log2(5) = 2 + atanh(1/9)/atanh(1/3). Both series run with 64 guard
+    bits, which absorb their truncation error of under 200 units.
+    """
+    bits = _FIX_BITS + 64
+    return 2 * _FIX_ONE + (_atanh_inv(9, bits) << _FIX_BITS) // _atanh_inv(3, bits)
 
 
 _ALPHA_FIX = _alpha_fixed()

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .numtheory import is_prime, mult_order, smallest_primitive_root
 
@@ -64,6 +66,8 @@ def build_A(p: int, g: int | None = None) -> set[tuple[int, int]]:
 
 
 def _indicator_grid(pairs, n: int) -> np.ndarray:
+    import numpy as np
+
     grid = np.zeros((n, n), dtype=np.float64)
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
@@ -79,6 +83,8 @@ def max_nontrivial_char_sum(pairs, group_order: int, method: str = "auto") -> fl
     direct path multiplies out roots of unity and exists as an independent
     cross-check for small orders.
     """
+    import numpy as np
+
     pairs = set(pairs)
     if not pairs:
         raise ValueError("character sums over an empty set are degenerate")
@@ -119,6 +125,8 @@ def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
     main term included. The residual is the absolute difference and must sit
     within numeric tolerance of zero.
     """
+    import numpy as np
+
     a = set(pairs_a)
     b = set(pairs_b)
     if not a or not b:

@@ -148,22 +148,25 @@ def discriminator_table(spec: SequenceSpec, n_max: int) -> list[int]:
     return _least_moduli(spec, 1, n_max, 2 * n_max if spec.kind == SALAJAN else 4 * n_max)
 
 
-def salajan_discriminator_closed(n: int) -> DiscriminatorRecord:
-    """Closed-form D(n) = min(2^e, 5^f), by integer comparison only.
-
-    e is the least exponent with 2^e >= n and f the least with 4*5^f >= 5n;
-    repeated multiplication instead of logarithms because boundaries like
-    n = 4*5^k + 1 sit exactly where floating point rounds the wrong way.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
+def _closed_powers(n: int) -> tuple[int, int]:
+    """(2^e, 5^f) with e least such that 2^e >= n and f least such that
+    4*5^f >= 5n; repeated multiplication instead of logarithms because
+    boundaries like n = 4*5^k + 1 sit exactly where floating point rounds the
+    wrong way."""
     pow2 = 1
     while pow2 < n:
         pow2 <<= 1
     pow5 = 1
     while 4 * pow5 < 5 * n:
         pow5 *= 5
-    return DiscriminatorRecord(n, min(pow2, pow5), METHOD_CLOSED)
+    return pow2, pow5
+
+
+def salajan_discriminator_closed(n: int) -> DiscriminatorRecord:
+    """Closed-form D(n) = min(2^e, 5^f), by integer comparison only."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return DiscriminatorRecord(n, min(_closed_powers(n)), METHOD_CLOSED)
 
 
 def salajan_discriminator_checked(n: int, search_cap: int | None = None) -> DiscriminatorRecord:
@@ -178,16 +181,25 @@ def salajan_discriminator_checked(n: int, search_cap: int | None = None) -> Disc
 
 
 def table_ranges(n_max: int) -> list[tuple[int, int, int]]:
-    """Closed-form values over 1..n_max compressed into (start, end, value) rows."""
+    """Closed-form values over 1..n_max compressed into (start, end, value) rows.
+
+    2^e and 5^f stay fixed from n up to the next breakpoint
+    min(2^e, 4*5^(f-1)), so the walk steps from breakpoint to breakpoint:
+    O(log n_max) steps, not one per n.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     rows: list[list[int]] = []
-    for n in range(1, n_max + 1):
-        v = salajan_discriminator_closed(n).value
+    n = 1
+    while n <= n_max:
+        pow2, pow5 = _closed_powers(n)
+        end = min(pow2, pow5 // 5 * 4, n_max)
+        v = min(pow2, pow5)
         if rows and rows[-1][2] == v:
-            rows[-1][1] = n
+            rows[-1][1] = end
         else:
-            rows.append([n, n, v])
+            rows.append([n, end, v])
+        n = end + 1
     return [tuple(r) for r in rows]
 
 
@@ -266,25 +278,28 @@ def _first_repeat(d: int) -> int:
 
 def recheck_certificate(cert: NonValueCertificate) -> bool:
     """Check a certificate's claim from its witness fields and the recurrence
-    alone, sharing no code with the screen that made it."""
+    alone, sharing no code with the screen that made it. A malformed
+    certificate (d < 2, a witness field missing or not an int) fails."""
     d, w = cert.d, cert.witness
     if cert.verdict == VERDICT_UNDECIDED:
         return True   # no claim to falsify
-    if cert.verdict != VERDICT_NON_VALUE:
+    if cert.verdict != VERDICT_NON_VALUE or type(d) is not int or d < 2:
         return False
     if cert.reason == REASON_DIV3:
         return d % 3 == 0
     if cert.reason == REASON_PERIOD:
         # two consecutive terms fix all later ones, so matching u_1, u_2 makes
         # rho a period from index 1 (any period <= d/2 forces a repeat)
-        rho = w["rho"]
+        rho = w.get("rho")
         return (
-            d % 3 != 0
+            type(rho) is int
+            and d % 3 != 0
             and 1 <= rho
             and 2 * rho <= d
             and salajan_term_mod(1 + rho, d) == salajan_term_mod(1, d)
             and salajan_term_mod(2 + rho, d) == salajan_term_mod(2, d)
         )
     if cert.reason == REASON_IOTA:
-        return 2 * w["iota"] <= d and _first_repeat(d) == w["iota"] + 1
+        iota = w.get("iota")
+        return type(iota) is int and 2 * iota <= d and _first_repeat(d) == iota + 1
     return False

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 U64_MAX = 2**64 - 1
 
@@ -64,34 +66,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (plain sieve, used for small limits)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
+def _small_sieve(limit: int) -> list[int]:
+    """All primes <= limit as a list (plain sieve for small limits, in pure
+    Python so that importing this module needs no numpy)."""
+    mask = bytearray([1]) * (limit + 1)
+    mask[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+            mask[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p, flag in enumerate(mask) if flag]
 
 
-_SMALL_PRIMES: list[int] = [int(p) for p in _simple_sieve(4096)]
+_SMALL_PRIMES: list[int] = _small_sieve(4096)
 # above this, trial division runs through every one of _SMALL_PRIMES
 _TRIAL_SQUARE = _SMALL_PRIMES[-1] ** 2
 
 
 def iter_prime_blocks(limit: int, block: int = _SIEVE_BLOCK):
     """Yield int64 arrays of primes <= limit, segmented for cache friendliness."""
+    import numpy as np
+
     if limit < 2:
         return
-    base = _simple_sieve(math.isqrt(limit))
+    base = _small_sieve(math.isqrt(limit))
     lo = 2
     while lo <= limit:
         hi = min(lo + block - 1, limit)
         mask = np.ones(hi - lo + 1, dtype=bool)
         for p in base:
-            p = int(p)
             if p * p > hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
@@ -106,6 +108,8 @@ def iter_prime_blocks(limit: int, block: int = _SIEVE_BLOCK):
 
 
 def primes_up_to(limit: int) -> np.ndarray:
+    import numpy as np
+
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(list(iter_prime_blocks(limit)))
@@ -203,6 +207,8 @@ def _pow_mod_u32(base: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
     Left-to-right square-and-multiply in uint64: every residue stays below
     2^32, so every product stays below 2^64 and the result is exact.
     """
+    import numpy as np
+
     mods = mods.astype(np.uint64)
     exps = exps.astype(np.uint64)
     b = np.uint64(base) % mods
@@ -222,12 +228,20 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def carmichael_lambda(m: int) -> int:
-    """Exponent of the unit group mod m."""
+def carmichael_lambda(m: int, factors: Iterable[tuple[int, int]] | None = None) -> int:
+    """Exponent of the unit group mod m. `factors`, if given, is m's prime
+    factorization and saves factoring m; its primes are trusted, only its
+    product is checked."""
     if m < 1:
         raise ValueError("m must be positive")
+    if factors is None:
+        factors = factorize(m).factors
+    else:
+        factors = tuple(factors)
+        if math.prod(p**e for p, e in factors) != m:
+            raise ValueError(f"factors {factors} do not multiply to {m}")
     lam = 1
-    for p, e in factorize(m).factors:
+    for p, e in factors:
         if p == 2:
             part = 2 ** max(e - 2, 0) if e >= 3 else 2 ** (e - 1)
         else:
@@ -236,14 +250,15 @@ def carmichael_lambda(m: int) -> int:
     return lam
 
 
-def mult_order(a: int, m: int) -> int:
-    """Least t >= 1 with a^t = 1 mod m, via reduction of lambda(m)."""
+def mult_order(a: int, m: int, factors: Iterable[tuple[int, int]] | None = None) -> int:
+    """Least t >= 1 with a^t = 1 mod m, via reduction of lambda(m); `factors`,
+    if given, is m's prime factorization and saves factoring m."""
     if m < 2:
         raise ValueError("m must be >= 2")
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"gcd({a}, {m}) != 1, order undefined")
-    t = carmichael_lambda(m)
+    t = carmichael_lambda(m, factors)
     for q, _ in factorize(t).factors:
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
@@ -298,6 +313,8 @@ def artin_constant(prime_limit: int) -> float:
     Accumulates log terms with compensated summation; monotone nonincreasing
     in prime_limit.
     """
+    import numpy as np
+
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
     partials = []

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SALAJAN = "salajan"
 LINEAR_RECURRENCE = "linear_recurrence"
@@ -33,7 +36,6 @@ TAIL_MAX_MODULUS = 1 << 22
 _WINDOW = 64
 _FIRST_ROWS = 4
 _MAX_BLOCK = 1024
-_POSITIONS = np.arange(1, _MAX_BLOCK + 1, dtype=np.int16)
 
 
 class CapExceeded(RuntimeError):
@@ -272,6 +274,14 @@ def tail_start(m: int) -> int | None:
     return max(TAIL_HEAD, 4 * math.isqrt(m))
 
 
+@cache
+def _positions() -> np.ndarray:
+    """1, ..., _MAX_BLOCK as int16: the 1-based positions a block claims."""
+    import numpy as np
+
+    return np.arange(1, _MAX_BLOCK + 1, dtype=np.int16)
+
+
 def _first_repeat(owner: np.ndarray, vals: np.ndarray) -> int | None:
     """Offset in `vals` of its first residue seen before, or None.
 
@@ -282,7 +292,9 @@ def _first_repeat(owner: np.ndarray, vals: np.ndarray) -> int | None:
     a block with a repeat is claimed again with `np.minimum.at`, which
     applies every write and leaves each residue its first position.
     """
-    pos = _POSITIONS[: len(vals)]
+    import numpy as np
+
+    pos = _positions()[: len(vals)]
     prev = owner[vals]
     owner[vals] = pos
     if not np.count_nonzero(prev) and owner[vals].tobytes() == pos.tobytes():
@@ -304,6 +316,8 @@ def _recurrence_tail(c1: int, c2: int, m: int, limit: int, seen: set, window: li
     of w, where (a_j, b_j) is the top row of P^j, P = [[c1, c2], [1, 0]]^W
     mod m. Each block's last W + 1 residues are the next block's w.
     """
+    import numpy as np
+
     k = len(seen)
     owner = np.zeros(m, dtype=np.int16)
     owner[np.fromiter(seen, dtype=np.int64, count=k)] = 1

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrim import census
+from discrim import census, numtheory
 from discrim.census import (
     ARTIN_CONSTANT,
     BETA,
@@ -22,7 +22,7 @@ from discrim.census import (
     fset_member_weyl,
     fset_scan_interval,
 )
-from discrim.numtheory import factorize, primes_up_to
+from discrim.numtheory import factorize, mult_order, primes_up_to
 from discrim.verify import LISTED_P1, LISTED_P2, LISTED_P3
 
 
@@ -143,6 +143,27 @@ def test_batch_matches_scalar_below_10_5():
 def test_batch_matches_scalar_on_windows(lo, hi):
     primes = list(sympy.primerange(lo, hi))
     assert batch_classes(primes) == scalar_classes(primes)
+
+
+_WINDOWS = [(5, 100_000), (2**20 - 20_000, 2**20 + 20_000), (10**9, 10**9 + 3000), (2**32 - 30_000, 2**32)]
+
+
+def test_mult_order_with_the_known_factorization_agrees():
+    for lo, hi in _WINDOWS:
+        for p in sympy.primerange(lo, hi):
+            assert mult_order(3, p, ((p, 1),)) == mult_order(3, p), p
+
+
+def test_classify_proves_p_prime_once(monkeypatch):
+    calls = []
+    real = numtheory.is_prime
+    for module in (census, numtheory):
+        monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n) or real(n))
+    # primes on both sides of 4093^2, above which factorize would test p again
+    for p in (16_752_647, 16_752_653, 1_000_000_007, 2**32 - 5):
+        calls.clear()
+        classify_prime(p)
+        assert calls.count(p) == 1, p
 
 
 def test_batch_handles_tiny_and_empty_input():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,14 @@ def test_table_json_lines(capsys):
     objs = [json.loads(line) for line in out.splitlines()]
     assert objs[0] == {"start": 1, "end": 1, "value": 1}
     assert objs[-1] == {"start": 5, "end": 8, "value": 8}
+
+
+def test_table_up_to_10_18_returns_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "table", "--max", str(10**18), "--format", "csv")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert parse_csv(out)[-1]["end"] == str(10**18)
 
 
 def test_table_human_is_aligned(capsys):

@@ -327,6 +327,46 @@ def test_table_compresses_consistently():
         table_ranges(0)
 
 
+def _table_per_n(n_max):
+    """table_ranges' rows, rebuilt from one closed-form call per n."""
+    rows = []
+    for n in range(1, n_max + 1):
+        v = salajan_discriminator_closed(n).value
+        if rows and rows[-1][2] == v:
+            rows[-1][1] = n
+        else:
+            rows.append([n, n, v])
+    return [tuple(r) for r in rows]
+
+
+def _assert_rows_follow_the_closed_form(rows, n_max):
+    # D is nondecreasing, so a row whose two ends have its value holds it
+    # throughout; adjacent rows must differ, or the compression is not maximal
+    assert rows[0][0] == 1 and rows[-1][1] == n_max
+    for (_, end, value), (start, _, nxt) in zip(rows, rows[1:]):
+        assert start == end + 1 and value != nxt
+    for start, end, value in rows:
+        assert salajan_discriminator_closed(start).value == value
+        assert salajan_discriminator_closed(end).value == value
+
+
+def test_table_steps_agree_with_the_per_n_compression():
+    per_n = _table_per_n(40_000)
+    ends = [end for _, end, _ in per_n]
+    rng = random.Random(7)
+    for n_max in list(range(1, 5001)) + [32768] + [rng.randint(5001, 40_000) for _ in range(40)]:
+        k = next(i for i, end in enumerate(ends) if end >= n_max)
+        assert table_ranges(n_max) == per_n[:k] + [per_n[k][:1] + (n_max,) + per_n[k][2:]], n_max
+    for n_max in [rng.randint(40_001, 10**6) for _ in range(200)]:
+        _assert_rows_follow_the_closed_form(table_ranges(n_max), n_max)
+
+
+def test_table_up_to_10_18_follows_the_closed_form():
+    rows = table_ranges(10**18)
+    assert rows[:20] == EXPECTED_TABLE
+    _assert_rows_follow_the_closed_form(rows, 10**18)
+
+
 def test_image_anchors():
     assert image_of_discriminator(700) == [1, 2, 4, 8, 16, 25, 32, 64, 125, 128, 256, 512]
     # 5 and 625 are skipped: their intervals contain 4 and 512
@@ -448,6 +488,24 @@ def test_recheck_rejects_tampered_witnesses():
     assert recheck_certificate(undecided)       # no claim made, nothing to refute
     nonsense = NonValueCertificate(9, VERDICT_NON_VALUE, "made_up", {})
     assert not recheck_certificate(nonsense)
+
+    # malformed certificates fail instead of raising
+    malformed = [
+        NonValueCertificate(0, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 0}),
+        NonValueCertificate(1, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 0}),
+        NonValueCertificate(-4, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 1}),
+        NonValueCertificate(0, VERDICT_NON_VALUE, REASON_DIV3, {"d_mod_3": 0}),
+        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {}),
+        NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {}),
+        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": "6"}),
+        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6.0}),
+        NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": "3"}),
+        NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": None}),
+        NonValueCertificate("13", VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}),
+    ]
+    for cert in malformed:
+        assert recheck_certificate(cert) is False, cert
+    assert recheck_certificate(NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}))
 
 
 _TAMPERS = {"plus_one": lambda v: v + 1, "minus_one": lambda v: v - 1,

@@ -249,6 +249,19 @@ def test_mult_order_errors():
         mult_order(6, 9)   # shares a factor
     with pytest.raises(ValueError):
         mult_order(3, 1)
+    with pytest.raises(ValueError):
+        mult_order(3, 20, ((2, 1), (5, 1)))   # a factorization of 10, not of 20
+    with pytest.raises(ValueError):
+        carmichael_lambda(20, ((2, 2),))
+
+
+def test_known_factorization_agrees_below_3000():
+    for m in range(2, 3001):
+        fac = factorize(m)
+        assert carmichael_lambda(m, fac) == carmichael_lambda(m, fac.factors) == carmichael_lambda(m), m
+        for a in (2, 3, 9, m - 1):
+            if math.gcd(a, m) == 1:
+                assert mult_order(a, m, fac.factors) == mult_order(a, m), (a, m)
 
 
 @settings(max_examples=60, deadline=None)
