@@ -5,7 +5,7 @@ other d, a short chain of screens produces a machine-checkable certificate:
 
     divisible_by_3   3 | d           (two residues collide immediately)
     period_screen    2 rho(d) <= d   (a full period pins iota(d) < d)
-    iota_screen      iota(d) < d     (direct prefix scan, budgeted)
+    iota_screen      iota(d) < d     (direct prefix scan)
 
 Every certificate carries a witness that recheck_certificate checks
 against the recurrence alone, sharing no code with the screens: a period

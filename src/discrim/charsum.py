@@ -76,7 +76,7 @@ def _indicator_grid(pairs, n: int) -> np.ndarray:
     return grid
 
 
-def max_nontrivial_char_sum(pairs, group_order: int, method: str = "auto") -> float:
+def max_nontrivial_char_sum(pairs, group_order: int, method: str = "dft") -> float:
     """max over (s,t) != (0,0) of |sum over (x,y) in A of e^(2pi*i(sx+ty)/n)|.
 
     The DFT of the indicator grid evaluates every character at once; the
@@ -91,8 +91,6 @@ def max_nontrivial_char_sum(pairs, group_order: int, method: str = "auto") -> fl
     n = group_order
     if n < 2:
         raise ValueError("a group of order 1 has no nontrivial characters")
-    if method == "auto":
-        method = "dft"
     if method == "dft":
         if n > MAX_DFT_ORDER:
             raise ValueError(f"group order {n} exceeds DFT guard {MAX_DFT_ORDER}")

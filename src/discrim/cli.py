@@ -32,7 +32,7 @@ from .sequences import (
     parse_spec,
     salajan,
 )
-from .verify import SUITES, run_suites
+from .verify import SUITES, TOLERANCES, run_suites
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -257,10 +257,12 @@ def _cmd_charsum(args, out) -> int:
     report = char_sum_report(args.p, args.g)
     lower = math.sqrt(report.setA_size)
     # the maximum is a Jacobi-sum modulus, i.e. exactly sqrt(p); allow fp margin
+    slack = TOLERANCES["charsum_lower_slack"]
+    margin = TOLERANCES["charsum_upper_margin"]
     ok = (
         report.setA_size == args.p - 2
-        and lower - 1e-6 <= report.max_nontrivial_sum <= report.sqrt_p + 1e-9
-        and report.identity_residual < 1e-6 * (args.p - 1) ** 2
+        and lower - slack <= report.max_nontrivial_sum <= report.sqrt_p + margin
+        and report.identity_residual < TOLERANCES["identity_relative"] * (args.p - 1) ** 2
     )
     rows = [
         {

@@ -42,7 +42,6 @@ VERDICT_UNDECIDED = "undecided"
 REASON_DIV3 = "divisible_by_3"
 REASON_PERIOD = "period_screen"
 REASON_IOTA = "iota_screen"
-REASON_BUDGET = "budget_exceeded"
 
 # any prime this large that discriminated n >= (p+1)/2 terms would have to
 # exceed floor(n/4)^(4/3), which is impossible once n >= 2060
@@ -231,7 +230,7 @@ def _attach_big_prime_report(d: int, witness: dict) -> None:
             witness["prime_floor_bound"] = prime_lemma_bound(min_n)
 
 
-def nonvalue_screen(d: int, iota_budget: int | None = None) -> NonValueCertificate:
+def nonvalue_screen(d: int) -> NonValueCertificate:
     """Certify d as a non-value of the flagship discriminator, or stay undecided.
 
     Screens run in order: multiples of 3 are never values; a period rho(d) at
@@ -249,14 +248,8 @@ def nonvalue_screen(d: int, iota_budget: int | None = None) -> NonValueCertifica
     if 2 * rho <= d:
         return NonValueCertificate(d, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": rho})
 
-    witness: dict = {}
-    try:
-        iota = incongruence_index(salajan(), d, cap=iota_budget)
-    except CapExceeded:
-        witness["iota_budget"] = iota_budget
-        _attach_big_prime_report(d, witness)
-        return NonValueCertificate(d, VERDICT_UNDECIDED, REASON_BUDGET, witness)
-    witness["iota"] = iota
+    iota = incongruence_index(salajan(), d)
+    witness = {"iota": iota}
     _attach_big_prime_report(d, witness)
     if 2 * iota <= d:
         return NonValueCertificate(d, VERDICT_NON_VALUE, REASON_IOTA, witness)

@@ -67,7 +67,7 @@ def salajan_period_formula(d: int) -> PeriodInfo:
     return PeriodInfo(d, max(1, alpha), 2 * mult_order(9, 4 * delta))
 
 
-def incongruence_index(spec: SequenceSpec, m: int, cap: int | None = None) -> int:
+def incongruence_index(spec: SequenceSpec, m: int) -> int:
     """Largest k with v_1..v_k pairwise incongruent mod m.
 
     Streams residues until the first repeat. Since iota(m) <= m, reaching m
@@ -75,13 +75,7 @@ def incongruence_index(spec: SequenceSpec, m: int, cap: int | None = None) -> in
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if cap is None:
-        cap = m + 1
-    bound = min(cap, m)
-    k = distinct_prefix_length(spec, m, bound)
-    if k == bound and bound < m:
-        raise CapExceeded(f"no repeat within cap {cap} and fewer than {m} residues seen")
-    return k
+    return distinct_prefix_length(spec, m, m)
 
 
 def iota_equals_rho_scan(prime_limit: int) -> list[int]:
@@ -100,10 +94,10 @@ def iota_equals_rho_scan(prime_limit: int) -> list[int]:
         if p == 3:
             continue
         rho = salajan_period_formula(p).period
-        # iota <= rho for purely periodic moduli, so one extra step decides
-        if distinct_prefix_length(seq, p, rho + 1) >= rho:
-            if incongruence_index(seq, p) == rho:
-                out.append(p)
+        # u_{1+rho} = u_1 mod p (purely periodic), so iota(p) <= rho and a
+        # scan capped at rho + 1 terms returns iota(p) itself
+        if distinct_prefix_length(seq, p, rho + 1) == rho:
+            out.append(p)
     return out
 
 

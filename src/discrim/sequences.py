@@ -116,12 +116,12 @@ def parse_spec(text: str) -> SequenceSpec:
     raise ValueError(f"unknown sequence kind {head!r}")
 
 
-def salajan_term_exact(j: int, cap: int = DEFAULT_EXACT_CAP) -> int:
-    """Exact u_j = (3^j - 5(-1)^j)/4; refuses j > cap to bound memory."""
+def salajan_term_exact(j: int) -> int:
+    """Exact u_j = (3^j - 5(-1)^j)/4; refuses j > DEFAULT_EXACT_CAP to bound memory."""
     if j < 1:
         raise ValueError("index must be positive")
-    if j > cap:
-        raise CapExceeded(f"exact term index {j} exceeds cap {cap}")
+    if j > DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"exact term index {j} exceeds cap {DEFAULT_EXACT_CAP}")
     sign = -1 if j % 2 else 1
     num = 3**j - 5 * sign
     return num // 4
@@ -150,16 +150,16 @@ def _poly_eval(coeffs: tuple[int, ...], j: int) -> int:
     return acc
 
 
-def term_exact(spec: SequenceSpec, j: int, cap: int = DEFAULT_EXACT_CAP) -> int:
+def term_exact(spec: SequenceSpec, j: int) -> int:
     """Exact j-th term of any spec (test-oracle path, arbitrary precision)."""
     if j < 1:
         raise ValueError("index must be positive")
     if spec.kind == SALAJAN:
-        return salajan_term_exact(j, cap)
+        return salajan_term_exact(j)
     if spec.kind == POLYNOMIAL:
         return _poly_eval(spec.coeffs, j)
-    if j > cap:
-        raise CapExceeded(f"exact term index {j} exceeds cap {cap}")
+    if j > DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"exact term index {j} exceeds cap {DEFAULT_EXACT_CAP}")
     for t in exact_terms(spec, j):
         pass
     return t

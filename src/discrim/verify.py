@@ -65,10 +65,6 @@ LISTED_P3 = [7, 19, 31, 43, 79, 127, 139, 163, 199, 211, 223, 283]
 IOTA_EQ_RHO_ANCHORS = [193, 1093, 1181, 1871]
 IOTA_EQ_RHO_SCAN_2000 = [2, 5, 13, 41, 73, 193, 757, 769, 1093, 1181, 1597, 1621, 1871]
 
-ARTIN_TARGET = 0.3739558136
-DENSITY_TARGETS = {"P1": 0.224373488, "P2": 0.224373488, "P3": 0.149582325}
-BETA_TARGET = 0.6781
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -80,13 +76,11 @@ class CheckResult:
 # ---------------------------------------------------------------- table
 
 
-def check_table(n_max: int = 32768) -> CheckResult:
-    rows = table_ranges(n_max)
-    if n_max == 32768:
-        ok = rows == EXPECTED_TABLE
-        detail = f"{len(rows)} rows, expected 20 reference rows: {'match' if ok else 'MISMATCH'}"
-        return CheckResult("table", ok, detail)
-    return CheckResult("table", bool(rows), f"{len(rows)} rows up to n={n_max}")
+def check_table() -> CheckResult:
+    rows = table_ranges(32768)
+    ok = rows == EXPECTED_TABLE
+    detail = f"{len(rows)} rows, expected 20 reference rows: {'match' if ok else 'MISMATCH'}"
+    return CheckResult("table", ok, detail)
 
 
 # ---------------------------------------------------------------- theorem1
@@ -130,7 +124,8 @@ def check_theorem1(n_max: int = 4096) -> CheckResult:
 # ---------------------------------------------------------------- periods
 
 
-def check_periods(d_max: int = 5000) -> CheckResult:
+def check_periods() -> CheckResult:
+    d_max = 5000
     seq = salajan()
     bad = []
     for d in range(2, d_max + 1):
@@ -161,11 +156,11 @@ def check_periods(d_max: int = 5000) -> CheckResult:
 # ---------------------------------------------------------------- iota anchors
 
 
-def check_iota_anchors(prime_limit: int = 2000) -> CheckResult:
+def check_iota_anchors() -> CheckResult:
     seq = salajan()
     if incongruence_index(seq, 29) != 14:
         return CheckResult("iota-anchors", False, "iota(29) != 14")
-    found = iota_equals_rho_scan(prime_limit)
+    found = iota_equals_rho_scan(2000)
     missing = [p for p in IOTA_EQ_RHO_ANCHORS if p not in found]
     wrong = [p for p in (7, 29, 307) if p in found]
     # independent re-verification of every reported equality case
@@ -177,11 +172,11 @@ def check_iota_anchors(prime_limit: int = 2000) -> CheckResult:
     # negative anchor: 307 does NOT satisfy iota = rho — the first collision
     # is u_17 = u_2 (mod 307), so iota(307) = 16, while the period is 34
     neg_ok = incongruence_index(seq, 307) == 16 and period_brute(seq, 307).period == 34
-    frozen_ok = found == IOTA_EQ_RHO_SCAN_2000 if prime_limit == 2000 else True
+    frozen_ok = found == IOTA_EQ_RHO_SCAN_2000
     extras = [p for p in confirmed if p not in IOTA_EQ_RHO_ANCHORS]
     ok = not missing and not wrong and confirmed == found and neg_ok and frozen_ok
     detail = (
-        f"iota(29)=14; scan({prime_limit}) = {found}, all re-verified against "
+        f"iota(29)=14; scan(2000) = {found}, all re-verified against "
         f"brute periods; iota(307)=16 < 34=rho(307); extras beyond the four "
         f"anchor primes: {extras}"
     )
@@ -199,8 +194,9 @@ def check_iota_anchors(prime_limit: int = 2000) -> CheckResult:
 # ---------------------------------------------------------------- iota bounds
 
 
-def check_iota_bounds(prime_limit: int = 100_000) -> CheckResult:
+def check_iota_bounds() -> CheckResult:
     """iota(p) stays under the proven prime bound."""
+    prime_limit = 100_000
     seq = salajan()
     bad = [
         p
@@ -217,7 +213,7 @@ def check_iota_bounds(prime_limit: int = 100_000) -> CheckResult:
 # ---------------------------------------------------------------- valuation
 
 
-def check_valuation(n_max: int = 200) -> CheckResult:
+def check_valuation() -> CheckResult:
     cases = 0
     bad = []
     for p in (2, 3, 5, 7):
@@ -225,7 +221,7 @@ def check_valuation(n_max: int = 200) -> CheckResult:
         if (9 - 1) % p == 0:
             rs.add(9)
         for r in sorted(rs):
-            for n in range(1, n_max + 1):
+            for n in range(1, 201):
                 want = padic_valuation(p, r**n - 1)
                 got = lte_valuation(p, r, n)
                 cases += 1
@@ -247,10 +243,12 @@ def _is_power_of(base: int, d: int) -> bool:
     return d == 1
 
 
-def check_screen(sound_limit: int = 32768, complete_limit: int = 4096) -> CheckResult:
-    """Soundness: no attained value is certified non_value. Completeness at
-    desk scale: every non-image d (powers of 2 and 5 aside) is certified."""
-    values = sorted({row[2] for row in table_ranges(sound_limit)})
+def check_screen() -> CheckResult:
+    """Soundness: no value of the reference table (n <= 32768) is certified
+    non_value. Completeness at desk scale: every non-image d <= 4096 (powers
+    of 2 and 5 aside) is certified."""
+    complete_limit = 4096
+    values = sorted({row[2] for row in EXPECTED_TABLE})
     unsound = []
     for v in values:
         if v < 2:
@@ -284,23 +282,20 @@ def check_screen(sound_limit: int = 32768, complete_limit: int = 4096) -> CheckR
 # ---------------------------------------------------------------- census
 
 
-def check_census(x: int = 1_000_000) -> CheckResult:
+def check_census() -> CheckResult:
     got = {"P1": [], "P2": [], "P3": [], "none": []}
     for p in primes_up_to(300).tolist():
         if p > 3:
             got[census_mod.classify_prime(p).pclass].append(p)
     listing_ok = got["P1"] == LISTED_P1 and got["P2"] == LISTED_P2 and got["P3"] == LISTED_P3
 
-    report = census_mod.census_scan(x)
+    report = census_mod.census_scan(1_000_000)
     tol = TOLERANCES["density_relative"]
-    off = {
-        c: report.empirical[c] / DENSITY_TARGETS[c] - 1
-        for c in DENSITY_TARGETS
-    }
+    off = report.deviation
     dens_ok = all(abs(v) <= tol for v in off.values())
     ok = listing_ok and dens_ok
     detail = (
-        f"listings <= 300 match; densities at x={x}: "
+        f"listings <= 300 match; densities at x={report.x}: "
         + ", ".join(f"{c} {report.empirical[c]:.6f} ({off[c]:+.2%})" for c in sorted(off))
         + f" within {tol:.0%}"
     )
@@ -314,32 +309,30 @@ def check_census(x: int = 1_000_000) -> CheckResult:
 # ---------------------------------------------------------------- artin
 
 
-def check_artin(prime_limit: int = 1_000_000) -> CheckResult:
-    value = artin_constant(prime_limit)
-    err = abs(value - ARTIN_TARGET)
+def check_artin() -> CheckResult:
+    value = artin_constant(1_000_000)
+    err = abs(value - census_mod.ARTIN_CONSTANT)
     ok = err <= TOLERANCES["artin_abs"]
-    return CheckResult(
-        "artin", ok, f"partial product at {prime_limit} = {value:.10f}, |err| = {err:.2e}"
-    )
+    return CheckResult("artin", ok, f"partial product at 1000000 = {value:.10f}, |err| = {err:.2e}")
 
 
 # ---------------------------------------------------------------- fset
 
 
-def check_fset(b_max: int = 100_000) -> CheckResult:
+def check_fset() -> CheckResult:
     first_six = [census_mod.fset_member_interval(b).member for b in range(1, 7)]
     want = [False, True, True, False, True, True]
     head_ok = first_six == want
 
+    b_max = 100_000
     records = census_mod.fset_scan_interval(b_max)
     disagree = [r.b for r in records if census_mod.fset_member_weyl(r.b) != r.member]
 
     count = sum(r.member for r in records)
     ratio, beta = count / b_max, census_mod.BETA
-    ratio_ok = abs(ratio - BETA_TARGET) <= TOLERANCES["fset_ratio_abs"]
-    beta_ok = abs(beta - BETA_TARGET) < 1e-4
+    ratio_ok = abs(ratio - beta) <= TOLERANCES["fset_ratio_abs"]
 
-    ok = head_ok and not disagree and ratio_ok and beta_ok
+    ok = head_ok and not disagree and ratio_ok
     detail = (
         f"b=1..6 membership matches; interval = weyl for all b <= {b_max}; "
         f"count {count}, ratio {ratio:.5f} vs beta {beta:.5f}"
@@ -356,10 +349,11 @@ def check_fset(b_max: int = 100_000) -> CheckResult:
 # ---------------------------------------------------------------- charsum
 
 
-def check_charsum(prime_limit: int = 300, seed: int = 20260816) -> CheckResult:
+def check_charsum() -> CheckResult:
     """The maximum nontrivial character sum over A is a Jacobi sum in disguise,
     so its modulus is exactly sqrt(p); the check is sqrt(p-2) <= |A^| <= sqrt(p)
     with float margins, and it additionally confirms the saturation."""
+    prime_limit = 300
     slack = TOLERANCES["charsum_lower_slack"]
     margin = TOLERANCES["charsum_upper_margin"]
     bad = []
@@ -378,7 +372,7 @@ def check_charsum(prime_limit: int = 300, seed: int = 20260816) -> CheckResult:
         if abs(ahat - math.sqrt(p)) <= margin:
             saturated += 1
 
-    rng = random.Random(seed)
+    rng = random.Random(20260816)
     residual_bad = []
     instances = 0
     for p in (7, 11, 13, 23, 47):
@@ -428,9 +422,9 @@ def check_note() -> CheckResult:
     ok = (
         TOLERANCES["density_relative"] == 0.05
         and TOLERANCES["fset_ratio_abs"] == 0.01
-        and abs(census_mod.BETA - BETA_TARGET) < 1e-4
-        and abs(3 * census_mod.ARTIN_CONSTANT / 5 - DENSITY_TARGETS["P1"]) < 1e-9
-        and abs(2 * census_mod.ARTIN_CONSTANT / 5 - DENSITY_TARGETS["P3"]) < 1e-9
+        and abs(census_mod.BETA - 0.6781) < 1e-4
+        and abs(census_mod.DENSITY_P1 - 0.224373488) < 1e-9
+        and abs(census_mod.DENSITY_P3 - 0.149582325) < 1e-9
     )
     detail = (
         "asymptotic claims are checked as finite scans with declared tolerances: "
@@ -459,7 +453,8 @@ SUITES = {
 
 
 def run_suites(names, n_max: int | None = None):
-    """Run the named suites ('all' for everything); returns (ok, results)."""
+    """Run the named suites ('all' for everything); returns (ok, results).
+    Every suite checks a fixed size; n_max, when given, is theorem1's range."""
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
     results = []
@@ -467,5 +462,5 @@ def run_suites(names, n_max: int | None = None):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
         fn = SUITES[name]
-        results.append(fn(n_max or 4096) if name == "theorem1" else fn())
+        results.append(fn(n_max) if name == "theorem1" and n_max is not None else fn())
     return all(r.passed for r in results), results

@@ -106,6 +106,8 @@ def test_max_nontrivial_validation():
         max_nontrivial_char_sum({(0, 0)}, 600, method="direct")
     with pytest.raises(ValueError):
         max_nontrivial_char_sum({(0, 0)}, 6, method="nope")
+    with pytest.raises(ValueError):
+        max_nontrivial_char_sum({(0, 0)}, 6, method="auto")   # no alias: "dft" is the default
 
 
 def test_max_on_known_small_sets():

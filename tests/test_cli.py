@@ -10,7 +10,7 @@ import pytest
 from discrim.cli import build_parser, main
 from discrim.discriminator import table_ranges
 from discrim.numtheory import artin_constant
-from discrim.verify import SUITES, run_suites
+from discrim.verify import SUITES, CheckResult, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -310,6 +310,27 @@ def test_run_suites_python_api():
     with pytest.raises(ValueError):
         run_suites("never-heard-of-it")
     assert set(SUITES) >= {"table", "theorem1", "periods", "charsum", "note"}
+
+
+def test_theorem1_range_is_passed_through_and_validated(capsys, monkeypatch):
+    seen = []
+
+    def fake_theorem1(n_max=4096):
+        seen.append(n_max)
+        return CheckResult("theorem1", True, "")
+
+    with monkeypatch.context() as m:
+        m.setitem(SUITES, "theorem1", fake_theorem1)
+        run_suites(["theorem1"], n_max=8)
+        run_suites(["theorem1"])
+        assert run_cli(capsys, "verify", "--suite", "theorem1", "--nmax", "16")[0] == 0
+    assert seen == [8, 4096, 16]
+    # 0 and negative ranges are refused, not replaced by the default
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            run_suites(["theorem1"], n_max=bad)
+        code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--nmax", str(bad))
+        assert (code, out) == (2, "") and "n_max must be positive" in err
 
 
 # ------------------------------------------------------------------ output plumbing

@@ -13,7 +13,6 @@ from discrim.discriminator import (
     METHOD_BOTH,
     METHOD_BRUTE,
     METHOD_CLOSED,
-    REASON_BUDGET,
     REASON_DIV3,
     REASON_IOTA,
     REASON_PERIOD,
@@ -417,17 +416,12 @@ def test_screen_never_certifies_table_values():
             assert nonvalue_screen(value).verdict == VERDICT_UNDECIDED, value
 
 
-def test_screen_budget_and_big_prime_report():
+def test_screen_big_prime_report():
     full = nonvalue_screen(2063)
     assert full.verdict == VERDICT_NON_VALUE and full.reason == REASON_IOTA
     assert full.witness["iota"] == 161
     assert full.witness["prime_min_n"] == (2063 + 1) // 2
     assert full.witness["prime_floor_bound"] == prime_lemma_bound((2063 + 1) // 2)
-
-    capped = nonvalue_screen(2063, iota_budget=50)
-    assert capped.verdict == VERDICT_UNDECIDED and capped.reason == REASON_BUDGET
-    assert capped.witness["iota_budget"] == 50
-    assert capped.witness["prime_min_n"] == (2063 + 1) // 2
 
     small = nonvalue_screen(7)
     assert "prime_min_n" not in small.witness     # below the reporting floor

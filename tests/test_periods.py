@@ -137,16 +137,13 @@ def test_iota_matches_pairwise_oracle_below_300():
         assert incongruence_index(SEQ, m) == expected, m
 
 
-def test_iota_cap_semantics():
-    # a cap below the (unknown) answer cannot distinguish "still distinct"
-    # from "settled", so it raises instead of guessing
-    with pytest.raises(CapExceeded):
-        incongruence_index(SEQ, 29, cap=5)
-    with pytest.raises(CapExceeded):
-        incongruence_index(SEQ, 29, cap=14)
-    assert incongruence_index(SEQ, 29, cap=15) == 14
-    # cap >= m never raises: iota(m) <= m settles within m residues
-    assert incongruence_index(SEQ, 29, cap=29) == 14
+def test_iota_settles_within_m_residues():
+    # iota(m) <= m, so m distinct residues settle the answer without a repeat:
+    # u_1..u_4 = 2, 1, 0, 3 mod 4 fill every class
+    assert incongruence_index(SEQ, 1) == 1
+    assert incongruence_index(SEQ, 2) == 2
+    assert incongruence_index(SEQ, 4) == 4
+    assert incongruence_index(SEQ, 29) == 14
     with pytest.raises(ValueError):
         incongruence_index(SEQ, 0)
 

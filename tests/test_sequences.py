@@ -66,9 +66,9 @@ def test_term_caps():
     with pytest.raises(CapExceeded):
         salajan_term_exact(DEFAULT_EXACT_CAP + 1)
     with pytest.raises(CapExceeded):
-        salajan_term_exact(2, cap=1)
+        term_exact(salajan(), DEFAULT_EXACT_CAP + 1)
     with pytest.raises(CapExceeded):
-        term_exact(linear_recurrence(1, 1, 0, 1), 11, cap=10)
+        term_exact(linear_recurrence(1, 1, 0, 1), DEFAULT_EXACT_CAP + 1)
     # polynomials have no cap: evaluation is a single Horner pass
     assert term_exact(polynomial(0, 1), 10**6) == 10**6
 
