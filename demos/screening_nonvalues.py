@@ -1,11 +1,13 @@
 """Certifying that a modulus is never a discriminator value.
 
 The discriminator only ever takes values 2^e and 5^f (and 1).  For any
-other d, a short chain of screens produces a machine-checkable certificate:
+other d, a short chain of screens produces a machine-checkable certificate.
+A value d = D(n) keeps n > d/2 terms apart, so iota(d) > d/2; each screen
+shows that 2 iota(d) <= d instead:
 
-    divisible_by_3   3 | d           (two residues collide immediately)
-    period_screen    2 rho(d) <= d   (a full period pins iota(d) < d)
-    iota_screen      iota(d) < d     (direct prefix scan)
+    divisible_by_3   3 | d            (two residues collide immediately)
+    period_screen    2 rho(d) <= d    (a full period pins iota(d) <= rho(d))
+    iota_screen      2 iota(d) <= d   (direct prefix scan)
 
 Every certificate carries a witness that recheck_certificate checks
 against the recurrence alone, sharing no code with the screens: a period

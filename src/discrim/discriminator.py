@@ -13,6 +13,7 @@ recurrence alone, with none of the screens' code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
@@ -31,6 +32,9 @@ from .sequences import (
     salajan_term_mod,
     term_exact,
 )
+
+if TYPE_CHECKING:
+    from array import array
 
 METHOD_CLOSED = "closed_form"
 METHOD_BRUTE = "brute_force"
@@ -99,22 +103,52 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
         raise CapExceeded(f"exact term index {walk + 1} exceeds cap {DEFAULT_EXACT_CAP}")
 
 
+# Exact first-collision lengths iota(m), one array of unsigned 4-byte ints per
+# sequence spec, indexed by m; 0 means not known yet. Only `_least_moduli`
+# reads or fills it, so every brute-force D(n) shares it, while the oracles
+# that check those answers (`incongruence_index`, `period_brute`,
+# `verify_discriminates`, `recheck_certificate`) scan afresh and never see
+# it. Moduli above _MEMO_MAX_MODULUS are not kept: below it the array costs
+# at most twice the m-entry table a long scan builds anyway.
+_MEMO_MAX_MODULUS = 1 << 22
+_IOTA_MEMO: dict[SequenceSpec, array] = {}
+
+
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int) -> list[int]:
     """[D(lo), ..., D(hi)] by brute force. m separates the first n <= hi terms
     iff min(iota(m), hi) >= n, and D is nondecreasing, so one m that only moves
-    up from lo serves every n, with one first-collision scan per modulus tried.
+    up from lo serves every n. `prefix(m)` is min(iota(m), hi), what one
+    first-collision scan limited to hi terms returns: read from the memo when
+    iota(m) is known, else scanned, and recorded when the scan stops short of
+    hi, since only then is its length iota(m) itself.
     """
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
+    memo = _IOTA_MEMO.get(spec)
+    if memo is None:
+        from array import array   # an extension module; `import discrim.cli` stays without it
+
+        memo = _IOTA_MEMO[spec] = array("I")
+
+    def prefix(m: int) -> int:
+        if m < len(memo) and memo[m]:
+            return min(memo[m], hi)
+        k = distinct_prefix_length(spec, m, hi)
+        if k < hi and m <= _MEMO_MAX_MODULUS:
+            if m >= len(memo):
+                memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
+            memo[m] = k
+        return k
+
     values = []
     m = lo
-    k = distinct_prefix_length(spec, m, hi)
+    k = prefix(m)
     for n in range(lo, hi + 1):
         while k < n:
             m += 1
             if m > search_cap:
                 raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
-            k = distinct_prefix_length(spec, m, hi)
+            k = prefix(m)
         values.append(m)
     return values
 
@@ -124,8 +158,10 @@ def discriminator_brute(
 ) -> DiscriminatorRecord:
     """Least m with v_1..v_n pairwise distinct mod m, by increasing-m scan.
 
-    Candidates start at m = n (pigeonhole) and each one gets a fresh
-    membership check that aborts on the first collision. The default cap is
+    Candidates start at m = n (pigeonhole). Each one is settled by the memo
+    of first-collision lengths that every brute-force D(n) shares, or else by
+    one scan that aborts on the first collision and adds its length to the
+    memo; the oracles that check D(n) never read it. The default cap is
     2n for the flagship sequence (a proven ceiling) and 4n otherwise; raise
     it for sequences whose discriminator grows faster.
     """

@@ -2,6 +2,8 @@
 
 import random
 import time
+from array import array
+from unittest import mock
 
 import pytest
 import sympy
@@ -30,7 +32,7 @@ from discrim.discriminator import (
     verify_discriminates,
 )
 from discrim.charsum import prime_lemma_bound
-from discrim.periods import period_brute
+from discrim.periods import incongruence_index, iota_equals_rho_scan, period_brute
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
     CapExceeded,
@@ -208,6 +210,8 @@ def test_table_matches_brute_at_boundaries_and_a_sample():
     edges = {n for row in EXPECTED_TABLE for n in row[:2] if n <= 4096}
     sample = random.Random(20261018).sample(range(1, 4097), 40)
     for n in sorted(edges | set(sample)):
+        # each brute call on an empty memo, so it never reads the table's scans
+        discriminator._IOTA_MEMO.clear()
         assert table[n - 1] == discriminator_brute(SEQ, n).value, n
 
 
@@ -256,9 +260,26 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
     table = discriminator_table(SEQ, 512)
     assert table[-1] == salajan_discriminator_closed(512).value == 512
     assert scanned == list(range(1, 513))    # each modulus once, none above D(512)
+    # the memo now holds iota(m) for every m < 512, each scan having stopped
+    # at its first collision; iota(512) = 512 reached the limit and is not known
     scanned.clear()
     assert discriminator_brute(SEQ, 17).value == 25
-    assert scanned == list(range(17, 26))    # from n up to D(n), nothing else
+    assert scanned == []
+    assert discriminator_table(SEQ, 512) == table
+    assert scanned == [512]
+    # on an empty memo: from n up to D(n), nothing else
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    scanned.clear()
+    assert discriminator_brute(SEQ, 17).value == 25
+    assert scanned == list(range(17, 26))
+
+
+def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
+    monkeypatch.setattr(discriminator, "_MEMO_MAX_MODULUS", 20)
+    assert discriminator_table(SEQ, 40) == [salajan_discriminator_closed(n).value for n in range(1, 41)]
+    memo = discriminator._IOTA_MEMO[SEQ]
+    assert len(memo) == 21
+    assert list(memo[1:]) == [incongruence_index(SEQ, m) for m in range(1, 21)]
 
 
 def test_table_and_brute_run_out_of_cap_at_the_same_n():
@@ -273,6 +294,60 @@ def test_table_and_brute_run_out_of_cap_at_the_same_n():
         discriminator_table(spec, 56)
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(spec, 56)
+
+
+def _brute_outcome(spec, kind, n, cap_slack):
+    """What one brute-force call returns, or the type and text of what it raises."""
+    try:
+        if kind == "table":
+            return discriminator_table(spec, n)
+        cap = None if cap_slack is None else n + cap_slack
+        return discriminator_brute(spec, n, cap).value
+    except (CapExceeded, SequenceNotAdmissible) as exc:
+        return type(exc).__name__, str(exc)
+
+
+brute_calls = st.tuples(
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from(("brute", "table")),
+    st.integers(min_value=1, max_value=40),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(SEQ), generic_specs), min_size=2, max_size=2),
+       st.lists(brute_calls, min_size=1, max_size=6))
+def test_shared_memo_gives_the_fresh_memo_results(specs, calls):
+    # the calls in drawn order, then with n going up, then going down: every
+    # call is repeated, two specs share the memo, tables and single n are
+    # mixed, and caps are often tight
+    discriminator._IOTA_MEMO.clear()
+    by_n = sorted(calls, key=lambda call: call[2])
+    for which, *call in calls + by_n + by_n[::-1]:
+        shared = _brute_outcome(specs[which], *call)
+        with mock.patch.object(discriminator, "_IOTA_MEMO", {}):
+            assert shared == _brute_outcome(specs[which], *call), (which, call)
+
+
+def test_oracles_never_read_the_memo():
+    def oracles():
+        certs = [nonvalue_screen(d) for d in range(2, 601)]
+        return (
+            [incongruence_index(SEQ, m) for m in range(1, 601)],
+            [period_brute(SEQ, d) for d in range(2, 601)],
+            [verify_discriminates(SEQ, n, m) for n in (17, 100, 300) for m in range(n, 2 * n + 1)],
+            iota_equals_rho_scan(600),
+            certs,
+            [recheck_certificate(cert) for cert in certs],
+        )
+
+    before = oracles()
+    # every modulus poisoned: its "first collision" comes right after term 1
+    discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201)
+    with pytest.raises(CapExceeded, match="no modulus <= 34 separates the first 17 terms"):
+        discriminator_brute(SEQ, 17)   # the sweep does read the poisoned entries
+    assert oracles() == before
 
 
 def test_checked_discriminator_crosses_methods():

@@ -179,6 +179,32 @@ def test_scan_excludes_known_inequality_cases():
         assert incongruence_index(SEQ, p) < salajan_period_formula(p).period
 
 
+def test_iota_anchors_suite_detail():
+    from discrim.verify import check_iota_anchors
+
+    result = check_iota_anchors()
+    assert result.passed
+    assert result.detail == (
+        "iota(29)=14; scan(2000) = [2, 5, 13, 41, 73, 193, 757, 769, 1093, 1181, 1597, 1621, 1871], "
+        "all re-verified against brute periods; iota(307)=16 < 34=rho(307); extras beyond the "
+        "four anchor primes: [2, 5, 13, 41, 73, 757, 769, 1597, 1621]"
+    )
+
+
+def test_iota_anchors_suite_names_the_drift(monkeypatch):
+    from discrim import verify
+
+    # 1871 and 757 dropped, 29 (iota 14 < rho 28) and 7 added, out of order
+    drifted = [p for p in SCAN_2000 if p not in (757, 1871)] + [29, 7]
+    monkeypatch.setattr(verify, "iota_equals_rho_scan", lambda limit: drifted)
+    result = verify.check_iota_anchors()
+    assert not result.passed
+    assert result.detail == (
+        "scan reports [29, 7], where brute iota != brute period; "
+        "scan(2000) drifted from the frozen list: missing [757, 1871], extra [7, 29]"
+    )
+
+
 def test_scan_skips_3():
     assert 3 not in iota_equals_rho_scan(50)
 
