@@ -34,6 +34,10 @@ from .sequences import (
 )
 from .verify import SUITES, TOLERANCES, run_suites
 
+# states the brute period walk may visit: 2^20 take about 1 s and 140 MB; up
+# to d = 262128 this is at least period_brute's own 4d + 64
+PERIOD_STATE_CAP = 1 << 20
+
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
     """Write rows (list of same-keyed dicts) as csv, json lines, or text."""
@@ -161,10 +165,10 @@ def _cmd_period(args, out) -> int:
     if args.method == "formula":
         info = salajan_period_formula(args.d)
     elif args.method == "brute":
-        info = period_brute(spec, args.d)
+        info = period_brute(spec, args.d, PERIOD_STATE_CAP)
     else:
         formula = salajan_period_formula(args.d)
-        brute = period_brute(spec, args.d)
+        brute = period_brute(spec, args.d, PERIOD_STATE_CAP)
         if (formula.pre_period, formula.period) != (brute.pre_period, brute.period):
             raise MethodsDisagree(
                 f"methods disagree at d={args.d}: formula={formula} brute={brute}"
@@ -186,6 +190,8 @@ def _cmd_iota(args, out) -> int:
     if args.span:
         lo, hi = _parse_range(args.span)
         targets = range(max(lo, 1), hi + 1)
+        if not targets:
+            raise ValueError(f"range {args.span} holds no modulus m >= 1")
     else:
         targets = [args.m]
     seq = salajan()
@@ -198,6 +204,8 @@ def _cmd_screen(args, out) -> int:
     if args.span:
         lo, hi = _parse_range(args.span)
         targets = range(max(lo, 2), hi + 1)
+        if not targets:
+            raise ValueError(f"range {args.span} holds no d >= 2")
     else:
         targets = [args.d]
     rows = []
@@ -235,6 +243,8 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_fset(args, out) -> int:
+    if args.max < 1:
+        raise ValueError("--max must be positive")
     rows = []
     for b in range(1, args.max + 1):
         if args.method == "interval":

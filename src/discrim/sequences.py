@@ -8,6 +8,7 @@ recurrences and polynomial sequences feed the same discriminator engine.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING
@@ -31,11 +32,23 @@ DEFAULT_EXACT_CAP = 200_000
 # after each block, up to _MAX_BLOCK terms. The blocks keep a table of m
 # entries, so moduli above TAIL_MAX_MODULUS stay in the Python loop; below
 # it, coefficient * residue products stay under 2^44 and fit int64.
+#
+# All of that holds once numpy is loaded. Before, the blocks first cost the
+# import: 60-110 ms on 2 cores, about what TAIL_RENT = 2^19 terms cost in
+# Python (0.14-0.22 us a step) over their cost in blocks (0.02-0.04 us).
+# So a process without numpy keeps its scans in Python past tail_start(m),
+# drawing those terms from one process-wide rent of TAIL_RENT, and the scan
+# that outruns the rent imports numpy and goes on in blocks from where it
+# stands. Renting until the rent has cost the import, then buying (rent or
+# buy), costs at most about twice the cheaper of always and never importing.
 TAIL_HEAD = 256
+TAIL_RENT = 1 << 19
 TAIL_MAX_MODULUS = 1 << 22
 _WINDOW = 64
 _FIRST_ROWS = 4
 _MAX_BLOCK = 1024
+
+_rent_left = TAIL_RENT  # Python terms past tail_start(m) this process may still run
 
 
 class CapExceeded(RuntimeError):
@@ -211,9 +224,10 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
     Streams residues into a set and stops at the first repeat or at `limit`,
     whichever comes first. This is the shared engine behind the single-modulus
     discriminator check and the incongruence index. Recurrence scans that
-    pass tail_start(m) terms continue in numpy blocks (`_recurrence_tail`);
-    the blocks use nothing but the recurrence itself, so the answer stays a
-    brute-force one.
+    pass tail_start(m) terms continue in numpy blocks (`_recurrence_tail`),
+    or, while numpy is not loaded, in Python until the process has spent
+    TAIL_RENT such terms; the blocks use nothing but the recurrence itself,
+    so the answer stays a brute-force one.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -232,14 +246,26 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
                 return k
         raise AssertionError("unreachable")  # pragma: no cover
     c1, c2, v1, v2 = spec.as_recurrence()
+    start = tail_start(m)
+    start = limit if start is None else min(limit, start)
+    if start == limit or "numpy" in sys.modules:
+        return _recurrence_scan(c1, c2, v1, v2, m, limit, start)
+    global _rent_left
+    stop = start + _rent_left
+    k = _recurrence_scan(c1, c2, v1, v2, m, limit, stop)
+    _rent_left -= max(0, min(k, stop) - start)
+    return k
+
+
+def _recurrence_scan(c1: int, c2: int, v1: int, v2: int, m: int, limit: int, start: int) -> int:
+    """min(iota(m), limit) for a recurrence: the first `start` terms in a
+    Python set loop, the rest in numpy blocks."""
     x = v1 % m
     if limit == 1:
         return 1
     y = v2 % m
     if y == x:
         return 1
-    start = tail_start(m)
-    start = limit if start is None else min(limit, start)
     head = start - _WINDOW if start < limit else limit
     seen = {x, y}
     add = seen.add

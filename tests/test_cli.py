@@ -86,7 +86,7 @@ def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
         "discriminator_brute",
         lambda spec, n, cap=None: discriminator.DiscriminatorRecord(n, 26, "brute_force"),
     )
-    monkeypatch.setattr(cli, "period_brute", lambda spec, d: PeriodInfo(d, 1, 5))
+    monkeypatch.setattr(cli, "period_brute", lambda spec, d, cap=None: PeriodInfo(d, 1, 5))
     real_weyl = cli.fset_member_weyl
     monkeypatch.setattr(cli, "fset_member_weyl", lambda b: real_weyl(b) != (b == 3))
     for argv, message in [
@@ -170,6 +170,23 @@ def test_period_formula_refused_for_generic(capsys):
     assert row["period"] == "60"                 # Pisano period of 10
 
 
+def test_period_brute_walk_is_bounded(capsys):
+    # d = 10^9 + 7 would walk up to 4d + 64 states; the CLI stops at its cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "period", "--d", "1000000007")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert err == "failure: no repeated state within 1048576 steps mod 1000000007\n"
+    # the cap also covers generic recurrences whose cycle outgrows 4d + 64
+    code, out, _ = run_cli(
+        capsys, "period", "--seq", "linrec:1,3,0,1", "--d", "11", "--method", "brute",
+        "--format", "csv",
+    )
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert (row["pre_period"], row["period"]) == ("1", "120")
+
+
 def test_iota_single_and_range(capsys):
     code, out, _ = run_cli(capsys, "iota", "--m", "29", "--format", "csv")
     assert code == 0
@@ -194,6 +211,20 @@ def test_bad_range_is_usage_error(capsys):
     for bad in ("5", "9:2", "a:b"):
         code, _, err = run_cli(capsys, "iota", "--range", bad)
         assert code == 2 and "error:" in err, bad
+
+
+@pytest.mark.parametrize("argv", [
+    ("fset", "--max", "0"),
+    ("fset", "--max", "-3"),
+    ("iota", "--range", "0:0"),
+    ("iota", "--range=-5:0"),
+    ("screen", "--range", "0:1"),
+    ("screen", "--range=-7:1"),
+])
+def test_empty_request_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 # ------------------------------------------------------------------ screen
