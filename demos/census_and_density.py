@@ -18,8 +18,7 @@ from discrim.census import (
     census_scan,
     classify_prime,
     fset_count,
-    fset_member_interval,
-    fset_member_weyl,
+    fset_scan_checked,
 )
 from discrim.numtheory import artin_constant
 
@@ -60,12 +59,10 @@ def artin_partials() -> None:
 def fset_tour() -> None:
     print("F membership for b = 1..20 (interval test, Weyl cross-check):")
     marks = []
-    for b in range(1, 21):
-        rec = fset_member_interval(b)
-        assert fset_member_weyl(b) == rec.member
+    for rec in fset_scan_checked(20):   # raises if the two methods disagree
         marks.append("y" if rec.member else ".")
-        if not rec.member and b <= 6:
-            print(f"  b = {b}: excluded, 2^k = {rec.witness} lies in the interval")
+        if not rec.member and rec.b <= 6:
+            print(f"  b = {rec.b}: excluded, 2^k = {rec.witness} lies in the interval")
     print("  pattern:", " ".join(marks))
     count, ratio, beta = fset_count(10_000)
     print(f"  count up to 10^4: {count} (ratio {ratio:.4f}, target beta = {beta:.4f})")

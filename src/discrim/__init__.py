@@ -21,6 +21,7 @@ from .census import (
     fset_count,
     fset_member_interval,
     fset_member_weyl,
+    fset_scan_checked,
     fset_scan_interval,
 )
 from .charsum import (
@@ -46,15 +47,11 @@ from .discriminator import (
     verify_discriminates,
 )
 from .numtheory import (
-    Factorization,
     artin_constant,
     carmichael_lambda,
-    euler_phi,
     factorize,
     is_prime,
-    is_primitive_root,
     lte_valuation,
-    modpow,
     mult_order,
     padic_valuation,
     primes_up_to,
@@ -66,10 +63,12 @@ from .periods import (
     iota_equals_rho_scan,
     iota_prime_bound,
     period_brute,
+    salajan_period_checked,
     salajan_period_formula,
 )
 from .sequences import (
     CapExceeded,
+    MethodsDisagree,
     SequenceNotAdmissible,
     SequenceSpec,
     linear_recurrence,
@@ -78,7 +77,6 @@ from .sequences import (
     salajan,
     salajan_term_exact,
     salajan_term_mod,
-    stream_residues,
     term_exact,
 )
 from .verify import CheckResult, run_suites

@@ -21,6 +21,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .numtheory import _pow_mod_u32, is_prime, iter_prime_blocks, mult_order, primes_up_to
+from .sequences import MethodsDisagree
 
 ARTIN_CONSTANT = 0.3739558136
 DENSITY_P1 = 3 * ARTIN_CONSTANT / 5
@@ -262,6 +263,16 @@ def fset_member_weyl(b: int) -> bool:
     ):
         return fset_member_interval(b).member
     return frac > _THRESHOLD
+
+
+def fset_scan_checked(b_max: int) -> list[FsetRecord]:
+    """`fset_scan_interval` cross-checked against the Weyl criterion at every b."""
+    records = fset_scan_interval(b_max)
+    for r in records:
+        weyl = fset_member_weyl(r.b)
+        if weyl != r.member:
+            raise MethodsDisagree(f"methods disagree at b={r.b}: interval={r.member} weyl={weyl}")
+    return records
 
 
 def fset_count(x: int) -> tuple[int, float, float]:

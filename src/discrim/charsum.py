@@ -65,6 +65,11 @@ def build_A(p: int, g: int | None = None) -> set[tuple[int, int]]:
     return out
 
 
+def _check_dft_order(n: int) -> None:
+    if n > MAX_DFT_ORDER:
+        raise ValueError(f"group order {n} exceeds DFT guard {MAX_DFT_ORDER}")
+
+
 def _indicator_grid(pairs, n: int) -> np.ndarray:
     import numpy as np
 
@@ -92,8 +97,7 @@ def max_nontrivial_char_sum(pairs, group_order: int, method: str = "dft") -> flo
     if n < 2:
         raise ValueError("a group of order 1 has no nontrivial characters")
     if method == "dft":
-        if n > MAX_DFT_ORDER:
-            raise ValueError(f"group order {n} exceeds DFT guard {MAX_DFT_ORDER}")
+        _check_dft_order(n)
         grid = _indicator_grid(pairs, n)
         spectrum = np.abs(np.fft.rfft2(grid))
         spectrum[0, 0] = -1.0   # trivial character excluded
@@ -130,8 +134,7 @@ def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
     if not a or not b:
         raise ValueError("identity check needs nonempty sets")
     n = group_order
-    if n > MAX_DFT_ORDER:
-        raise ValueError(f"group order {n} exceeds DFT guard {MAX_DFT_ORDER}")
+    _check_dft_order(n)
     direct = 0
     blist = list(b)
     for x1, y1 in blist:
@@ -181,8 +184,9 @@ def prime_lemma_bound(n: int) -> float:
 def char_sum_report(p: int, g: int | None = None) -> CharSumReport:
     """Bundle the standard verifications for one prime into a report."""
     g = _resolve_root(p, g)
-    a = build_A(p, g)
     n = p - 1
+    _check_dft_order(n)   # before A, whose O(p) build is the cost for large p
+    a = build_A(p, g)
     ahat = max_nontrivial_char_sum(a, n)
     _, _, residual = pair_count_identity_check(a, a, n)
     return CharSumReport(

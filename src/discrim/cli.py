@@ -1,8 +1,9 @@
 """Command-line front end: every computation as a subcommand.
 
 Exit codes: 0 success, 1 verification failure (a cross-checked pair of
-methods disagreed, a bound failed, or a verify suite went red), 2 usage
-error. Output formats: human (default), csv, json (one object per line).
+methods disagreed, a certificate failed its recheck, a bound failed, or a
+verify suite went red), 2 usage error. Output formats: human (default), csv,
+json (one object per line).
 """
 
 from __future__ import annotations
@@ -13,30 +14,33 @@ import json
 import math
 import sys
 
-from .census import census_scan, fset_member_interval, fset_member_weyl
+from .census import census_scan, fset_member_weyl, fset_scan_checked, fset_scan_interval
 from .charsum import char_sum_report
 from .discriminator import (
-    MethodsDisagree,
     discriminator_brute,
     nonvalue_screen,
+    recheck_certificate,
     salajan_discriminator_checked,
     salajan_discriminator_closed,
     table_ranges,
 )
 from .numtheory import artin_constant
-from .periods import incongruence_index, period_brute, salajan_period_formula
+from .periods import (
+    PERIOD_STATE_CAP,
+    incongruence_index,
+    period_brute,
+    salajan_period_checked,
+    salajan_period_formula,
+)
 from .sequences import (
     SALAJAN,
     CapExceeded,
+    MethodsDisagree,
     SequenceNotAdmissible,
     parse_spec,
     salajan,
 )
-from .verify import SUITES, TOLERANCES, run_suites
-
-# states the brute period walk may visit: 2^20 take about 1 s and 140 MB; up
-# to d = 262128 this is at least period_brute's own 4d + 64
-PERIOD_STATE_CAP = 1 << 20
+from .verify import SUITES, charsum_bounds_hold, identity_residual_holds, run_suites
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -161,29 +165,20 @@ def _cmd_period(args, out) -> int:
     spec = parse_spec(args.seq)
     if args.method in ("formula", "both") and spec.kind != SALAJAN:
         raise ValueError("the period formula applies to the salajan sequence; use --method brute")
-    rows, code = [], 0
     if args.method == "formula":
         info = salajan_period_formula(args.d)
     elif args.method == "brute":
         info = period_brute(spec, args.d, PERIOD_STATE_CAP)
     else:
-        formula = salajan_period_formula(args.d)
-        brute = period_brute(spec, args.d, PERIOD_STATE_CAP)
-        if (formula.pre_period, formula.period) != (brute.pre_period, brute.period):
-            raise MethodsDisagree(
-                f"methods disagree at d={args.d}: formula={formula} brute={brute}"
-            )
-        info = formula
-    rows.append(
-        {
-            "modulus": info.modulus,
-            "pre_period": info.pre_period,
-            "period": info.period,
-            "method": args.method,
-        }
-    )
-    _emit(rows, args.format, out)
-    return code
+        info = salajan_period_checked(args.d)
+    row = {
+        "modulus": info.modulus,
+        "pre_period": info.pre_period,
+        "period": info.period,
+        "method": args.method,
+    }
+    _emit([row], args.format, out)
+    return 0
 
 
 def _cmd_iota(args, out) -> int:
@@ -211,13 +206,13 @@ def _cmd_screen(args, out) -> int:
     rows = []
     for d in targets:
         cert = nonvalue_screen(d)
+        witness = json.dumps(cert.witness, sort_keys=True)
+        if not recheck_certificate(cert):
+            raise MethodsDisagree(
+                f"certificate fails its recheck at d={d}: reason={cert.reason} witness={witness}"
+            )
         rows.append(
-            {
-                "d": cert.d,
-                "verdict": cert.verdict,
-                "reason": cert.reason or "",
-                "witness": json.dumps(cert.witness, sort_keys=True),
-            }
+            {"d": cert.d, "verdict": cert.verdict, "reason": cert.reason or "", "witness": witness}
         )
     _emit(rows, args.format, out)
     return 0
@@ -245,34 +240,25 @@ def _cmd_census(args, out) -> int:
 def _cmd_fset(args, out) -> int:
     if args.max < 1:
         raise ValueError("--max must be positive")
-    rows = []
-    for b in range(1, args.max + 1):
-        if args.method == "interval":
-            rec = fset_member_interval(b)
-            member, witness = rec.member, rec.witness
-        elif args.method == "weyl":
-            member, witness = fset_member_weyl(b), None
-        else:
-            rec = fset_member_interval(b)
-            weyl = fset_member_weyl(b)
-            if weyl != rec.member:
-                raise MethodsDisagree(f"methods disagree at b={b}: interval={rec.member} weyl={weyl}")
-            member, witness = rec.member, rec.witness
-        rows.append({"b": b, "member": member, "witness": "" if witness is None else witness})
-    _emit(rows, args.format, out)
+    if args.method == "weyl":
+        rows = [(b, fset_member_weyl(b), None) for b in range(1, args.max + 1)]
+    else:
+        scan = fset_scan_interval if args.method == "interval" else fset_scan_checked
+        rows = [(r.b, r.member, r.witness) for r in scan(args.max)]
+    _emit(
+        [{"b": b, "member": m, "witness": "" if w is None else w} for b, m, w in rows],
+        args.format,
+        out,
+    )
     return 0
 
 
 def _cmd_charsum(args, out) -> int:
     report = char_sum_report(args.p, args.g)
-    lower = math.sqrt(report.setA_size)
-    # the maximum is a Jacobi-sum modulus, i.e. exactly sqrt(p); allow fp margin
-    slack = TOLERANCES["charsum_lower_slack"]
-    margin = TOLERANCES["charsum_upper_margin"]
     ok = (
         report.setA_size == args.p - 2
-        and lower - slack <= report.max_nontrivial_sum <= report.sqrt_p + margin
-        and report.identity_residual < TOLERANCES["identity_relative"] * (args.p - 1) ** 2
+        and charsum_bounds_hold(args.p, report.max_nontrivial_sum)
+        and identity_residual_holds(report.identity_residual, args.p - 1)
     )
     rows = [
         {
@@ -280,7 +266,7 @@ def _cmd_charsum(args, out) -> int:
             "g": report.g,
             "setA_size": report.setA_size,
             "max_nontrivial_sum": f"{report.max_nontrivial_sum:.9f}",
-            "sqrt_lower": f"{lower:.9f}",
+            "sqrt_lower": f"{math.sqrt(report.setA_size):.9f}",
             "sqrt_p": f"{report.sqrt_p:.9f}",
             "identity_residual": f"{report.identity_residual:.3e}",
             "verdict": "ok" if ok else "FAIL",

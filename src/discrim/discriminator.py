@@ -24,6 +24,7 @@ from .sequences import (
     LINEAR_RECURRENCE,
     SALAJAN,
     CapExceeded,
+    MethodsDisagree,
     SequenceNotAdmissible,
     SequenceSpec,
     distinct_prefix_length,
@@ -50,10 +51,6 @@ REASON_IOTA = "iota_screen"
 # any prime this large that discriminated n >= (p+1)/2 terms would have to
 # exceed floor(n/4)^(4/3), which is impossible once n >= 2060
 BIG_PRIME_REPORT_FLOOR = 2060
-
-
-class MethodsDisagree(AssertionError):
-    """Two methods that must give the same answer did not."""
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,9 @@ def _first_repeat(d: int) -> int:
 def recheck_certificate(cert: NonValueCertificate) -> bool:
     """Check a certificate's claim from its witness fields and the recurrence
     alone, sharing no code with the screen that made it. A malformed
-    certificate (d < 2, a witness field missing or not an int) fails."""
+    certificate (d < 2, a witness field missing or not an int) fails. The
+    witness fields `prime_min_n` and `prime_floor_bound` are report-only:
+    `discrim screen` prints them, and this check never reads them."""
     d, w = cert.d, cert.witness
     if cert.verdict == VERDICT_UNDECIDED:
         return True   # no claim to falsify

@@ -9,7 +9,6 @@ reducing the Carmichael exponent rather than by iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -21,24 +20,6 @@ U64_MAX = 2**64 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SIEVE_BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class Factorization:
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def recompose(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
 
 def is_prime(n: int) -> bool:
@@ -146,13 +127,13 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime factorization for 1 <= n <= 2^64 - 1; n = 1 has no factors."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of 1 <= n <= 2^64 - 1 as sorted (p, e) pairs;
+    n = 1 has none."""
     if not 1 <= n <= U64_MAX:
         raise ValueError("factorize expects 1 <= n <= 2^64 - 1")
     if n > _TRIAL_SQUARE and is_prime(n):
-        return Factorization(n, ((n, 1),))
-    value = n
+        return ((n, 1),)
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -175,7 +156,7 @@ def factorize(n: int) -> Factorization:
             d = _pollard_brent(m)
             stack.append(d)
             stack.append(m // d)
-    return Factorization(value, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def padic_valuation(p: int, n: int) -> int:
@@ -190,15 +171,6 @@ def padic_valuation(p: int, n: int) -> int:
         n //= p
         a += 1
     return a
-
-
-def modpow(base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus, result in [0, modulus)."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, modulus)
 
 
 def _pow_mod_u32(base: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
@@ -221,13 +193,6 @@ def _pow_mod_u32(base: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return r
 
 
-def euler_phi(n: int) -> int:
-    out = 1
-    for p, e in factorize(n).factors:
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 def carmichael_lambda(m: int, factors: Iterable[tuple[int, int]] | None = None) -> int:
     """Exponent of the unit group mod m. `factors`, if given, is m's prime
     factorization and saves factoring m; its primes are trusted, only its
@@ -235,7 +200,7 @@ def carmichael_lambda(m: int, factors: Iterable[tuple[int, int]] | None = None) 
     if m < 1:
         raise ValueError("m must be positive")
     if factors is None:
-        factors = factorize(m).factors
+        factors = factorize(m)
     else:
         factors = tuple(factors)
         if math.prod(p**e for p, e in factors) != m:
@@ -259,7 +224,7 @@ def mult_order(a: int, m: int, factors: Iterable[tuple[int, int]] | None = None)
     if math.gcd(a, m) != 1:
         raise ValueError(f"gcd({a}, {m}) != 1, order undefined")
     t = carmichael_lambda(m, factors)
-    for q, _ in factorize(t).factors:
+    for q, _ in factorize(t):
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
     return t
@@ -284,22 +249,11 @@ def lte_valuation(p: int, r: int, n: int) -> int:
     return padic_valuation(p, n) + padic_valuation(p, r - 1)
 
 
-def is_primitive_root(g: int, q: int) -> bool:
-    """True iff g generates the units mod q; q must be an odd prime power."""
-    fac = factorize(q).factors
-    if len(fac) != 1 or fac[0][0] == 2:
-        raise ValueError("q must be an odd prime power")
-    if math.gcd(g, q) != 1:
-        raise ValueError(f"gcd({g}, {q}) != 1")
-    p, k = fac[0]
-    return mult_order(g, q) == (p - 1) * p ** (k - 1)
-
-
 def smallest_primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    qs = [q for q, _ in factorize(p - 1).factors]
+    qs = [q for q, _ in factorize(p - 1)]
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):

@@ -15,10 +15,16 @@ from .numtheory import is_prime, mult_order, primes_up_to
 from .sequences import (
     POLYNOMIAL,
     CapExceeded,
+    MethodsDisagree,
     SequenceSpec,
     distinct_prefix_length,
     salajan,
 )
+
+# states the brute walk of `salajan_period_checked` and `discrim period` may
+# visit: 2^20 take about 1 s and 140 MB; up to d = 262128 this is at least
+# period_brute's own 4d + 64
+PERIOD_STATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,16 @@ def salajan_period_formula(d: int) -> PeriodInfo:
         alpha += 1
         delta //= 3
     return PeriodInfo(d, max(1, alpha), 2 * mult_order(9, 4 * delta))
+
+
+def salajan_period_checked(d: int) -> PeriodInfo:
+    """Period formula cross-checked against the brute cycle walk, which may
+    visit PERIOD_STATE_CAP states."""
+    formula = salajan_period_formula(d)
+    brute = period_brute(salajan(), d, PERIOD_STATE_CAP)
+    if (formula.pre_period, formula.period) != (brute.pre_period, brute.period):
+        raise MethodsDisagree(f"methods disagree at d={d}: formula={formula} brute={brute}")
+    return formula
 
 
 def incongruence_index(spec: SequenceSpec, m: int) -> int:

@@ -55,6 +55,10 @@ class CapExceeded(RuntimeError):
     """A step or search budget ran out before the computation could finish."""
 
 
+class MethodsDisagree(AssertionError):
+    """Two methods that must give the same answer did not."""
+
+
 class SequenceNotAdmissible(ValueError):
     """The sequence repeats a term, so no modulus can separate its prefix."""
 
@@ -208,14 +212,6 @@ def residue_iter(spec: SequenceSpec, m: int):
         while True:
             yield y
             x, y = y, (c1 * y + c2 * x) % m
-
-
-def stream_residues(spec: SequenceSpec, m: int, count: int) -> list[int]:
-    """First `count` residues of the sequence mod m."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    it = residue_iter(spec, m)
-    return [next(it) for _ in range(count)]
 
 
 def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:

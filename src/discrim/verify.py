@@ -21,6 +21,7 @@ from .discriminator import (
     discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
+    recheck_certificate,
     salajan_discriminator_closed,
     table_ranges,
     verify_discriminates,
@@ -31,9 +32,10 @@ from .periods import (
     iota_equals_rho_scan,
     iota_prime_bound,
     period_brute,
+    salajan_period_checked,
     salajan_period_formula,
 )
-from .sequences import salajan
+from .sequences import MethodsDisagree, salajan
 
 # soft-check tolerances, declared in one place on purpose: the density and
 # equidistribution targets are asymptotic constants, not finite identities
@@ -45,6 +47,22 @@ TOLERANCES = {
     "charsum_upper_margin": 1e-9,  # |A^| <= sqrt(p) holds with equality; fp margin
     "identity_relative": 1e-6,     # pair-count residual, relative to |G|
 }
+
+
+def charsum_bounds_hold(p: int, ahat: float) -> bool:
+    """sqrt(p-2) <= |A^| <= sqrt(p), with the float margins above; the
+    maximum is a Jacobi-sum modulus, so the upper bound holds with equality."""
+    return (
+        math.sqrt(p - 2) - TOLERANCES["charsum_lower_slack"]
+        <= ahat
+        <= math.sqrt(p) + TOLERANCES["charsum_upper_margin"]
+    )
+
+
+def identity_residual_holds(residual: float, group_order: int) -> bool:
+    """The pair-count identity's residual is float noise, relative to |G|."""
+    return residual <= TOLERANCES["identity_relative"] * group_order**2
+
 
 # the 20 reference rows reproduced by table_ranges(32768)
 EXPECTED_TABLE = [
@@ -126,13 +144,12 @@ def check_theorem1(n_max: int = 4096) -> CheckResult:
 
 def check_periods() -> CheckResult:
     d_max = 5000
-    seq = salajan()
     bad = []
     for d in range(2, d_max + 1):
-        got = period_brute(seq, d)
-        want = salajan_period_formula(d)
-        if (got.pre_period, got.period) != (want.pre_period, want.period):
-            bad.append((d, got, want))
+        try:
+            salajan_period_checked(d)
+        except MethodsDisagree:
+            bad.append(d)
     anchors_ok = True
     for e in range(1, 21):
         if salajan_period_formula(2**e).period != 2**e:
@@ -147,7 +164,7 @@ def check_periods() -> CheckResult:
     ok = not bad and anchors_ok
     detail = f"formula = cycle detection for 2<=d<={d_max}; anchor periods hold"
     if bad:
-        detail = f"period mismatch at d={[(b[0]) for b in bad[:10]]}"
+        detail = f"period mismatch at d={bad[:10]}"
     elif not anchors_ok:
         detail = "anchor period values failed"
     return CheckResult("periods", ok, detail)
@@ -247,13 +264,15 @@ def check_screen() -> CheckResult:
     of 2 and 5 aside) is certified."""
     complete_limit = 4096
     values = sorted({row[2] for row in EXPECTED_TABLE})
-    unsound = []
+    unsound, unchecked = [], []
     for v in values:
         if v < 2:
             continue
         cert = nonvalue_screen(v)
         if cert.verdict != VERDICT_UNDECIDED:
             unsound.append((v, cert.reason))
+        if not recheck_certificate(cert):
+            unchecked.append(v)
     image = set(image_of_discriminator(complete_limit))
     holes = []
     certified = 0
@@ -261,11 +280,13 @@ def check_screen() -> CheckResult:
         if d in image or _is_power_of(2, d) or _is_power_of(5, d):
             continue
         cert = nonvalue_screen(d)
+        if not recheck_certificate(cert):
+            unchecked.append(d)
         if cert.verdict != VERDICT_NON_VALUE:
             holes.append(d)
         else:
             certified += 1
-    ok = not unsound and not holes
+    ok = not unsound and not holes and not unchecked
     detail = (
         f"{len(values)} attained values all undecided; "
         f"{certified} non-image d <= {complete_limit} certified non_value"
@@ -274,6 +295,8 @@ def check_screen() -> CheckResult:
         detail = f"values wrongly certified: {unsound[:5]}"
     if holes:
         detail += f"; non-values left undecided: {holes[:10]}"
+    if unchecked:
+        detail += f"; certificates failing their recheck at d={unchecked[:10]}"
     return CheckResult("screen", ok, detail)
 
 
@@ -323,22 +346,22 @@ def check_fset() -> CheckResult:
     head_ok = first_six == want
 
     b_max = 100_000
-    records = census_mod.fset_scan_interval(b_max)
-    disagree = [r.b for r in records if census_mod.fset_member_weyl(r.b) != r.member]
+    try:
+        records = census_mod.fset_scan_checked(b_max)
+    except MethodsDisagree as exc:
+        return CheckResult("fset", False, str(exc))
 
     count = sum(r.member for r in records)
     ratio, beta = count / b_max, census_mod.BETA
     ratio_ok = abs(ratio - beta) <= TOLERANCES["fset_ratio_abs"]
 
-    ok = head_ok and not disagree and ratio_ok
+    ok = head_ok and ratio_ok
     detail = (
         f"b=1..6 membership matches; interval = weyl for all b <= {b_max}; "
         f"count {count}, ratio {ratio:.5f} vs beta {beta:.5f}"
     )
     if not head_ok:
         detail = f"b=1..6 membership wrong: {first_six}"
-    if disagree:
-        detail += f"; methods disagree at b={disagree[:10]}"
     if not ratio_ok:
         detail += "; ratio out of tolerance"
     return CheckResult("fset", ok, detail)
@@ -352,7 +375,6 @@ def check_charsum() -> CheckResult:
     so its modulus is exactly sqrt(p); the check is sqrt(p-2) <= |A^| <= sqrt(p)
     with float margins, and it additionally confirms the saturation."""
     prime_limit = 300
-    slack = TOLERANCES["charsum_lower_slack"]
     margin = TOLERANCES["charsum_upper_margin"]
     bad = []
     saturated = 0
@@ -365,7 +387,7 @@ def check_charsum() -> CheckResult:
         ahat = charsum_mod.max_nontrivial_char_sum(a, p - 1)
         if len(a) != p - 2:
             bad.append((p, "size", len(a)))
-        if not (math.sqrt(p - 2) - slack <= ahat <= math.sqrt(p) + margin):
+        if not charsum_bounds_hold(p, ahat):
             bad.append((p, "bounds", ahat))
         if abs(ahat - math.sqrt(p)) <= margin:
             saturated += 1
@@ -381,7 +403,7 @@ def check_charsum() -> CheckResult:
             b = {(rng.randrange(n), rng.randrange(n)) for _ in range(size)}
             _, _, residual = charsum_mod.pair_count_identity_check(a, b, n)
             instances += 1
-            if residual > TOLERANCES["identity_relative"] * n * n:
+            if not identity_residual_holds(residual, n):
                 residual_bad.append((p, residual))
 
     # consistency with the incongruence index: iota(p) < 3 + 4p^(3/4) on P

@@ -7,9 +7,12 @@ import time
 
 import pytest
 
+from discrim import census, charsum, discriminator, periods
 from discrim.cli import build_parser, main
+from discrim.census import fset_member_interval
 from discrim.discriminator import table_ranges
 from discrim.numtheory import artin_constant
+from discrim.periods import PeriodInfo
 from discrim.verify import SUITES, CheckResult, run_suites
 
 
@@ -78,17 +81,14 @@ def test_discriminate_cap_exhaustion_is_failure(capsys):
 
 
 def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
-    from discrim import cli, discriminator
-    from discrim.periods import PeriodInfo
-
     monkeypatch.setattr(
         discriminator,
         "discriminator_brute",
         lambda spec, n, cap=None: discriminator.DiscriminatorRecord(n, 26, "brute_force"),
     )
-    monkeypatch.setattr(cli, "period_brute", lambda spec, d, cap=None: PeriodInfo(d, 1, 5))
-    real_weyl = cli.fset_member_weyl
-    monkeypatch.setattr(cli, "fset_member_weyl", lambda b: real_weyl(b) != (b == 3))
+    monkeypatch.setattr(periods, "period_brute", lambda spec, d, cap=None: PeriodInfo(d, 1, 5))
+    real_weyl = census.fset_member_weyl
+    monkeypatch.setattr(census, "fset_member_weyl", lambda b: real_weyl(b) != (b == 3))
     for argv, message in [
         (("discriminate", "--n", "20"), "methods disagree at n=20: closed=25 brute=26"),
         (("period", "--d", "5"), "methods disagree at d=5:"),
@@ -97,6 +97,29 @@ def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith(message), argv
+    # their suites run the same cross-check routines
+    assert run_cli(capsys, "verify", "--suite", "periods") == (
+        1, f"[FAIL] periods: period mismatch at d={list(range(2, 12))}\n", "",
+    )
+    assert run_cli(capsys, "verify", "--suite", "fset") == (
+        1, "[FAIL] fset: methods disagree at b=3: interval=True weyl=False\n", "",
+    )
+
+
+@pytest.mark.parametrize("name,fake,red", [
+    ("max_nontrivial_char_sum", lambda real: lambda a, n: 1.01 * real(a, n),
+     "set/bound failures: [(7, 'bounds', "),
+    ("pair_count_identity_check", lambda real: lambda a, b, n: (0, 0.0, 2e-6 * n * n),
+     "; identity residuals too big: [(7, "),
+], ids=["sqrt-bounds", "identity-residual"])
+def test_charsum_bound_failing_fails_the_cli_and_its_suite(capsys, monkeypatch, name, fake, red):
+    monkeypatch.setattr(charsum, name, fake(getattr(charsum, name)))
+    code, out, _ = run_cli(capsys, "charsum", "--p", "7", "--format", "csv")
+    assert code == 1
+    (row,) = parse_csv(out)
+    assert row["verdict"] == "FAIL"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "charsum")
+    assert code == 1 and out.startswith("[FAIL] charsum: ") and red in out
 
 
 def test_discriminate_rejects_nonpositive_n(capsys):
@@ -251,6 +274,23 @@ def test_screen_range_verdicts(capsys):
         json.loads(r["witness"])                  # witness is always valid JSON
 
 
+def test_screen_certificate_failing_its_recheck_fails_the_cli_and_its_suite(capsys, monkeypatch):
+    # a period screen that takes rho(7) for 1 still calls 7 a non-value, which
+    # is true, but its certificate claims u_2 = u_1 mod 7, which the recheck refutes
+    real = discriminator.salajan_period_formula
+    monkeypatch.setattr(
+        discriminator, "salajan_period_formula",
+        lambda d: PeriodInfo(d, 1, 1) if d == 7 else real(d),
+    )
+    assert run_cli(capsys, "screen", "--range", "2:40") == (
+        1, "", 'certificate fails its recheck at d=7: reason=period_screen witness={"rho": 1}\n',
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "screen")
+    assert code == 1
+    assert out.startswith("[FAIL] screen: 20 attained values all undecided; ")
+    assert out.endswith("; certificates failing their recheck at d=[7]\n")
+
+
 def test_screen_rejects_d_below_2(capsys):
     code, _, err = run_cli(capsys, "screen", "--d", "1")
     assert code == 2 and "error:" in err
@@ -279,6 +319,17 @@ def test_fset_both_methods(capsys):
     assert rows[1]["witness"] == ""
 
 
+@pytest.mark.parametrize("method", ["interval", "both"])
+def test_fset_scan_matches_the_per_b_interval_test(capsys, method):
+    code, out, _ = run_cli(capsys, "fset", "--max", "300", "--method", method, "--format", "json")
+    assert code == 0
+    want = []
+    for b in range(1, 301):
+        rec = fset_member_interval(b)
+        want.append({"b": b, "member": rec.member, "witness": rec.witness or ""})
+    assert [json.loads(line) for line in out.splitlines()] == want
+
+
 def test_fset_weyl_only(capsys):
     code, out, _ = run_cli(capsys, "fset", "--max", "6", "--method", "weyl", "--format", "csv")
     assert code == 0
@@ -299,6 +350,14 @@ def test_charsum_rejects_small_or_composite_p(capsys):
     for bad in ("5", "9"):
         code, _, err = run_cli(capsys, "charsum", "--p", bad)
         assert code == 2 and "error:" in err
+
+
+def test_charsum_above_the_dft_guard_fails_before_building_a(capsys):
+    # building A for p near 4*10^6 took 12 s and 770 MB before the guard
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "charsum", "--p", "4000037")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: group order 4000036 exceeds DFT guard 4096\n")
 
 
 def test_artin_value(capsys):
