@@ -122,7 +122,9 @@ def max_nontrivial_char_sum(pairs, group_order: int, method: str = "dft") -> flo
 def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
     """(direct_count, charsum_count, residual) for N = #{(b,b') : b+b' in A}.
 
-    The direct count loops over B x B; the character side evaluates
+    The direct count gathers the sums b + B, one b at a time, from a boolean
+    grid of A built here, so it shares nothing with the character side. That
+    side evaluates
     N = (1/|G|) * sum over all characters of B^(psi)^2 * A^(psi conjugate),
     main term included. The residual is the absolute difference and must sit
     within numeric tolerance of zero.
@@ -135,12 +137,16 @@ def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
         raise ValueError("identity check needs nonempty sets")
     n = group_order
     _check_dft_order(n)
+    in_a = np.zeros(n * n, dtype=bool)   # (x, y) at x*n + y
+    for x, y in a:
+        if 0 <= x < n and 0 <= y < n:
+            in_a[x * n + y] = True
+    bx = np.array([x % n for x, _ in b], dtype=np.int64)
+    by = np.array([y % n for _, y in b], dtype=np.int64)
     direct = 0
-    blist = list(b)
-    for x1, y1 in blist:
-        for x2, y2 in blist:
-            if ((x1 + x2) % n, (y1 + y2) % n) in a:
-                direct += 1
+    for x1, y1 in zip(bx.tolist(), by.tolist()):
+        direct += int(np.count_nonzero(in_a[(bx + x1) % n * n + (by + y1) % n]))
+    del in_a
     fa = np.fft.fft2(_indicator_grid(a, n))
     fb = np.fft.fft2(_indicator_grid(b, n))
     charsum = np.sum(np.conj(fb) ** 2 * fa) / (n * n)

@@ -26,7 +26,6 @@ from .discriminator import (
 )
 from .numtheory import artin_constant
 from .periods import (
-    PERIOD_STATE_CAP,
     incongruence_index,
     period_brute,
     salajan_period_checked,
@@ -168,7 +167,7 @@ def _cmd_period(args, out) -> int:
     if args.method == "formula":
         info = salajan_period_formula(args.d)
     elif args.method == "brute":
-        info = period_brute(spec, args.d, PERIOD_STATE_CAP)
+        info = period_brute(spec, args.d)
     else:
         info = salajan_period_checked(args.d)
     row = {

@@ -111,14 +111,17 @@ _MEMO_MAX_MODULUS = 1 << 22
 _IOTA_MEMO: dict[SequenceSpec, array] = {}
 
 
-def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int) -> list[int]:
-    """[D(lo), ..., D(hi)] by brute force. m separates the first n <= hi terms
-    iff min(iota(m), hi) >= n, and D is nondecreasing, so one m that only moves
-    up from lo serves every n. `prefix(m)` is min(iota(m), hi), what one
-    first-collision scan limited to hi terms returns: read from the memo when
-    iota(m) is known, else scanned, and recorded when the scan stops short of
-    hi, since only then is its length iota(m) itself.
+def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
+    """[D(lo), ..., D(hi)] by brute force over moduli up to search_cap (None:
+    2*hi for the flagship sequence, 4*hi otherwise). m separates the first
+    n <= hi terms iff min(iota(m), hi) >= n, and D is nondecreasing, so one m
+    that only moves up from lo serves every n. `prefix(m)` is min(iota(m),
+    hi), what one first-collision scan limited to hi terms returns: read from
+    the memo when iota(m) is known, else scanned, and recorded when the scan
+    stops short of hi, since only then is its length iota(m) itself.
     """
+    if search_cap is None:
+        search_cap = 2 * hi if spec.kind == SALAJAN else 4 * hi
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
     memo = _IOTA_MEMO.get(spec)
@@ -164,20 +167,17 @@ def discriminator_brute(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if search_cap is None:
-        search_cap = 2 * n if spec.kind == SALAJAN else 4 * n
-    if search_cap < n:
+    if search_cap is not None and search_cap < n:
         raise ValueError("search_cap must be at least n")
     return DiscriminatorRecord(n, _least_moduli(spec, n, n, search_cap)[0], METHOD_BRUTE)
 
 
 def discriminator_table(spec: SequenceSpec, n_max: int) -> list[int]:
     """D(1), ..., D(n_max) by brute force, from the same sweep as
-    `discriminator_brute`, with its cap for n_max: 2 * n_max for the
-    flagship sequence, 4 * n_max otherwise."""
+    `discriminator_brute`, with its default cap for n_max."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    return _least_moduli(spec, 1, n_max, 2 * n_max if spec.kind == SALAJAN else 4 * n_max)
+    return _least_moduli(spec, 1, n_max, None)
 
 
 def _closed_powers(n: int) -> tuple[int, int]:

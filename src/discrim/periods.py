@@ -9,6 +9,7 @@ mod m; always iota(m) <= m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .numtheory import is_prime, mult_order, primes_up_to
@@ -21,9 +22,9 @@ from .sequences import (
     salajan,
 )
 
-# states the brute walk of `salajan_period_checked` and `discrim period` may
-# visit: 2^20 take about 1 s and 140 MB; up to d = 262128 this is at least
-# period_brute's own 4d + 64
+# states (pre_period + period) a period walk may visit, one bound for every
+# caller: 2^20 steps take about 0.15 s. It bounds time only, since the walk
+# keeps two states at a time.
 PERIOD_STATE_CAP = 1 << 20
 
 
@@ -34,29 +35,49 @@ class PeriodInfo:
     period: int
 
 
-def period_brute(spec: SequenceSpec, d: int, cap: int | None = None) -> PeriodInfo:
-    """Exact pre-period and period mod d by first-occurrence cycle detection.
+def period_brute(spec: SequenceSpec, d: int) -> PeriodInfo:
+    """Exact pre-period and period mod d by walking the state pairs.
 
     A pair of consecutive residues determines all later ones, so the state
-    walk (v_n, v_{n+1}) mod d enters a cycle; the first repeated state gives
-    both quantities exactly. Cost O(pre_period + period) states.
+    walk (v_n, v_{n+1}) mod d enters a cycle. The map (x, y) -> (y, c1*y +
+    c2*x) is linear on (Z/d)^2, so by Fitting's lemma every walk is on its
+    cycle after the module's length, 2*Omega(d) < 2*d.bit_length() steps;
+    with gcd(c2, d) = 1 the map is a bijection and every walk starts on its
+    cycle. From there the period is the first return, and the pre-period is
+    where two pointers `period` apart from (v1, v2) meet. Cost O(pre_period
+    + period) steps in O(1) memory; raises CapExceeded when pre_period +
+    period exceeds PERIOD_STATE_CAP.
     """
     if d < 2:
         raise ValueError("modulus must be >= 2")
     if spec.kind == POLYNOMIAL:
         raise ValueError("period detection needs a linear recurrence")
-    if cap is None:
-        cap = 4 * d + 64
+    cap = PERIOD_STATE_CAP
     c1, c2, v1, v2 = spec.as_recurrence()
-    x = v1 % d
-    y = v2 % d
-    first: dict[int, int] = {}
-    for idx in range(1, cap + 1):
-        key = x * d + y
-        prev = first.get(key)
-        if prev is not None:
-            return PeriodInfo(d, prev, idx - prev)
-        first[key] = idx
+    x0, y0 = v1 % d, v2 % d
+    lead = 0 if math.gcd(c2, d) == 1 else 2 * d.bit_length()
+    x, y = x0, y0
+    for _ in range(lead):
+        x, y = y, (c1 * y + c2 * x) % d
+    # pre_period >= 1, so a period of cap or more overruns the cap; if the
+    # lead were short of the cycle, (x, y) would never return and this raises
+    cx, cy = x, y
+    for period in range(1, cap):
+        x, y = y, (c1 * y + c2 * x) % d
+        if x == cx and y == cy:
+            break
+    else:
+        raise CapExceeded(f"no repeated state within {cap} steps mod {d}")
+    if not lead:
+        return PeriodInfo(d, 1, period)
+    x, y = x0, y0
+    for _ in range(period):
+        x, y = y, (c1 * y + c2 * x) % d
+    a, b = x0, y0
+    for pre_period in range(1, cap - period + 1):
+        if a == x and b == y:
+            return PeriodInfo(d, pre_period, period)
+        a, b = b, (c1 * b + c2 * a) % d
         x, y = y, (c1 * y + c2 * x) % d
     raise CapExceeded(f"no repeated state within {cap} steps mod {d}")
 
@@ -74,10 +95,9 @@ def salajan_period_formula(d: int) -> PeriodInfo:
 
 
 def salajan_period_checked(d: int) -> PeriodInfo:
-    """Period formula cross-checked against the brute cycle walk, which may
-    visit PERIOD_STATE_CAP states."""
+    """Period formula cross-checked against the brute cycle walk."""
     formula = salajan_period_formula(d)
-    brute = period_brute(salajan(), d, PERIOD_STATE_CAP)
+    brute = period_brute(salajan(), d)
     if (formula.pre_period, formula.period) != (brute.pre_period, brute.period):
         raise MethodsDisagree(f"methods disagree at d={d}: formula={formula} brute={brute}")
     return formula

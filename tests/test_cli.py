@@ -86,7 +86,7 @@ def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
         "discriminator_brute",
         lambda spec, n, cap=None: discriminator.DiscriminatorRecord(n, 26, "brute_force"),
     )
-    monkeypatch.setattr(periods, "period_brute", lambda spec, d, cap=None: PeriodInfo(d, 1, 5))
+    monkeypatch.setattr(periods, "period_brute", lambda spec, d: PeriodInfo(d, 1, 5))
     real_weyl = census.fset_member_weyl
     monkeypatch.setattr(census, "fset_member_weyl", lambda b: real_weyl(b) != (b == 3))
     for argv, message in [
@@ -194,7 +194,8 @@ def test_period_formula_refused_for_generic(capsys):
 
 
 def test_period_brute_walk_is_bounded(capsys):
-    # d = 10^9 + 7 would walk up to 4d + 64 states; the CLI stops at its cap
+    # mod d = 10^9 + 7 the walk would visit about 10^9 states; it stops at
+    # PERIOD_STATE_CAP
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "period", "--d", "1000000007")
     assert time.perf_counter() - start < 10

@@ -1,11 +1,13 @@
 """Periods and incongruence indices: formula vs cycle detection vs raw streams."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrim import periods
 from discrim.periods import (
     PeriodInfo,
     incongruence_index,
@@ -90,9 +92,10 @@ def test_period_multiplicative_on_coprime_parts():
                 assert lhs == rhs, (d1, d2)
 
 
-def test_period_brute_caps_and_validation():
+def test_period_brute_caps_and_validation(monkeypatch):
+    monkeypatch.setattr(periods, "PERIOD_STATE_CAP", 3)
     with pytest.raises(CapExceeded):
-        period_brute(SEQ, 7, cap=3)
+        period_brute(SEQ, 7)
     with pytest.raises(ValueError):
         period_brute(SEQ, 1)
     with pytest.raises(ValueError):
@@ -106,6 +109,63 @@ def test_period_brute_generic_recurrence():
     fib = linear_recurrence(1, 1, 1, 1)
     assert period_brute(fib, 10).period == 60
     assert period_brute(fib, 7).period == 16
+    # a state cycle far longer than d: (Z/11)^2 has 120 nonzero states
+    assert period_brute(linear_recurrence(1, 3, 0, 1), 11) == PeriodInfo(11, 1, 120)
+
+
+def dict_period_walk(c1, c2, v1, v2, d):
+    """(pre_period, period) from the first repeated state of a walk that
+    stores every state it visits, capped at d^2 + 64."""
+    x, y = v1 % d, v2 % d
+    first = {}
+    for idx in range(1, d * d + 65):
+        prev = first.get((x, y))
+        if prev is not None:
+            return prev, idx - prev
+        first[(x, y)] = idx
+        x, y = y, (c1 * y + c2 * x) % d
+    raise AssertionError("reference walk exhausted its cap")
+
+
+PRIME_POWERS = [2**e for e in range(7, 13)] + [3**5, 3**6, 3**7, 5**4, 7**3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.one_of(st.integers(2, 300), st.sampled_from(PRIME_POWERS)),
+)
+def test_period_brute_matches_dict_walk(c1, c2, v1, v2, d):
+    info = period_brute(linear_recurrence(c1, c2, v1, v2), d)
+    assert (info.pre_period, info.period) == dict_period_walk(c1, c2, v1, v2, d)
+
+
+@pytest.mark.parametrize("spec,d", [
+    (SEQ, 7), (SEQ, 9), (SEQ, 243), (linear_recurrence(0, 0, 5, 3), 8),
+    (linear_recurrence(4, 6, 1, 1), 20), (linear_recurrence(2, 2, 1, 1), 50),
+])
+def test_period_brute_cap_is_exact(monkeypatch, spec, d):
+    # the walk succeeds iff pre_period + period <= PERIOD_STATE_CAP
+    info = period_brute(spec, d)
+    monkeypatch.setattr(periods, "PERIOD_STATE_CAP", info.pre_period + info.period)
+    assert period_brute(spec, d) == info
+    monkeypatch.setattr(periods, "PERIOD_STATE_CAP", info.pre_period + info.period - 1)
+    cap = periods.PERIOD_STATE_CAP
+    with pytest.raises(CapExceeded, match=f"^no repeated state within {cap} steps mod {d}$"):
+        period_brute(spec, d)
+
+
+def test_period_brute_memory_is_constant():
+    tracemalloc.start()
+    try:
+        period_brute(SEQ, 99989)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------ incongruence index
