@@ -36,11 +36,13 @@ from .charsum import (
 from .discriminator import (
     DiscriminatorRecord,
     NonValueCertificate,
+    collision_certificate,
     discriminator_brute,
     discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     recheck_certificate,
+    recheck_collision_certificate,
     salajan_discriminator_checked,
     salajan_discriminator_closed,
     table_ranges,

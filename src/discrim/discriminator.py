@@ -7,7 +7,9 @@ and f the least where 5^f >= 5n/4; the brute-force engine exists to verify
 that claim independently. The non-value screens (a factor 3, a period of at
 most d/2, an incongruence index of at most d/2) certify which integers never
 occur as D(n), and `recheck_certificate` checks each certificate against the
-recurrence alone, with none of the screens' code.
+recurrence alone, with none of the screens' code. In the same way
+`collision_certificate` proposes the collision pairs behind D(n) = v on a
+range of n, and `recheck_collision_certificate` alone decides the claim.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     2*hi for the flagship sequence, 4*hi otherwise). m separates the first
     n <= hi terms iff min(iota(m), hi) >= n, and D is nondecreasing, so one m
     that only moves up from lo serves every n. `prefix(m)` is min(iota(m),
-    hi), what one first-collision scan limited to hi terms returns: read from
-    the memo when iota(m) is known, else scanned, and recorded when the scan
-    stops short of hi, since only then is its length iota(m) itself.
+    hi): iota(m) is read from the memo, or else scanned in full (limit m) and
+    recorded. Every modulus but the last fails before hi terms, so only the
+    last one's scan runs past hi, by at most m - hi terms.
     """
     if search_cap is None:
         search_cap = 2 * hi if spec.kind == SALAJAN else 4 * hi
@@ -133,12 +135,12 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     def prefix(m: int) -> int:
         if m < len(memo) and memo[m]:
             return min(memo[m], hi)
-        k = distinct_prefix_length(spec, m, hi)
-        if k < hi and m <= _MEMO_MAX_MODULUS:
-            if m >= len(memo):
-                memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
-            memo[m] = k
-        return k
+        if m > _MEMO_MAX_MODULUS:
+            return distinct_prefix_length(spec, m, hi)
+        if m >= len(memo):
+            memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
+        memo[m] = distinct_prefix_length(spec, m, m)   # iota(m) <= m
+        return min(memo[m], hi)
 
     values = []
     m = lo
@@ -289,17 +291,17 @@ def nonvalue_screen(d: int) -> NonValueCertificate:
     return NonValueCertificate(d, VERDICT_UNDECIDED, None, witness)
 
 
-def _first_repeat(d: int) -> int:
-    """Index j of the first u_j that equals an earlier term mod d, by a plain
-    walk of the recurrence; there are d residues, so j <= d + 1."""
+def _first_collision(d: int) -> tuple[int, int]:
+    """Indices i < j of the first u_j that equals an earlier term u_i mod d,
+    by a plain walk of the recurrence; there are d residues, so j <= d + 1."""
     c1, c2, x, y = salajan().as_recurrence()
     x, y = x % d, y % d
     first: dict[int, int] = {}
     j = 1
-    while first.setdefault(x, j) == j:
+    while (i := first.setdefault(x, j)) == j:
         x, y = y, (c1 * y + c2 * x) % d
         j += 1
-    return j
+    return i, j
 
 
 def recheck_certificate(cert: NonValueCertificate) -> bool:
@@ -329,5 +331,44 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
         )
     if cert.reason == REASON_IOTA:
         iota = w.get("iota")
-        return type(iota) is int and 2 * iota <= d and _first_repeat(d) == iota + 1
+        return type(iota) is int and 2 * iota <= d and _first_collision(d)[1] == iota + 1
     return False
+
+
+def collision_certificate(start: int, value: int) -> tuple[array, array]:
+    """Propose the pairs of a collision certificate for the moduli m in
+    [start, value): arrays `first` and `second` with u_i = u_j mod m for
+    (i, j) = (first[m - start], second[m - start]) and i < j <= start. The
+    pair is (pre-period, pre-period + period) from the period formula when
+    that fits below start, else the first collision of a plain walk. It
+    claims nothing: `recheck_collision_certificate` decides."""
+    from array import array
+
+    first, second = array("I"), array("I")
+    for m in range(start, value):
+        info = salajan_period_formula(m)
+        i, j = info.pre_period, info.pre_period + info.period
+        if j > start:
+            i, j = _first_collision(m)
+        first.append(i)
+        second.append(j)
+    return first, second
+
+
+def recheck_collision_certificate(row: tuple[int, int, int], first: array, second: array) -> bool:
+    """True iff the pairs prove D(n) = v for every n in the row (a, b, v),
+    from `salajan_term_mod` and `verify_discriminates` alone, sharing no code
+    with the search that made them. v separates the first b terms, so
+    D(n) <= v; a modulus below n fails by pigeonhole, and each m in [a, v)
+    has its pair i < j <= a <= n with u_i = u_j mod m, so D(n) >= v. The
+    moduli are listed here from the row, never read from the pairs."""
+    a, b, v = row
+    if not all(type(x) is int for x in row) or not 1 <= a <= b <= v:
+        return False
+    moduli = range(a, v)
+    if not len(first) == len(second) == len(moduli):
+        return False
+    for m, i, j in zip(moduli, first, second):
+        if not 1 <= i < j <= a or salajan_term_mod(i, m) != salajan_term_mod(j, m):
+            return False
+    return verify_discriminates(salajan(), b, v)

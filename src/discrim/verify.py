@@ -17,14 +17,15 @@ from . import charsum as charsum_mod
 from .discriminator import (
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
+    collision_certificate,
     discriminator_brute,
     discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     recheck_certificate,
+    recheck_collision_certificate,
     salajan_discriminator_closed,
     table_ranges,
-    verify_discriminates,
 )
 from .numtheory import artin_constant, lte_valuation, padic_valuation, primes_up_to
 from .periods import (
@@ -73,6 +74,10 @@ EXPECTED_TABLE = [
     (8193, 12500, 15625), (12501, 16384, 16384), (16385, 32768, 32768),
 ]
 
+# theorem1's brute-force table takes about 17 s and 30 MB at 2^16; past that
+# a --nmax typo would run for hours
+THEOREM1_MAX_N = 1 << 16
+
 # reference prime-class listings up to 300
 LISTED_P1 = [5, 17, 29, 53, 89, 101, 113, 137, 149, 173, 197, 233, 257, 269, 281, 293]
 LISTED_P2 = [11, 23, 47, 59, 71, 83, 107, 131, 167, 179, 191, 227, 239, 251, 263]
@@ -106,30 +111,35 @@ def check_table() -> CheckResult:
 
 def check_theorem1(n_max: int = 4096) -> CheckResult:
     """Brute force equals the closed form for n <= n_max (one table sweep) and
-    at each range boundary: above n_max by `discriminator_brute`, or by one scan
-    if the previous boundary's D is the closed value (D is nondecreasing)."""
+    at the start and end of every reference row. Above n_max a row is settled
+    by a collision certificate that `recheck_collision_certificate` accepts,
+    and only a row it rejects by `discriminator_brute` at both ends."""
+    if n_max > THEOREM1_MAX_N:
+        raise ValueError(f"n_max must be at most {THEOREM1_MAX_N}")
     seq = salajan()
     brute = discriminator_table(seq, n_max)
     mismatches = [
         n for n in range(1, n_max + 1) if brute[n - 1] != salajan_discriminator_closed(n).value
     ]
 
-    boundaries = sorted({r[0] for r in EXPECTED_TABLE} | {r[1] for r in EXPECTED_TABLE})
+    boundaries = 0
     bad_bounds = []
     failing_moduli = 0
-    m = 0
-    for n in boundaries:
-        d = salajan_discriminator_closed(n).value
-        if n <= n_max:
-            m = brute[n - 1]
-        elif m != d or not verify_discriminates(seq, n, d):
-            m = discriminator_brute(seq, n).value
-        if m != d:
-            bad_bounds.append((n, d, m))
-        failing_moduli += m - n
+    for a, b, v in EXPECTED_TABLE:
+        certified = b > n_max and recheck_collision_certificate((a, b, v), *collision_certificate(a, v))
+        for n in sorted({a, b}):
+            d = salajan_discriminator_closed(n).value
+            if n <= n_max:
+                m = brute[n - 1]
+            else:
+                m = v if certified else discriminator_brute(seq, n).value
+            if m != d:
+                bad_bounds.append((n, d, m))
+            failing_moduli += m - n
+            boundaries += 1
     ok = not mismatches and not bad_bounds
     detail = (
-        f"brute=closed for n<=n_max ({n_max}), {len(boundaries)} boundaries tight "
+        f"brute=closed for n<=n_max ({n_max}), {boundaries} boundaries tight "
         f"({failing_moduli} smaller moduli all fail)"
     )
     if mismatches:

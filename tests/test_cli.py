@@ -416,12 +416,15 @@ def test_theorem1_range_is_passed_through_and_validated(capsys, monkeypatch):
         run_suites(["theorem1"])
         assert run_cli(capsys, "verify", "--suite", "theorem1", "--nmax", "16")[0] == 0
     assert seen == [8, 4096, 16]
-    # 0 and negative ranges are refused, not replaced by the default
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="n_max must be positive"):
+    # 0 and negative ranges are refused, not replaced by the default, and a
+    # range past 2^16 is refused before its brute-force table is built
+    for bad, message in ((0, "n_max must be positive"), (-5, "n_max must be positive"),
+                         (2**16 + 1, "n_max must be at most 65536"),
+                         (10**8, "n_max must be at most 65536")):
+        with pytest.raises(ValueError, match=message):
             run_suites(["theorem1"], n_max=bad)
         code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--nmax", str(bad))
-        assert (code, out) == (2, "") and "n_max must be positive" in err
+        assert (code, out) == (2, "") and message in err
 
 
 # ------------------------------------------------------------------ output plumbing

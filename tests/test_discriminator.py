@@ -21,11 +21,13 @@ from discrim.discriminator import (
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
     NonValueCertificate,
+    collision_certificate,
     discriminator_brute,
     discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
     recheck_certificate,
+    recheck_collision_certificate,
     salajan_discriminator_checked,
     salajan_discriminator_closed,
     table_ranges,
@@ -37,6 +39,7 @@ from discrim.sequences import (
     DEFAULT_EXACT_CAP,
     CapExceeded,
     SequenceNotAdmissible,
+    exact_terms,
     linear_recurrence,
     parse_spec,
     polynomial,
@@ -215,23 +218,31 @@ def test_table_matches_brute_at_boundaries_and_a_sample():
         assert table[n - 1] == discriminator_brute(SEQ, n).value, n
 
 
-def test_theorem1_sweeps_range_starts_and_scans_range_ends(monkeypatch):
-    # above n_max a range start gets the sweep; its end gets one scan at the
-    # start's value, and the sweep again only when that does not settle it
+def test_theorem1_falls_back_to_brute_force_on_a_rejected_certificate(monkeypatch):
+    # above n_max a row is settled by its certificate; a row whose certificate
+    # fails the check gets the sweep at its start and end, and only that row
     from discrim import verify
+
+    search = verify.collision_certificate
+
+    def bad_search(start, value):
+        first, second = search(start, value)
+        if start == 2049:
+            second[0] = start + 1   # a pair past the row's start proves nothing
+        return first, second
 
     swept = []
 
     def brute(spec, n, search_cap=None):
         swept.append(n)
-        lie = n == 2049   # a wrong brute value at one start
+        lie = n == 2049   # a wrong brute value at the rejected row's start
         return discriminator.DiscriminatorRecord(
             n, salajan_discriminator_closed(n).value + lie, METHOD_BRUTE)
 
+    monkeypatch.setattr(verify, "collision_certificate", bad_search)
     monkeypatch.setattr(verify, "discriminator_brute", brute)
     result = verify.check_theorem1(64)
-    starts = [r[0] for r in EXPECTED_TABLE if r[0] > 64]
-    assert swept == sorted(starts + [2500])   # 2500 ends the range of the wrong start
+    assert swept == [2049, 2500]
     assert not result.passed
     assert result.detail.endswith("boundary failures (n, closed, brute): [(2049, 3125, 3126)]")
 
@@ -260,13 +271,12 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
     table = discriminator_table(SEQ, 512)
     assert table[-1] == salajan_discriminator_closed(512).value == 512
     assert scanned == list(range(1, 513))    # each modulus once, none above D(512)
-    # the memo now holds iota(m) for every m < 512, each scan having stopped
-    # at its first collision; iota(512) = 512 reached the limit and is not known
+    # the memo now holds iota(m) for every m <= 512, each scan having run to
+    # its first collision, iota(512) = 512 included
     scanned.clear()
     assert discriminator_brute(SEQ, 17).value == 25
-    assert scanned == []
     assert discriminator_table(SEQ, 512) == table
-    assert scanned == [512]
+    assert scanned == []
     # on an empty memo: from n up to D(n), nothing else
     monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
     scanned.clear()
@@ -328,6 +338,10 @@ def test_shared_memo_gives_the_fresh_memo_results(specs, calls):
         shared = _brute_outcome(specs[which], *call)
         with mock.patch.object(discriminator, "_IOTA_MEMO", {}):
             assert shared == _brute_outcome(specs[which], *call), (which, call)
+    # every entry the memo holds is the exact first-collision length
+    for spec, memo in discriminator._IOTA_MEMO.items():
+        for m, iota in enumerate(memo):
+            assert iota == 0 or iota == incongruence_index(spec, m), (spec, m)
 
 
 def test_oracles_never_read_the_memo():
@@ -340,6 +354,8 @@ def test_oracles_never_read_the_memo():
             iota_equals_rho_scan(600),
             certs,
             [recheck_certificate(cert) for cert in certs],
+            [recheck_collision_certificate(row, *collision_certificate(row[0], row[2]))
+             for row in EXPECTED_TABLE[:9]],
         )
 
     before = oracles()
@@ -621,3 +637,101 @@ def test_recheck_needs_no_screen_engine(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert all(recheck_certificate(cert) for cert in certs)
+
+
+# ------------------------------------------------------------------ collision certificates
+
+
+def _collision_claim_holds(row, first, second, terms) -> bool:
+    """The claim of a row and its pairs by a plain reference: exact terms
+    (terms[t] is u_t), each pair by divisibility of the difference, the value
+    by counting distinct residues."""
+    a, b, v = row
+    if not 1 <= a <= b <= v or not len(first) == len(second) == v - a:
+        return False
+    for m, i, j in zip(range(a, v), first, second):
+        if not 1 <= i < j <= a or (terms[j] - terms[i]) % m:
+            return False
+    return len({t % v for t in terms[1:b + 1]}) == b
+
+
+def test_certificates_prove_every_row_to_65536():
+    # twice the range criterion 02 checks; the last row alone is 32767 moduli
+    rows = table_ranges(65536)
+    assert rows[:20] == EXPECTED_TABLE and rows[20:] == [(32769, 65536, 65536)]
+    for a, b, v in rows:
+        first, second = collision_certificate(a, v)
+        assert len(first) == len(second) == v - a
+        assert recheck_collision_certificate((a, b, v), first, second), (a, b, v)
+
+
+def test_collision_checker_rejects_exactly_the_false_tampers():
+    row = (2049, 2500, 3125)
+    first, second = collision_certificate(2049, 3125)
+    terms = [0, *exact_terms(SEQ, 2501)]
+    assert _collision_claim_holds(row, first, second, terms)
+    n = len(first)
+    tampers = [
+        # v - 1 with its moduli's true pairs: only the value check refutes it
+        ((2049, 2500, 3124), first[:-1], second[:-1]),
+        ((2049, 2500, 3126), first, second),
+        ((2049, 2500, 3126), first + array("I", [1]), second + array("I", [2049])),
+        ((2049, 2501, 3125), first, second),
+        (row, first[:-1], second),
+        (row, first, second[:-1]),
+    ]
+    positions = sorted({0, n - 1} | set(random.Random(13).sample(range(n), 12)))
+    for k in positions:
+        i, j = first[k], second[k]
+        # (i + s, j + s) with j + s = a + 1 still collides when i is past the
+        # pre-period, so only the bound j <= a refutes it
+        s = 2050 - j
+        for ti, tj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1), (i + s, j + s), (j, i), (i, i)):
+            f, g = array("I", first), array("I", second)
+            f[k], g[k] = ti, tj
+            tampers.append((row, f, g))
+        for to in (k - 1, k + 1):   # the pair of m moved to m - 1 or m + 1
+            if 0 <= to < n:
+                f, g = array("I", first), array("I", second)
+                f[to], g[to] = i, j
+                tampers.append((row, f, g))
+        tampers.append((row, first[:k] + first[k + 1:], second[:k] + second[k + 1:]))
+    holding = []
+    for t in tampers:
+        holds = _collision_claim_holds(*t, terms)
+        assert recheck_collision_certificate(*t) == holds, t
+        holding.append(holds)
+    assert sum(holding) <= 2   # a shifted index can still collide, rarely
+    # malformed rows fail instead of raising
+    for bad in ((0, 1, 1), (2, 1, 2), (3, 4, 3), (4, 4, 0), (2.0, 2, 2)):
+        assert not recheck_collision_certificate(bad, array("I"), array("I"))
+
+
+def _first_collision_reference(m):
+    seen = {}
+    for j, t in enumerate(exact_terms(SEQ, m + 1), start=1):
+        i = seen.setdefault(t % m, j)
+        if i != j:
+            return i, j
+    raise AssertionError("m + 1 terms hold a repeat mod m")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4000))
+def test_walked_pair_is_the_first_collision(m):
+    assert discriminator._first_collision(m) == _first_collision_reference(m)
+
+
+def test_collision_checker_needs_no_search_engine(monkeypatch):
+    certs = [(row, *collision_certificate(row[0], row[2])) for row in EXPECTED_TABLE[:16]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker called into the search's engines")
+
+    names = ("salajan_period_formula", "incongruence_index", "mult_order", "factorize",
+             "_first_collision", "discriminator_brute", "_least_moduli")
+    for module in (census, charsum, discriminator, numtheory, periods, sequences):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert all(recheck_collision_certificate(*cert) for cert in certs)
