@@ -9,7 +9,7 @@ reducing the Carmichael exponent rather than by iteration.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -157,6 +157,54 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             stack.append(d)
             stack.append(m // d)
     return tuple(sorted(counts.items()))
+
+
+# Period formulas over a range of moduli factor from one smallest-prime-factor
+# table, `_spf`: _spf[n] is the least prime factor of a composite n and 0
+# otherwise. Sieving it by slice assignment costs about 14 ns an entry, and
+# `factorize` takes about 3.5 us to trial-divide a number below 10^5 (2
+# cores), so one factorization is worth SPF_MISS_ENTRIES = 256 entries. A
+# number above the table is charged that much, and once the charges reach the
+# size of a table covering twice that number, the table is sieved that large:
+# rent or buy, as TAIL_RENT in `sequences`. A lone call builds nothing. The
+# table never exceeds SPF_MAX_ENTRIES (4 MB), and numbers beyond it are not
+# charged.
+SPF_MISS_ENTRIES = 256
+SPF_MAX_ENTRIES = 1 << 20
+
+_spf: Sequence[int] = ()
+_spf_charged = 0   # entries' worth of misses since the table was last sieved
+
+
+def _table_factorize(n: int) -> tuple[tuple[int, int], ...] | None:
+    """factorize(n) for n >= 1 read from the smallest-prime-factor table, or
+    None when n lies above it; that miss is charged, and may grow the table."""
+    global _spf, _spf_charged
+    if n >= len(_spf):
+        if n >= SPF_MAX_ENTRIES:
+            return None
+        size = min(2 * n + 1, SPF_MAX_ENTRIES)
+        _spf_charged += SPF_MISS_ENTRIES
+        if _spf_charged < size:
+            return None
+        from array import array   # an extension module; `import discrim.cli` stays without it
+
+        spf = array("I", [0]) * size
+        # largest prime first, so each composite ends with its least one
+        for p in reversed([p for p in _SMALL_PRIMES if p * p < size]):
+            spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+        _spf, _spf_charged = spf, 0
+    spf = _spf
+    out = []
+    while n > 1:
+        p = spf[n] or n
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
 def padic_valuation(p: int, n: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numtheory import is_prime, mult_order, primes_up_to
+from .numtheory import _table_factorize, factorize, is_prime, mult_order, primes_up_to
 from .sequences import (
     POLYNOMIAL,
     CapExceeded,
@@ -26,6 +26,11 @@ from .sequences import (
 # caller: 2^20 steps take about 0.15 s. It bounds time only, since the walk
 # keeps two states at a time.
 PERIOD_STATE_CAP = 1 << 20
+
+# ord_{q^e}(9) by prime power q^e, for the period formula. It records only
+# orders met at moduli whose delta lies inside the smallest-prime-factor
+# table, so it stays about as small as the table.
+_PRIME_POWER_ORDERS: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,13 @@ def period_brute(spec: SequenceSpec, d: int) -> PeriodInfo:
 
 
 def salajan_period_formula(d: int) -> PeriodInfo:
-    """Closed-form period 2*ord_9(4*delta) and pre-period max(1, a) for d = 3^a * delta."""
+    """Closed-form period 2*ord_9(4*delta) and pre-period max(1, a) for d = 3^a * delta.
+
+    ord_9(4*delta) is the lcm of ord_{q^e}(9) over the prime powers q^e
+    exactly dividing 4*delta (CRT), each order computed once per process.
+    delta is factored from the smallest-prime-factor table when it lies
+    inside, and 4*delta by `factorize` otherwise.
+    """
     if d < 2:
         raise ValueError("modulus must be >= 2")
     alpha = 0
@@ -91,7 +102,23 @@ def salajan_period_formula(d: int) -> PeriodInfo:
     while delta % 3 == 0:
         alpha += 1
         delta //= 3
-    return PeriodInfo(d, max(1, alpha), 2 * mult_order(9, 4 * delta))
+    factors = _table_factorize(delta)
+    inside = factors is not None
+    if inside:
+        twos = (delta & -delta).bit_length() - 1
+        factors = ((2, twos + 2), *(factors[1:] if twos else factors))
+    else:
+        factors = factorize(4 * delta)
+    order = 1
+    for q, e in factors:
+        power = q**e
+        part = _PRIME_POWER_ORDERS.get(power)
+        if part is None:
+            part = mult_order(9, power, ((q, e),))
+            if inside:
+                _PRIME_POWER_ORDERS[power] = part
+        order = math.lcm(order, part)
+    return PeriodInfo(d, max(1, alpha), 2 * order)
 
 
 def salajan_period_checked(d: int) -> PeriodInfo:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from discrim import discriminator, sequences
+from discrim import discriminator, numtheory, periods, sequences
 
 
 @pytest.fixture(autouse=True)
@@ -17,3 +17,13 @@ def tail_rent_spent(monkeypatch):
     """Each test starts with the Python rent spent, so recurrence scans enter
     the numpy blocks at tail_start(m) whether or not numpy is loaded yet."""
     monkeypatch.setattr(sequences, "_rent_left", 0)
+
+
+@pytest.fixture(autouse=True)
+def empty_period_tables(monkeypatch):
+    """Each test starts with no smallest-prime-factor table, no charged
+    misses and no recorded prime-power orders, so the period formula's
+    tables grow from nothing in every test."""
+    monkeypatch.setattr(numtheory, "_spf", ())
+    monkeypatch.setattr(numtheory, "_spf_charged", 0)
+    monkeypatch.setattr(periods, "_PRIME_POWER_ORDERS", {})

@@ -181,6 +181,12 @@ def test_period_single_methods(capsys):
         assert (row["period"], row["method"]) == ("6", tag)
 
 
+def test_period_formula_past_64_bits_exits_2(capsys):
+    # 4 * 2^62 = 2^64 is past the 64-bit factoring range
+    assert run_cli(capsys, "period", "--d", str(2**62), "--method", "formula") == (
+        2, "", "error: factorize expects 1 <= n <= 2^64 - 1\n")
+
+
 def test_period_formula_refused_for_generic(capsys):
     code, _, err = run_cli(capsys, "period", "--seq", "linrec:1,1,1,1", "--d", "10")
     assert code == 2 and "error:" in err

@@ -34,7 +34,12 @@ from discrim.discriminator import (
     verify_discriminates,
 )
 from discrim.charsum import prime_lemma_bound
-from discrim.periods import incongruence_index, iota_equals_rho_scan, period_brute
+from discrim.periods import (
+    incongruence_index,
+    iota_equals_rho_scan,
+    period_brute,
+    salajan_period_formula,
+)
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
     CapExceeded,
@@ -631,7 +636,7 @@ def test_recheck_needs_no_screen_engine(monkeypatch):
         raise AssertionError("recheck called into the screen's engines")
 
     names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
-             "mult_order", "factorize")
+             "mult_order", "factorize", "_table_factorize", "_PRIME_POWER_ORDERS")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
             if hasattr(module, name):
@@ -729,9 +734,60 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
         raise AssertionError("the checker called into the search's engines")
 
     names = ("salajan_period_formula", "incongruence_index", "mult_order", "factorize",
-             "_first_collision", "discriminator_brute", "_least_moduli")
+             "_table_factorize", "_PRIME_POWER_ORDERS", "_first_collision",
+             "discriminator_brute", "_least_moduli")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert all(recheck_collision_certificate(*cert) for cert in certs)
+
+
+def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
+    # a smallest-prime-factor table that makes every delta a power of 2, and
+    # order 7 for every power of 2: the formula then gives period 14 throughout
+    from discrim import verify
+
+    ds = range(2, 601)
+    rows = EXPECTED_TABLE[8:15]   # (65, 100, 125) to (2049, 2500, 3125)
+
+    def oracles(certs, pairs):
+        return ([period_brute(SEQ, d) for d in ds], [incongruence_index(SEQ, d) for d in ds],
+                [recheck_certificate(cert) for cert in certs],
+                [recheck_collision_certificate(row, *pair) for row, pair in zip(rows * 2, pairs)])
+
+    def theorem1():
+        swept = []
+
+        def brute(spec, n):
+            swept.append(n)
+            return discriminator_brute(spec, n)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(verify, "EXPECTED_TABLE", EXPECTED_TABLE[:15])
+            mp.setattr(verify, "discriminator_brute", brute)
+            return verify.check_theorem1(64), swept
+
+    certs = [nonvalue_screen(d) for d in ds]
+    pairs = [collision_certificate(a, v) for a, _, v in rows]
+    honest, honest_swept = theorem1()
+    with monkeypatch.context() as mp:
+        mp.setattr(numtheory, "_spf", array("I", [2]) * (1 << 17))
+        mp.setattr(periods, "_PRIME_POWER_ORDERS", {2**e: 7 for e in range(1, 64)})
+        assert salajan_period_formula(5) == periods.PeriodInfo(5, 1, 14)   # truly 4
+        bad_certs = [nonvalue_screen(d) for d in ds]
+        bad_pairs = [collision_certificate(a, v) for a, _, v in rows]
+        poisoned = oracles(certs + bad_certs, pairs + bad_pairs)
+        result, swept = theorem1()
+    assert poisoned == oracles(certs + bad_certs, pairs + bad_pairs)
+    # the checkers keep every true certificate and reject every false period
+    # witness and every row's poisoned pairs
+    rechecked, rows_checked = poisoned[2], poisoned[3]
+    assert rechecked[:len(ds)] == [True] * len(ds)
+    false = [k for k, (cert, brute) in enumerate(zip(bad_certs, poisoned[0]))
+             if cert.reason == REASON_PERIOD and cert.witness["rho"] % brute.period]
+    assert len(false) > 300 and not any(rechecked[len(ds) + k] for k in false)
+    assert rows_checked == [True] * len(rows) + [False] * len(rows)
+    # the same passing result, with brute force at every boundary above n_max
+    assert honest.passed and result == honest
+    assert honest_swept == [] and swept == [n for a, b, _ in rows for n in (a, b)]

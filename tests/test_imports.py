@@ -63,8 +63,9 @@ print(json.dumps([code, out.getvalue(), err.getvalue()]))
     ["discriminate", "--seq", "linrec:2,3,2,1", "--n", "1000", "--method", "brute"],
     ["discriminate", "--seq", "linrec:1,2,1,3", "--n", "500", "--method", "brute"],
     ["iota", "--range", "2361:2410", "--format", "json"],
+    ["screen", "--range", "10000:10099", "--format", "csv"],
 ], ids=["discriminate", "table", "period", "fset", "discriminate-poly", "discriminate-both",
-        "discriminate-linrec-2321", "discriminate-linrec-1213", "iota-range"])
+        "discriminate-linrec-2321", "discriminate-linrec-1213", "iota-range", "screen-range"])
 def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     # the same exit code and output as the numpy blocks give in this process
     heavy, printed = run_checked(CLI_RUN.format(argv=argv))
@@ -73,6 +74,17 @@ def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     captured = capsys.readouterr()
     assert json.loads(printed[-1]) == [code, captured.out, captured.err]
     assert code == (1 if "linrec:1,2,1,3" in argv else 0)
+
+
+def test_a_lone_period_formula_builds_no_table():
+    # one miss is charged far less than a table covering 2 * 99991 would cost
+    body = ("from discrim import numtheory, periods\n"
+            "print(periods.salajan_period_formula(99991))\n"
+            "print(len(numtheory._spf), numtheory._spf_charged, periods._PRIME_POWER_ORDERS)")
+    heavy, printed = run_checked(body)
+    assert heavy == ""
+    assert printed == ["PeriodInfo(modulus=99991, pre_period=1, period=19998)",
+                       f"0 {numtheory.SPF_MISS_ENTRIES} {{}}"]
 
 
 # Each scan gets a rent of RENT terms past tail_start(m) and checks the

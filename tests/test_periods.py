@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrim import periods
+from discrim import numtheory, periods
 from discrim.periods import (
     PeriodInfo,
     incongruence_index,
@@ -16,7 +16,7 @@ from discrim.periods import (
     period_brute,
     salajan_period_formula,
 )
-from discrim.numtheory import padic_valuation
+from discrim.numtheory import U64_MAX, factorize, mult_order, padic_valuation
 from discrim.sequences import CapExceeded, linear_recurrence, polynomial, salajan
 
 SEQ = salajan()
@@ -68,6 +68,59 @@ def test_period_anchors():
     for e in range(1, 9):
         info = salajan_period_formula(3**e)
         assert (info.pre_period, info.period) == (e, 2)
+
+
+def formula_reference(d):
+    """The period formula as written, one order mod 4*delta with no table."""
+    a, delta = 0, d
+    while delta % 3 == 0:
+        a, delta = a + 1, delta // 3
+    return PeriodInfo(d, max(1, a), 2 * mult_order(9, 4 * delta))
+
+
+def test_table_factorizations_equal_factorize():
+    # misses at 2^16 are charged until the charges pay for a table covering 2^17
+    n = 1 << 16
+    misses = 0
+    while numtheory._table_factorize(n) is None:
+        misses += 1
+    assert misses == (2 * n + 1) // numtheory.SPF_MISS_ENTRIES
+    assert len(numtheory._spf) == 2 * n + 1
+    table = list(map(numtheory._table_factorize, range(1, 2 * n + 1)))
+    assert table == list(map(factorize, range(1, 2 * n + 1)))
+
+
+def test_table_stops_at_its_cap(monkeypatch):
+    # a miss that would grow the table past the cap builds it at the cap; a
+    # number at or past the cap is never charged
+    monkeypatch.setattr(numtheory, "SPF_MAX_ENTRIES", 1000)
+    monkeypatch.setattr(numtheory, "_spf_charged", 999)
+    assert numtheory._table_factorize(1000) is None and numtheory._spf_charged == 999
+    assert numtheory._table_factorize(999) == factorize(999)
+    assert len(numtheory._spf) == 1000 and numtheory._spf_charged == 0
+
+
+def test_formula_equals_the_order_mod_4_delta_to_30000():
+    assert all(salajan_period_formula(d) == formula_reference(d) for d in range(2, 30001))
+    # orders are recorded only from moduli inside the table
+    powers = set(periods._PRIME_POWER_ORDERS)
+    assert powers and max(powers) < 4 * len(numtheory._spf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=10**15))
+def test_formula_equals_the_order_mod_4_delta_to_10_15(d):
+    assert salajan_period_formula(d) == formula_reference(d)
+
+
+def test_formula_fails_exactly_past_64_bits():
+    # 4*delta > 2^64 - 1 fails as factorize does
+    for d in (2**62, 3 * 2**62, 2**63, U64_MAX):
+        with pytest.raises(ValueError, match=r"^factorize expects 1 <= n <= 2\^64 - 1$"):
+            salajan_period_formula(d)
+    for d in (2**62 - 3, 2**62 - 1, 3 * (2**62 - 1), 2**61 * 3**5):
+        assert 4 * (d // 3 ** padic_valuation(3, d)) <= U64_MAX
+        assert salajan_period_formula(d) == formula_reference(d)
 
 
 def test_pre_period_is_max_of_1_and_3adic_valuation():
