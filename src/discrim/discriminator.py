@@ -23,7 +23,6 @@ from .numtheory import is_prime
 from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
     DEFAULT_EXACT_CAP,
-    LINEAR_RECURRENCE,
     SALAJAN,
     CapExceeded,
     MethodsDisagree,
@@ -81,15 +80,16 @@ def verify_discriminates(spec: SequenceSpec, n: int, m: int) -> bool:
 
 def _check_admissible(spec: SequenceSpec, n: int) -> None:
     """Raise SequenceNotAdmissible if two of v_1..v_n are equal. The exact
-    terms are walked once (a recurrence up to DEFAULT_EXACT_CAP, so a repeat
-    inside the cap is reported first) and kept as 16-byte digests, so memory
-    does not grow with term size; a repeated digest counts once the exact
-    terms agree, so only a 128-bit collision could hide a repeat."""
+    terms are walked once, up to DEFAULT_EXACT_CAP, so a repeat inside the
+    cap is reported first and a longer prefix raises CapExceeded. Each term
+    is kept as a 16-byte digest, so memory does not grow with term size; a
+    repeated digest counts once the exact terms agree, so only a 128-bit
+    collision could hide a repeat."""
     try:
         from _blake2 import blake2b   # what hashlib hands out, without loading OpenSSL
     except ImportError:
         from hashlib import blake2b
-    walk = min(n, DEFAULT_EXACT_CAP) if spec.kind == LINEAR_RECURRENCE else n
+    walk = min(n, DEFAULT_EXACT_CAP)
     seen: dict[bytes, int] = {}
     for j, t in enumerate(exact_terms(spec, walk), start=1):
         raw = t.to_bytes(t.bit_length() // 8 + 1, "little", signed=True)
@@ -107,8 +107,8 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 # reads or fills it, so every brute-force D(n) shares it, while the oracles
 # that check those answers (`incongruence_index`, `period_brute`,
 # `verify_discriminates`, `recheck_certificate`) scan afresh and never see
-# it. Moduli above _MEMO_MAX_MODULUS are not kept: below it the array costs
-# at most twice the m-entry table a long scan builds anyway.
+# it. Moduli above _MEMO_MAX_MODULUS are not kept, so the array holds at
+# most 2^22 + 1 entries (16 MB).
 _MEMO_MAX_MODULUS = 1 << 22
 _IOTA_MEMO: dict[SequenceSpec, array] = {}
 

@@ -166,9 +166,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 # cores), so one factorization is worth SPF_MISS_ENTRIES = 256 entries. A
 # number above the table is charged that much, and once the charges reach the
 # size of a table covering twice that number, the table is sieved that large:
-# rent or buy, as TAIL_RENT in `sequences`. A lone call builds nothing. The
-# table never exceeds SPF_MAX_ENTRIES (4 MB), and numbers beyond it are not
-# charged.
+# rent or buy. A lone call builds nothing. The table never exceeds
+# SPF_MAX_ENTRIES (4 MB), and numbers beyond it are not charged.
 SPF_MISS_ENTRIES = 256
 SPF_MAX_ENTRIES = 1 << 20
 

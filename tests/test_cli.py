@@ -73,6 +73,15 @@ def test_discriminate_repeat_beyond_the_exact_cap_is_usage_error(capsys):
     assert code == 2 and err.startswith("error: terms 1 and 2 are both 3;")
 
 
+def test_discriminate_polynomial_beyond_the_exact_cap_is_failure(capsys):
+    # the exact walk stops at the cap for every spec, so a long polynomial
+    # prefix is refused without a digest for each of its n terms
+    code, _, err = run_cli(
+        capsys, "discriminate", "--seq", "poly:0,0,1", "--n", "200001", "--method", "brute"
+    )
+    assert (code, err) == (1, "failure: exact term index 200001 exceeds cap 200000\n")
+
+
 def test_discriminate_cap_exhaustion_is_failure(capsys):
     code, _, err = run_cli(
         capsys, "discriminate", "--n", "17", "--method", "brute", "--cap", "24"

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrim import sequences
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
-    TAIL_MAX_MODULUS,
     CapExceeded,
     SequenceSpec,
     distinct_prefix_length,
@@ -20,7 +18,6 @@ from discrim.sequences import (
     salajan,
     salajan_term_exact,
     salajan_term_mod,
-    tail_start,
     term_exact,
 )
 
@@ -205,7 +202,7 @@ def test_distinct_prefix_length_matches_pairwise_oracle(m, limit):
     assert distinct_prefix_length(seq, m, limit) == expected
 
 
-# ------------------------------------------------------------------ numpy tail
+# ------------------------------------------------------------------ set reference
 
 
 def set_reference(c1, c2, v1, v2, m, limit):
@@ -220,70 +217,38 @@ def set_reference(c1, c2, v1, v2, m, limit):
     return limit
 
 
-def block_edges(m, count=5):
-    """Term counts at which the scan mod m enters the numpy blocks and ends each block."""
-    edge = tail_start(m)
-    edges = [edge]
-    rows = sequences._FIRST_ROWS
-    for _ in range(count - 1):
-        edge += rows * sequences._WINDOW
-        edges.append(edge)
-        rows = min(4 * rows, sequences._MAX_BLOCK // sequences._WINDOW)
-    return edges
-
-
-# coefficient pairs whose scans often outlive tail_start(m): progressions
-# (2, -1) and (-2, -1), powers of 3 (3, 0), (+-4, -1), (2, 1) and the
-# flagship's (2, 3)
+# coefficient pairs whose scans often run long: progressions (2, -1) and
+# (-2, -1), powers of 3 (3, 0), (+-4, -1), (2, 1) and the flagship's (2, 3)
 LONG_SCANS = [(2, -1), (-2, -1), (4, -1), (-4, -1), (2, 1), (3, 0), (2, 3)]
 
-# limits on both sides of where the blocks start and of every block edge
-EDGE_LIMITS = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=-2, max_value=2))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=-10**6, max_value=10**6),
-    st.integers(min_value=-10**6, max_value=10**6),
-    st.integers(min_value=1, max_value=70_000),
-    st.one_of(EDGE_LIMITS, st.integers(min_value=1, max_value=10**9)),
-)
-def test_distinct_prefix_length_matches_set_reference(c1, c2, v1, v2, m, limit):
+RECURRENCES = st.one_of(
     # any recurrence, c2 = 0 and negative coefficients included; constant
     # (1, 0) and period-2 (0, 1) sequences repeat at once
-    if isinstance(limit, tuple):
-        limit = max(1, block_edges(m)[limit[0]] + limit[1])
-    limit = min(limit, m + 1)   # iota(m) <= m
-    spec = linear_recurrence(c1, c2, v1, v2)
-    assert distinct_prefix_length(spec, m, limit) == set_reference(c1, c2, v1, v2, m, limit)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(LONG_SCANS),
-    st.integers(min_value=-10**6, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-    st.integers(min_value=2000, max_value=70_000),
-    st.one_of(EDGE_LIMITS, st.just(None)),
-)
-def test_long_scans_match_set_reference(coeffs, v1, step, m, edge):
-    # scans that mostly reach the numpy blocks (v2 = v1 would repeat at
-    # once); limit None leaves them unbounded
-    c1, c2 = coeffs
-    v2 = v1 + step
-    limit = m + 1 if edge is None else block_edges(m)[edge[0]] + edge[1]
-    spec = linear_recurrence(c1, c2, v1, v2)
-    assert distinct_prefix_length(spec, m, limit) == set_reference(c1, c2, v1, v2, m, limit)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=257, max_value=70_000), st.one_of(EDGE_LIMITS, st.just(None)))
-def test_salajan_prefix_length_matches_set_reference(m, edge):
+    st.builds(
+        linear_recurrence,
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=-10**6, max_value=10**6),
+    ),
+    # long scans (v2 = v1 would repeat at once)
+    st.builds(
+        lambda c, v1, step: linear_recurrence(*c, v1, v1 + step),
+        st.sampled_from(LONG_SCANS),
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    ),
     # the flagship sequence itself
-    limit = m + 1 if edge is None else block_edges(m)[edge[0]] + edge[1]
-    assert distinct_prefix_length(salajan(), m, limit) == set_reference(2, 3, 2, 1, m, limit)
+    st.just(salajan()),
+)
+
+
+@settings(max_examples=360, deadline=None)
+@given(RECURRENCES, st.integers(min_value=1, max_value=70_000), st.data())
+def test_distinct_prefix_length_matches_set_reference(spec, m, data):
+    # limit m + 1 leaves a scan unbounded, since iota(m) <= m
+    limit = data.draw(st.one_of(st.just(m + 1), st.integers(min_value=1, max_value=m)))
+    assert distinct_prefix_length(spec, m, limit) == set_reference(*spec.as_recurrence(), m, limit)
 
 
 @pytest.mark.parametrize(
@@ -299,34 +264,14 @@ def test_salajan_prefix_length_matches_set_reference(m, edge):
     ],
 )
 def test_first_repeat_inside_one_block(c1, c2, v1, v2, m):
-    # both terms of the first repeat fall in the same numpy block, so the
-    # table of earlier residues cannot see it
+    # pinned long scans whose first repeat lies only a few terms back
     spec = linear_recurrence(c1, c2, v1, v2)
     assert distinct_prefix_length(spec, m, m + 1) == set_reference(c1, c2, v1, v2, m, m + 1)
 
 
-def test_progression_repeats_on_every_block_edge():
-    # v_j = (j - 1) * q mod P * q repeats first at term P + 1, so iota = P;
-    # pick P on, just before and just after each block edge, for moduli
-    # whose blocks start at 256 (q = 1) and later (q = 7, 25)
-    for q in (1, 7, 25):
-        spec = linear_recurrence(2, -1, 0, q)
-        hits = set()
-        for period in range(200, 6000):
-            m = period * q
-            for i, edge in enumerate(block_edges(m)):
-                if abs(period - edge) <= 1:
-                    assert distinct_prefix_length(spec, m, m + 1) == period, m
-                    assert distinct_prefix_length(spec, m, period) == period, m
-                    hits.add((i, period - edge))
-        assert len(hits) == 15, q
-
-
 def test_large_moduli_stay_in_python():
-    # the blocks' table would need m entries; past TAIL_MAX_MODULUS, and past
-    # 2^31 where 2m^2 leaves int64, the set loop runs to the end
-    assert tail_start(TAIL_MAX_MODULUS + 1) is None
-    for m in (TAIL_MAX_MODULUS + 1, 2**31 + 11, 2**61 - 1):
+    # the set loop takes moduli of any size: past 2^22, past 2^31 and near 2^61
+    for m in (2**22 + 1, 2**31 + 11, 2**61 - 1):
         assert distinct_prefix_length(linear_recurrence(2, -1, 0, 1), m, 3000) == 3000
         assert distinct_prefix_length(salajan(), m, 2000) == set_reference(2, 3, 2, 1, m, 2000)
         spec = linear_recurrence(-7, 5, 34, 15)
