@@ -221,34 +221,49 @@ def set_reference(c1, c2, v1, v2, m, limit):
 # (-2, -1), powers of 3 (3, 0), (+-4, -1), (2, 1) and the flagship's (2, 3)
 LONG_SCANS = [(2, -1), (-2, -1), (4, -1), (-4, -1), (2, 1), (3, 0), (2, 3)]
 
-RECURRENCES = st.one_of(
+def limits(m):
+    """Limits from 1..m + 1; m + 1 leaves a scan unbounded, since iota(m) <= m."""
+    return st.one_of(st.just(m + 1), st.integers(min_value=1, max_value=m))
+
+
+def check_against_set_reference(spec, m, limit):
+    assert distinct_prefix_length(spec, m, limit) == set_reference(*spec.as_recurrence(), m, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=70_000),
+    st.data(),
+)
+def test_distinct_prefix_length_matches_set_reference(c1, c2, v1, v2, m, data):
     # any recurrence, c2 = 0 and negative coefficients included; constant
     # (1, 0) and period-2 (0, 1) sequences repeat at once
-    st.builds(
-        linear_recurrence,
-        st.integers(min_value=-50, max_value=50),
-        st.integers(min_value=-50, max_value=50),
-        st.integers(min_value=-10**6, max_value=10**6),
-        st.integers(min_value=-10**6, max_value=10**6),
-    ),
-    # long scans (v2 = v1 would repeat at once)
-    st.builds(
-        lambda c, v1, step: linear_recurrence(*c, v1, v1 + step),
-        st.sampled_from(LONG_SCANS),
-        st.integers(min_value=-10**6, max_value=10**6),
-        st.integers(min_value=1, max_value=10**6),
-    ),
-    # the flagship sequence itself
-    st.just(salajan()),
+    check_against_set_reference(linear_recurrence(c1, c2, v1, v2), m, data.draw(limits(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(LONG_SCANS),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=2000, max_value=70_000),
+    st.data(),
 )
+def test_long_scans_match_set_reference(coeffs, v1, step, m, data):
+    # long scans (v2 = v1 would repeat at once)
+    spec = linear_recurrence(*coeffs, v1, v1 + step)
+    check_against_set_reference(spec, m, data.draw(limits(m)))
 
 
-@settings(max_examples=360, deadline=None)
-@given(RECURRENCES, st.integers(min_value=1, max_value=70_000), st.data())
-def test_distinct_prefix_length_matches_set_reference(spec, m, data):
-    # limit m + 1 leaves a scan unbounded, since iota(m) <= m
-    limit = data.draw(st.one_of(st.just(m + 1), st.integers(min_value=1, max_value=m)))
-    assert distinct_prefix_length(spec, m, limit) == set_reference(*spec.as_recurrence(), m, limit)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=257, max_value=70_000), st.data())
+def test_salajan_prefix_length_matches_set_reference(m, data):
+    # the flagship sequence itself
+    check_against_set_reference(salajan(), m, data.draw(limits(m)))
 
 
 @pytest.mark.parametrize(
