@@ -14,14 +14,13 @@ decided exactly with integers, or fast via the fractional-part criterion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .numtheory import _pow_mod_u32, is_prime, iter_prime_blocks, mult_order, primes_up_to
-from .sequences import MethodsDisagree
+from .sequences import CapExceeded, MethodsDisagree
 
 ARTIN_CONSTANT = 0.3739558136
 DENSITY_P1 = 3 * ARTIN_CONSTANT / 5
@@ -30,6 +29,10 @@ DENSITY_P3 = 2 * ARTIN_CONSTANT / 5
 
 # density of the F-set among b <= x
 BETA = 3 - math.log2(5)
+
+# largest b an F-set pass may reach: 5^b grows by one multiplication per
+# step, so the pass is quadratic in b, and 2^18 takes about 5 s
+FSET_B_CAP = 1 << 18
 
 CLASS_P1 = "P1"
 CLASS_P2 = "P2"
@@ -44,16 +47,14 @@ _BATCH_LIMIT = 1 << 32
 _CENSUS_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
-class PrimeClassRecord:
+class PrimeClassRecord(NamedTuple):
     p: int
     residue_mod_4: int
     ord3: int
     pclass: str
 
 
-@dataclass(frozen=True, slots=True)
-class FsetRecord:
+class FsetRecord(NamedTuple):
     b: int
     member: bool
     k: int | None   # 2^k lies inside the interval; None when member is True
@@ -64,8 +65,7 @@ class FsetRecord:
         return None if self.k is None else 1 << self.k
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     x: int
     pi_x: int
     counts: dict
@@ -200,14 +200,21 @@ def _fset_pass(b_max: int):
         k = bits + 2
 
 
+def check_fset_bound(b_max: int) -> None:
+    """Raise CapExceeded, before any work, when b_max exceeds FSET_B_CAP."""
+    if b_max > FSET_B_CAP:
+        raise CapExceeded(f"F-set bound {b_max} exceeds cap {FSET_B_CAP}")
+
+
 def fset_scan_interval(b_max: int) -> list[FsetRecord]:
     """Exact membership for all b <= b_max, in one incremental pass.
 
     Each record keeps the exponent k of its witness, not the power 2^k, so
-    no giant integers accumulate.
+    no giant integers accumulate. b_max is bounded by FSET_B_CAP.
     """
     if b_max < 1:
         raise ValueError("b_max must be positive")
+    check_fset_bound(b_max)
     return [FsetRecord(b, member, None if member else k) for b, k, member in _fset_pass(b_max)]
 
 
@@ -279,5 +286,6 @@ def fset_count(x: int) -> tuple[int, float, float]:
     """(count of b <= x in the F-set, count/x, expected density beta)."""
     if x < 1:
         raise ValueError("x must be positive")
+    check_fset_bound(x)
     count = sum(member for _, _, member in _fset_pass(x))
     return count, count / x, BETA

@@ -10,8 +10,7 @@ production path, so the sizes are guarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,8 +21,7 @@ MAX_DIRECT_PRIME = 500     # O(p^3) enumeration guard
 MAX_DFT_ORDER = 4096       # (p-1) x (p-1) grid guard for the DFT path
 
 
-@dataclass(frozen=True)
-class CharSumReport:
+class CharSumReport(NamedTuple):
     p: int
     g: int
     setA_size: int

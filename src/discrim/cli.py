@@ -14,7 +14,13 @@ import json
 import math
 import sys
 
-from .census import census_scan, fset_member_weyl, fset_scan_checked, fset_scan_interval
+from .census import (
+    census_scan,
+    check_fset_bound,
+    fset_member_weyl,
+    fset_scan_checked,
+    fset_scan_interval,
+)
 from .charsum import char_sum_report
 from .discriminator import (
     discriminator_brute,
@@ -240,6 +246,7 @@ def _cmd_fset(args, out) -> int:
     if args.max < 1:
         raise ValueError("--max must be positive")
     if args.method == "weyl":
+        check_fset_bound(args.max)
         rows = [(b, fset_member_weyl(b), None) for b in range(1, args.max + 1)]
     else:
         scan = fset_scan_interval if args.method == "interval" else fset_scan_checked

@@ -14,8 +14,7 @@ range of n, and `recheck_collision_certificate` alone decides the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
@@ -54,15 +53,13 @@ REASON_IOTA = "iota_screen"
 BIG_PRIME_REPORT_FLOOR = 2060
 
 
-@dataclass(frozen=True)
-class DiscriminatorRecord:
+class DiscriminatorRecord(NamedTuple):
     n: int
     value: int
     method: str
 
 
-@dataclass(frozen=True)
-class NonValueCertificate:
+class NonValueCertificate(NamedTuple):
     d: int
     verdict: str
     reason: str | None

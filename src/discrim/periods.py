@@ -10,7 +10,7 @@ mod m; always iota(m) <= m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import _table_factorize, factorize, is_prime, mult_order, primes_up_to
 from .sequences import (
@@ -33,8 +33,7 @@ PERIOD_STATE_CAP = 1 << 20
 _PRIME_POWER_ORDERS: dict[int, int] = {}
 
 
-@dataclass(frozen=True)
-class PeriodInfo:
+class PeriodInfo(NamedTuple):
     modulus: int
     pre_period: int   # minimal n0; 1 means purely periodic
     period: int

@@ -7,7 +7,7 @@ recurrences and polynomial sequences feed the same discriminator engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SALAJAN = "salajan"
 LINEAR_RECURRENCE = "linear_recurrence"
@@ -28,24 +28,31 @@ class SequenceNotAdmissible(ValueError):
     """The sequence repeats a term, so no modulus can separate its prefix."""
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class _SpecFields(NamedTuple):
     kind: str
     coeffs: tuple[int, ...] = ()   # linear_recurrence: (c1, c2); polynomial: (a0, a1, ...)
-    initial: tuple[int, ...] = field(default=())
+    initial: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.kind == SALAJAN:
-            if self.coeffs or self.initial:
+
+class SequenceSpec(_SpecFields):
+    """A validated sequence description; a NamedTuple body may not define
+    `__new__`, so the fields live on a base class."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, coeffs: tuple[int, ...] = (), initial: tuple[int, ...] = ()):
+        if kind == SALAJAN:
+            if coeffs or initial:
                 raise ValueError("salajan spec takes no parameters")
-        elif self.kind == LINEAR_RECURRENCE:
-            if len(self.coeffs) != 2 or len(self.initial) != 2:
+        elif kind == LINEAR_RECURRENCE:
+            if len(coeffs) != 2 or len(initial) != 2:
                 raise ValueError("linear recurrence needs coefficients (c1, c2) and initial (v1, v2)")
-        elif self.kind == POLYNOMIAL:
-            if not self.coeffs or self.initial:
+        elif kind == POLYNOMIAL:
+            if not coeffs or initial:
                 raise ValueError("polynomial needs a nonempty coefficient list and no initial terms")
         else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        return super().__new__(cls, kind, coeffs, initial)
 
     def as_recurrence(self) -> tuple[int, int, int, int]:
         """(c1, c2, v1, v2) for recurrence kinds; rejects polynomials."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import census as census_mod
 from . import charsum as charsum_mod
@@ -89,8 +89,7 @@ IOTA_EQ_RHO_ANCHORS = [193, 1093, 1181, 1871]
 IOTA_EQ_RHO_SCAN_2000 = [2, 5, 13, 41, 73, 193, 757, 769, 1093, 1181, 1597, 1621, 1871]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     passed: bool
     detail: str

@@ -23,6 +23,7 @@ from discrim.census import (
     fset_scan_interval,
 )
 from discrim.numtheory import factorize, mult_order, primes_up_to
+from discrim.sequences import CapExceeded
 from discrim.verify import LISTED_P1, LISTED_P2, LISTED_P3
 
 
@@ -262,6 +263,13 @@ def test_fset_count_anchors():
     assert beta == BETA
     with pytest.raises(ValueError):
         fset_count(0)
+
+
+def test_fset_passes_refuse_b_past_the_cap():
+    assert census.FSET_B_CAP == 2**18
+    for scan in (fset_scan_interval, census.fset_scan_checked, fset_count):
+        with pytest.raises(CapExceeded, match="F-set bound 262145 exceeds cap 262144"):
+            scan(census.FSET_B_CAP + 1)
 
 
 def test_fset_count_tracks_beta():

@@ -346,6 +346,14 @@ def test_fset_scan_matches_the_per_b_interval_test(capsys, method):
     assert [json.loads(line) for line in out.splitlines()] == want
 
 
+@pytest.mark.parametrize("method", ["both", "interval", "weyl"])
+def test_fset_past_the_cap_fails_before_any_work(capsys, method):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fset", "--max", "262145", "--method", method)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "failure: F-set bound 262145 exceeds cap 262144\n")
+
+
 def test_fset_weyl_only(capsys):
     code, out, _ = run_cli(capsys, "fset", "--max", "6", "--method", "weyl", "--format", "csv")
     assert code == 0

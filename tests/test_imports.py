@@ -42,6 +42,15 @@ def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
     assert run_checked("import discrim, discrim.cli")[0] == ""
 
 
+def test_importing_the_cli_builds_no_dataclasses():
+    # compared with the modules loaded before the import, so a site hook
+    # that loads either one first cannot fail the test
+    body = ("before = set(sys.modules)\n"
+            "import discrim, discrim.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert run_checked(body)[1] == ["[]"]
+
+
 CLI_RUN = """
 import contextlib, io, json
 from discrim import cli
