@@ -1,8 +1,7 @@
 """The nine record types: reprs, immutability, spec validation and equality.
 
-Every record is a NamedTuple. The reprs below are the ones the frozen
-dataclasses these types replaced printed; `MethodsDisagree` messages and CLI
-output embed them, so they must not drift.
+Every record is a NamedTuple. `MethodsDisagree` messages and CLI output embed
+the reprs, so the strings below are frozen.
 """
 
 import pytest
