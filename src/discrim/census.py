@@ -220,34 +220,8 @@ def fset_scan_interval(b_max: int) -> list[FsetRecord]:
 
 _FIX_BITS = 192
 _FIX_ONE = 1 << _FIX_BITS
-
-
-def _atanh_inv(x: int, bits: int) -> int:
-    """atanh(1/x) * 2^bits for an integer x > 1, from the series
-    sum 1/((2k+1) x^(2k+1)); each term is truncated, so the result is low by
-    at most one unit per term."""
-    power = (1 << bits) // x
-    total = 0
-    k = 1
-    while power:
-        total += power // k
-        power //= x * x
-        k += 2
-    return total
-
-
-def _alpha_fixed() -> int:
-    """log2(5) as a 192-bit fixed-point integer, error below 2 units.
-
-    atanh(1/3) = ln(2)/2 and atanh(1/9) = ln(5/4)/2, so
-    log2(5) = 2 + atanh(1/9)/atanh(1/3). Both series run with 64 guard
-    bits, which absorb their truncation error of under 200 units.
-    """
-    bits = _FIX_BITS + 64
-    return 2 * _FIX_ONE + (_atanh_inv(9, bits) << _FIX_BITS) // _atanh_inv(3, bits)
-
-
-_ALPHA_FIX = _alpha_fixed()
+# log2(5) in 192-bit fixed point: floor(log2(5) * 2^192)
+_ALPHA_FIX = 0x25269e12f346e2bf924afdbfd36bf6d3365b157f8deceb53a
 _THRESHOLD = _ALPHA_FIX - 2 * _FIX_ONE   # fixed-point alpha - 2, in (0, 1)
 
 

@@ -17,6 +17,7 @@ import sys
 from .census import (
     census_scan,
     check_fset_bound,
+    fset_member_interval,
     fset_member_weyl,
     fset_scan_checked,
     fset_scan_interval,
@@ -242,13 +243,31 @@ def _cmd_census(args, out) -> int:
     return 0
 
 
+def _check_witness_digits(b_max: int) -> None:
+    """Raise CapExceeded, before the F-set pass, when a witness 2^k printed
+    for some b <= b_max has more digits than Python turns into text
+    (`sys.get_int_max_str_digits()`; 0, or no such function, means no
+    limit). Witnesses grow with b, so the last non-member's is the longest."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # the witness exponent k of b is at most 3b, and 2^k <= 8^limit < 10^limit
+    # while k <= 3 * limit, so only b_max > limit can reach the limit
+    if not limit or b_max <= limit:
+        return
+    b = b_max
+    while (rec := fset_member_interval(b)).member:   # b = 1 is no member
+        b -= 1
+    if rec.witness >= 10**limit:
+        raise CapExceeded(f"F-set witness 2^{rec.k} at b={b} has more than {limit} digits")
+
+
 def _cmd_fset(args, out) -> int:
     if args.max < 1:
         raise ValueError("--max must be positive")
+    check_fset_bound(args.max)
     if args.method == "weyl":
-        check_fset_bound(args.max)
         rows = [(b, fset_member_weyl(b), None) for b in range(1, args.max + 1)]
     else:
+        _check_witness_digits(args.max)
         scan = fset_scan_interval if args.method == "interval" else fset_scan_checked
         rows = [(r.b, r.member, r.witness) for r in scan(args.max)]
     _emit(

@@ -104,23 +104,23 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 # reads or fills it, so every brute-force D(n) shares it, while the oracles
 # that check those answers (`incongruence_index`, `period_brute`,
 # `verify_discriminates`, `recheck_certificate`) scan afresh and never see
-# it. Moduli above _MEMO_MAX_MODULUS are not kept, so the array holds at
-# most 2^22 + 1 entries (16 MB).
+# it. The sweep tries no modulus above _MEMO_MAX_MODULUS, so the array holds
+# at most 2^22 + 1 entries (16 MB).
 _MEMO_MAX_MODULUS = 1 << 22
 _IOTA_MEMO: dict[SequenceSpec, array] = {}
 
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
-    """[D(lo), ..., D(hi)] by brute force over moduli up to search_cap (None:
-    2*hi for the flagship sequence, 4*hi otherwise). m separates the first
-    n <= hi terms iff min(iota(m), hi) >= n, and D is nondecreasing, so one m
-    that only moves up from lo serves every n. `prefix(m)` is min(iota(m),
-    hi): iota(m) is read from the memo, or else scanned in full (limit m) and
-    recorded. Every modulus but the last fails before hi terms, so only the
-    last one's scan runs past hi, by at most m - hi terms.
+    """[D(lo), ..., D(hi)] by brute force over moduli up to
+    min(search_cap, _MEMO_MAX_MODULUS) (search_cap None: 2*hi for the
+    flagship sequence, 4*hi otherwise). m separates the first n <= hi terms
+    iff iota(m) >= n, and D is nondecreasing, so one m that only moves up
+    from lo serves every n. iota(m) is read from the memo, or else scanned
+    in full (limit m, since iota(m) <= m) and recorded.
     """
     if search_cap is None:
         search_cap = 2 * hi if spec.kind == SALAJAN else 4 * hi
+    cap = min(search_cap, _MEMO_MAX_MODULUS)
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
     memo = _IOTA_MEMO.get(spec)
@@ -129,25 +129,18 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
 
         memo = _IOTA_MEMO[spec] = array("I")
 
-    def prefix(m: int) -> int:
-        if m < len(memo) and memo[m]:
-            return min(memo[m], hi)
-        if m > _MEMO_MAX_MODULUS:
-            return distinct_prefix_length(spec, m, hi)
-        if m >= len(memo):
-            memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
-        memo[m] = distinct_prefix_length(spec, m, m)   # iota(m) <= m
-        return min(memo[m], hi)
-
     values = []
-    m = lo
-    k = prefix(m)
+    m, k = lo - 1, 0
     for n in range(lo, hi + 1):
         while k < n:
             m += 1
-            if m > search_cap:
-                raise CapExceeded(f"no modulus <= {search_cap} separates the first {n} terms")
-            k = prefix(m)
+            if m > cap:
+                raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
+            if m >= len(memo):
+                memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
+            if not memo[m]:
+                memo[m] = distinct_prefix_length(spec, m, m)
+            k = memo[m]
         values.append(m)
     return values
 
@@ -162,7 +155,9 @@ def discriminator_brute(
     one scan that aborts on the first collision and adds its length to the
     memo; the oracles that check D(n) never read it. The default cap is
     2n for the flagship sequence (a proven ceiling) and 4n otherwise; raise
-    it for sequences whose discriminator grows faster.
+    it for sequences whose discriminator grows faster. No cap reaches past
+    _MEMO_MAX_MODULUS = 2^22: a D(n) above it would take more than 2^21
+    scans, so the sweep raises CapExceeded instead of trying a larger m.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -288,17 +283,18 @@ def nonvalue_screen(d: int) -> NonValueCertificate:
     return NonValueCertificate(d, VERDICT_UNDECIDED, None, witness)
 
 
-def _first_collision(d: int) -> tuple[int, int]:
+def _first_collision(d: int, limit: int) -> tuple[int, int]:
     """Indices i < j of the first u_j that equals an earlier term u_i mod d,
-    by a plain walk of the recurrence; there are d residues, so j <= d + 1."""
+    by a plain walk of the recurrence over u_1..u_limit; (0, limit + 1) when
+    those terms hold no repeat. There are d residues, so j <= d + 1."""
     c1, c2, x, y = salajan().as_recurrence()
     x, y = x % d, y % d
     first: dict[int, int] = {}
-    j = 1
-    while (i := first.setdefault(x, j)) == j:
+    for j in range(1, limit + 1):
+        if (i := first.setdefault(x, j)) != j:
+            return i, j
         x, y = y, (c1 * y + c2 * x) % d
-        j += 1
-    return i, j
+    return 0, limit + 1
 
 
 def recheck_certificate(cert: NonValueCertificate) -> bool:
@@ -328,7 +324,8 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
         )
     if cert.reason == REASON_IOTA:
         iota = w.get("iota")
-        return type(iota) is int and 2 * iota <= d and _first_collision(d)[1] == iota + 1
+        # the walk stops at iota + 1 terms, so a forged index costs no more
+        return type(iota) is int and 2 * iota <= d and _first_collision(d, iota + 1)[1] == iota + 1
     return False
 
 
@@ -337,8 +334,9 @@ def collision_certificate(start: int, value: int) -> tuple[array, array]:
     [start, value): arrays `first` and `second` with u_i = u_j mod m for
     (i, j) = (first[m - start], second[m - start]) and i < j <= start. The
     pair is (pre-period, pre-period + period) from the period formula when
-    that fits below start, else the first collision of a plain walk. It
-    claims nothing: `recheck_collision_certificate` decides."""
+    that fits below start, else the first collision of a plain walk over
+    u_1..u_start, or (0, start + 1) if there is none. It claims nothing:
+    `recheck_collision_certificate` decides."""
     from array import array
 
     first, second = array("I"), array("I")
@@ -346,7 +344,7 @@ def collision_certificate(start: int, value: int) -> tuple[array, array]:
         info = salajan_period_formula(m)
         i, j = info.pre_period, info.pre_period + info.period
         if j > start:
-            i, j = _first_collision(m)
+            i, j = _first_collision(m, start)
         first.append(i)
         second.append(j)
     return first, second

@@ -135,8 +135,6 @@ def incongruence_index(spec: SequenceSpec, m: int) -> int:
     Streams residues until the first repeat. Since iota(m) <= m, reaching m
     distinct residues settles the answer without seeing the repeat.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
     return distinct_prefix_length(spec, m, m)
 
 

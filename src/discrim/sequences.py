@@ -166,26 +166,6 @@ def exact_terms(spec: SequenceSpec, n: int):
         x, y = y, c1 * y + c2 * x
 
 
-def residue_iter(spec: SequenceSpec, m: int):
-    """Yield v_1 mod m, v_2 mod m, ... with constant work per step."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if spec.kind == POLYNOMIAL:
-        coeffs = spec.coeffs
-        j = 1
-        while True:
-            yield _poly_eval(coeffs, j) % m
-            j += 1
-    else:
-        c1, c2, v1, v2 = spec.as_recurrence()
-        x = v1 % m
-        y = v2 % m
-        yield x
-        while True:
-            yield y
-            x, y = y, (c1 * y + c2 * x) % m
-
-
 def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
     """min(iota(m), limit): how many leading terms stay pairwise distinct mod m.
 
@@ -197,32 +177,21 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
         raise ValueError("modulus must be positive")
     if limit < 1:
         raise ValueError("limit must be positive")
+    seen = set()
+    add = seen.add
     if spec.kind == POLYNOMIAL:
-        seen = set()
-        add = seen.add
-        k = 0
-        for r in residue_iter(spec, m):
+        coeffs = spec.coeffs
+        for k in range(limit):
+            r = _poly_eval(coeffs, k + 1) % m
             if r in seen:
                 return k
             add(r)
-            k += 1
-            if k >= limit:
-                return k
-        raise AssertionError("unreachable")  # pragma: no cover
-    c1, c2, v1, v2 = spec.as_recurrence()
-    x = v1 % m
-    if limit == 1:
-        return 1
-    y = v2 % m
-    if y == x:
-        return 1
-    seen = {x, y}
-    add = seen.add
-    k = 2
-    while k < limit:
-        x, y = y, (c1 * y + c2 * x) % m
-        if y in seen:
+        return limit
+    c1, c2, x, y = spec.as_recurrence()
+    x, y = x % m, y % m
+    for k in range(limit):
+        if x in seen:
             return k
-        add(y)
-        k += 1
-    return k
+        add(x)
+        x, y = y, (c1 * y + c2 * x) % m
+    return limit

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -87,6 +88,16 @@ def test_discriminate_cap_exhaustion_is_failure(capsys):
         capsys, "discriminate", "--n", "17", "--method", "brute", "--cap", "24"
     )
     assert code == 1 and "failure:" in err
+
+
+@pytest.mark.parametrize("method", ["both", "brute"])
+def test_discriminate_past_the_memo_limit_fails_at_once(capsys, method):
+    # D(10^12) lies far above 2^22, the largest modulus the sweep tries
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discriminate", "--n", "1000000000000", "--method", method)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        1, "", "failure: no modulus <= 4194304 separates the first 1000000000000 terms\n")
 
 
 def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
@@ -352,6 +363,34 @@ def test_fset_past_the_cap_fails_before_any_work(capsys, method):
     code, out, err = run_cli(capsys, "fset", "--max", "262145", "--method", method)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", "failure: F-set bound 262145 exceeds cap 262144\n")
+
+
+@pytest.fixture
+def int_digits():
+    """Set Python's int-to-text digit limit for one test, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length to text")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_fset_witness_past_the_digit_limit_fails_before_the_pass(capsys, int_digits):
+    # b = 6151's witness 2^14282 has 4300 digits; 6152 and 6153 are members
+    # and 6154's witness 2^14289 has 4302
+    int_digits(4300)
+    code, out, _ = run_cli(capsys, "fset", "--max", "6153", "--format", "csv")
+    assert code == 0 and len(parse_csv(out)[6150]["witness"]) == 4300
+    for top, b, k in ((6154, 6154, 14289), (6160, 6160, 14303), (6161, 6160, 14303)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fset", "--max", str(top))
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            1, "", f"failure: F-set witness 2^{k} at b={b} has more than 4300 digits\n")
+    # without a limit every witness prints
+    int_digits(0)
+    code, out, _ = run_cli(capsys, "fset", "--max", "6160", "--method", "interval", "--format", "csv")
+    assert code == 0 and out.endswith(f"6160,False,{2**14303}\n")
 
 
 def test_fset_weyl_only(capsys):

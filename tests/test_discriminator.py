@@ -290,11 +290,22 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
 
 
 def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
+    # the sweep tries no modulus past the memo's limit, whatever its cap
     monkeypatch.setattr(discriminator, "_MEMO_MAX_MODULUS", 20)
-    assert discriminator_table(SEQ, 40) == [salajan_discriminator_closed(n).value for n in range(1, 41)]
+    assert discriminator_table(SEQ, 16) == [salajan_discriminator_closed(n).value for n in range(1, 17)]
     memo = discriminator._IOTA_MEMO[SEQ]
-    assert len(memo) == 21
-    assert list(memo[1:]) == [incongruence_index(SEQ, m) for m in range(1, 21)]
+    assert len(memo) <= 21
+    assert list(memo[1:]) == [incongruence_index(SEQ, m) for m in range(1, len(memo))]
+    message = "no modulus <= 20 separates the first 17 terms"
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_table(SEQ, 17)            # D(17) = 25
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(SEQ, 17, search_cap=30)
+    assert len(memo) <= 21
+    # a sweep that starts past the limit tries nothing
+    with pytest.raises(CapExceeded, match="no modulus <= 20 separates the first 21 terms"):
+        discriminator_brute(SEQ, 21)
+    assert len(memo) <= 21
 
 
 def test_table_and_brute_run_out_of_cap_at_the_same_n():
@@ -724,7 +735,29 @@ def _first_collision_reference(m):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=4000))
 def test_walked_pair_is_the_first_collision(m):
-    assert discriminator._first_collision(m) == _first_collision_reference(m)
+    i, j = _first_collision_reference(m)
+    assert discriminator._first_collision(m, m + 1) == discriminator._first_collision(m, j) == (i, j)
+    # a walk stopped short of the repeat finds none
+    assert discriminator._first_collision(m, j - 1) == (0, j)
+
+
+def test_collision_search_walks_no_further_than_the_row_start():
+    # u_1..u_3 = 2, 1, 0 stay distinct mod 4, so a pair j <= 3 exists only mod 3
+    first, second = collision_certificate(3, 5)
+    assert (list(first), list(second)) == ([1, 0], [3, 4])
+    assert not recheck_collision_certificate((3, 3, 5), first, second)
+
+
+def test_forged_iota_certificate_is_rejected_at_once():
+    # u_1..u_6 are distinct mod 2^40 and its first repeat lies far past them,
+    # so the walk stops at iota + 1 = 6 terms
+    forged = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 5})
+    start = time.perf_counter()
+    assert recheck_certificate(forged) is False
+    assert time.perf_counter() - start < 0.5
+    for iota in (-3, -1, 0, 1):
+        cert = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
+        assert recheck_certificate(cert) is False, iota
 
 
 def test_collision_checker_needs_no_search_engine(monkeypatch):

@@ -1,7 +1,5 @@
 """Sequence providers, checked against the raw recurrence as the oracle."""
 
-from itertools import islice
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from discrim.sequences import (
     linear_recurrence,
     parse_spec,
     polynomial,
-    residue_iter,
     salajan,
     salajan_term_exact,
     salajan_term_mod,
@@ -130,40 +127,6 @@ def test_spec_validation():
         polynomial(1, 1).as_recurrence()
 
 
-# ------------------------------------------------------------------ residue streams
-
-
-def test_stream_residues_matches_exact_terms():
-    for spec in (salajan(), linear_recurrence(1, 1, 1, 2), polynomial(3, 0, 1)):
-        for m in (1, 2, 7, 100):
-            got = list(islice(residue_iter(spec, m), 30))
-            want = [term_exact(spec, j) % m for j in range(1, 31)]
-            assert got == want, (spec.text(), m)
-
-
-def test_residue_iter_is_lazy_and_unbounded():
-    it = residue_iter(salajan(), 97)
-    first = [next(it) for _ in range(5)]
-    assert first == [2, 1, 8, 19, 62]
-    with pytest.raises(ValueError):
-        residue_iter(salajan(), 0).__next__()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=-5, max_value=5),
-    st.integers(min_value=-5, max_value=5),
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=1, max_value=50),
-)
-def test_stream_residues_generic_recurrences(c1, c2, v1, v2, m):
-    spec = linear_recurrence(c1, c2, v1, v2)
-    got = list(islice(residue_iter(spec, m), 12))
-    want = [term_exact(spec, j) % m for j in range(1, 13)]
-    assert got == want
-
-
 # ------------------------------------------------------------------ distinct prefixes
 
 
@@ -226,8 +189,23 @@ def limits(m):
     return st.one_of(st.just(m + 1), st.integers(min_value=1, max_value=m))
 
 
+def poly_set_reference(spec, m, limit):
+    """min(iota(m), limit) for a polynomial, from its exact terms."""
+    seen = set()
+    for k in range(limit):
+        r = term_exact(spec, k + 1) % m
+        if r in seen:
+            return k
+        seen.add(r)
+    return limit
+
+
 def check_against_set_reference(spec, m, limit):
-    assert distinct_prefix_length(spec, m, limit) == set_reference(*spec.as_recurrence(), m, limit)
+    if spec.kind == "polynomial":
+        want = poly_set_reference(spec, m, limit)
+    else:
+        want = set_reference(*spec.as_recurrence(), m, limit)
+    assert distinct_prefix_length(spec, m, limit) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,6 +242,18 @@ def test_long_scans_match_set_reference(coeffs, v1, step, m, data):
 def test_salajan_prefix_length_matches_set_reference(m, data):
     # the flagship sequence itself
     check_against_set_reference(salajan(), m, data.draw(limits(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=5000),
+    st.data(),
+)
+def test_polynomial_prefix_length_matches_set_reference(coeffs, m, data):
+    # any polynomial: a constant repeats at once, and a + b*j with b a unit
+    # mod m runs all m terms
+    check_against_set_reference(polynomial(*coeffs), m, data.draw(limits(m)))
 
 
 @pytest.mark.parametrize(
