@@ -42,9 +42,6 @@ _CLASSES = (CLASS_P1, CLASS_P2, CLASS_P3, CLASS_NONE)
 
 # the batch classifier's uint64 arithmetic is exact for p below this
 _BATCH_LIMIT = 1 << 32
-# census sieve segment: a 2^18 segment's batch peaks near 9 MB, a 2^20 one
-# near 32 MB, at the same speed
-_CENSUS_BLOCK = 1 << 18
 
 
 class PrimeClassRecord(NamedTuple):
@@ -154,7 +151,7 @@ def census_scan(x: int) -> DensityReport:
         raise ValueError("scan limit must be >= 5")
     tally = np.zeros(len(_CLASSES), dtype=np.int64)
     pi_x = 0
-    for block in iter_prime_blocks(x, _CENSUS_BLOCK):
+    for block in iter_prime_blocks(x):
         pi_x += len(block)
         batch = block[(block > 3) & (block < _BATCH_LIMIT)]
         tally += np.bincount(_classify_batch(batch), minlength=len(_CLASSES))
@@ -246,20 +243,28 @@ def fset_member_weyl(b: int) -> bool:
     return frac > _THRESHOLD
 
 
+def _weyl_checked(b: int, member: bool) -> bool:
+    """The exact membership `member` of b, once the Weyl criterion agrees
+    with it; MethodsDisagree otherwise."""
+    weyl = fset_member_weyl(b)
+    if weyl != member:
+        raise MethodsDisagree(f"methods disagree at b={b}: interval={member} weyl={weyl}")
+    return member
+
+
 def fset_scan_checked(b_max: int) -> list[FsetRecord]:
     """`fset_scan_interval` cross-checked against the Weyl criterion at every b."""
     records = fset_scan_interval(b_max)
     for r in records:
-        weyl = fset_member_weyl(r.b)
-        if weyl != r.member:
-            raise MethodsDisagree(f"methods disagree at b={r.b}: interval={r.member} weyl={weyl}")
+        _weyl_checked(r.b, r.member)
     return records
 
 
 def fset_count(x: int) -> tuple[int, float, float]:
-    """(count of b <= x in the F-set, count/x, expected density beta)."""
+    """(count of b <= x in the F-set, count/x, expected density beta), from
+    one exact pass cross-checked against the Weyl criterion at every b."""
     if x < 1:
         raise ValueError("x must be positive")
     check_fset_bound(x)
-    count = sum(member for _, _, member in _fset_pass(x))
+    count = sum(_weyl_checked(b, member) for b, _, member in _fset_pass(x))
     return count, count / x, BETA

@@ -42,7 +42,6 @@ from .sequences import (
     SALAJAN,
     CapExceeded,
     MethodsDisagree,
-    SequenceNotAdmissible,
     parse_spec,
     salajan,
 )
@@ -50,9 +49,7 @@ from .verify import SUITES, charsum_bounds_hold, identity_residual_holds, run_su
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
-    """Write rows (list of same-keyed dicts) as csv, json lines, or text."""
-    if not rows:
-        return
+    """Write rows (a nonempty list of same-keyed dicts) as csv, json lines, or text."""
     header = list(rows[0])
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -73,8 +70,10 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
             )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
+def _span_targets(span: str, least: int, what: str) -> range:
+    """The integers n >= least of the span LO:HI; ValueError when the span is
+    malformed or holds none, naming them as `what`."""
+    lo, sep, hi = span.partition(":")
     if not sep:
         raise ValueError("range must look like lo:hi")
     try:
@@ -83,7 +82,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError("range bounds must be integers") from None
     if lo_i > hi_i:
         raise ValueError("range lower bound exceeds upper bound")
-    return lo_i, hi_i
+    targets = range(max(lo_i, least), hi_i + 1)
+    if not targets:
+        raise ValueError(f"range {span} holds no {what}")
+    return targets
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,13 +190,7 @@ def _cmd_period(args, out) -> int:
 
 
 def _cmd_iota(args, out) -> int:
-    if args.span:
-        lo, hi = _parse_range(args.span)
-        targets = range(max(lo, 1), hi + 1)
-        if not targets:
-            raise ValueError(f"range {args.span} holds no modulus m >= 1")
-    else:
-        targets = [args.m]
+    targets = _span_targets(args.span, 1, "modulus m >= 1") if args.span else [args.m]
     seq = salajan()
     rows = [{"m": m, "iota": incongruence_index(seq, m)} for m in targets]
     _emit(rows, args.format, out)
@@ -202,13 +198,7 @@ def _cmd_iota(args, out) -> int:
 
 
 def _cmd_screen(args, out) -> int:
-    if args.span:
-        lo, hi = _parse_range(args.span)
-        targets = range(max(lo, 2), hi + 1)
-        if not targets:
-            raise ValueError(f"range {args.span} holds no d >= 2")
-    else:
-        targets = [args.d]
+    targets = _span_targets(args.span, 2, "d >= 2") if args.span else [args.d]
     rows = []
     for d in targets:
         cert = nonvalue_screen(d)
@@ -342,7 +332,7 @@ def run(argv=None) -> int:
             with open(args.output, "w") as fh:
                 return handler(args, fh)
         return handler(args, sys.stdout)
-    except (SequenceNotAdmissible, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

@@ -23,6 +23,7 @@ from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
     DEFAULT_EXACT_CAP,
     SALAJAN,
+    SCAN_TERM_CAP,
     CapExceeded,
     MethodsDisagree,
     SequenceNotAdmissible,
@@ -104,15 +105,14 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 # reads or fills it, so every brute-force D(n) shares it, while the oracles
 # that check those answers (`incongruence_index`, `period_brute`,
 # `verify_discriminates`, `recheck_certificate`) scan afresh and never see
-# it. The sweep tries no modulus above _MEMO_MAX_MODULUS, so the array holds
-# at most 2^22 + 1 entries (16 MB).
-_MEMO_MAX_MODULUS = 1 << 22
+# it. The sweep tries no modulus above SCAN_TERM_CAP = 2^22, the longest
+# first-collision scan, so the array holds at most 2^22 + 1 entries (16 MB).
 _IOTA_MEMO: dict[SequenceSpec, array] = {}
 
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
     """[D(lo), ..., D(hi)] by brute force over moduli up to
-    min(search_cap, _MEMO_MAX_MODULUS) (search_cap None: 2*hi for the
+    min(search_cap, SCAN_TERM_CAP) (search_cap None: 2*hi for the
     flagship sequence, 4*hi otherwise). m separates the first n <= hi terms
     iff iota(m) >= n, and D is nondecreasing, so one m that only moves up
     from lo serves every n. iota(m) is read from the memo, or else scanned
@@ -120,7 +120,7 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     """
     if search_cap is None:
         search_cap = 2 * hi if spec.kind == SALAJAN else 4 * hi
-    cap = min(search_cap, _MEMO_MAX_MODULUS)
+    cap = min(search_cap, SCAN_TERM_CAP)
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
     memo = _IOTA_MEMO.get(spec)
@@ -156,7 +156,7 @@ def discriminator_brute(
     memo; the oracles that check D(n) never read it. The default cap is
     2n for the flagship sequence (a proven ceiling) and 4n otherwise; raise
     it for sequences whose discriminator grows faster. No cap reaches past
-    _MEMO_MAX_MODULUS = 2^22: a D(n) above it would take more than 2^21
+    SCAN_TERM_CAP = 2^22: a D(n) above it would take more than 2^21
     scans, so the sweep raises CapExceeded instead of trying a larger m.
     """
     if n < 1:

@@ -15,6 +15,11 @@ POLYNOMIAL = "polynomial"
 
 DEFAULT_EXACT_CAP = 200_000
 
+# a first-collision scan keeps every residue it has seen, about 68 B a term,
+# so it looks at most SCAN_TERM_CAP + 1 terms ahead (near 290 MB) and raises
+# CapExceeded past them: every answer up to SCAN_TERM_CAP stays exact
+SCAN_TERM_CAP = 1 << 22
+
 
 class CapExceeded(RuntimeError):
     """A step or search budget ran out before the computation could finish."""
@@ -171,27 +176,31 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
 
     Streams residues into a set and stops at the first repeat or at `limit`,
     whichever comes first. This is the shared engine behind the single-modulus
-    discriminator check and the incongruence index.
+    discriminator check and the incongruence index. A scan that sees no repeat
+    in SCAN_TERM_CAP + 1 terms, short of `limit`, raises CapExceeded.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     if limit < 1:
         raise ValueError("limit must be positive")
+    steps = min(limit, SCAN_TERM_CAP + 1)
     seen = set()
     add = seen.add
     if spec.kind == POLYNOMIAL:
         coeffs = spec.coeffs
-        for k in range(limit):
+        for k in range(steps):
             r = _poly_eval(coeffs, k + 1) % m
             if r in seen:
                 return k
             add(r)
-        return limit
-    c1, c2, x, y = spec.as_recurrence()
-    x, y = x % m, y % m
-    for k in range(limit):
-        if x in seen:
-            return k
-        add(x)
-        x, y = y, (c1 * y + c2 * x) % m
+    else:
+        c1, c2, x, y = spec.as_recurrence()
+        x, y = x % m, y % m
+        for k in range(steps):
+            if x in seen:
+                return k
+            add(x)
+            x, y = y, (c1 * y + c2 * x) % m
+    if steps < limit:
+        raise CapExceeded(f"no repeated residue within {steps} terms mod {m}")
     return limit

@@ -356,12 +356,10 @@ def check_fset() -> CheckResult:
 
     b_max = 100_000
     try:
-        records = census_mod.fset_scan_checked(b_max)
+        count, ratio, beta = census_mod.fset_count(b_max)
     except MethodsDisagree as exc:
         return CheckResult("fset", False, str(exc))
 
-    count = sum(r.member for r in records)
-    ratio, beta = count / b_max, census_mod.BETA
     ratio_ok = abs(ratio - beta) <= TOLERANCES["fset_ratio_abs"]
 
     ok = head_ok and ratio_ok

@@ -23,7 +23,7 @@ from discrim.census import (
     fset_scan_interval,
 )
 from discrim.numtheory import factorize, mult_order, primes_up_to
-from discrim.sequences import CapExceeded
+from discrim.sequences import CapExceeded, MethodsDisagree
 from discrim.verify import LISTED_P1, LISTED_P2, LISTED_P3
 
 
@@ -270,6 +270,18 @@ def test_fset_passes_refuse_b_past_the_cap():
     for scan in (fset_scan_interval, census.fset_scan_checked, fset_count):
         with pytest.raises(CapExceeded, match="F-set bound 262145 exceeds cap 262144"):
             scan(census.FSET_B_CAP + 1)
+
+
+def test_poisoned_weyl_reads_the_same_in_every_checked_pass(monkeypatch):
+    from discrim import verify
+
+    real = census.fset_member_weyl
+    monkeypatch.setattr(census, "fset_member_weyl", lambda b: real(b) != (b == 7))
+    message = "methods disagree at b=7: interval=False weyl=True"
+    for checked in (fset_count, census.fset_scan_checked):
+        with pytest.raises(MethodsDisagree, match=f"^{message}$"):
+            checked(100)
+    assert verify.check_fset() == verify.CheckResult("fset", False, message)
 
 
 def test_fset_count_tracks_beta():

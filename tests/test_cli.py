@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from discrim import census, charsum, discriminator, periods
+from discrim import census, charsum, discriminator, periods, sequences
 from discrim.cli import build_parser, main
 from discrim.census import fset_member_interval
 from discrim.discriminator import table_ranges
@@ -248,6 +248,13 @@ def test_iota_single_and_range(capsys):
     rows = parse_csv(out)
     assert [r["m"] for r in rows] == [str(m) for m in range(1, 9)]
     assert rows[6]["iota"] == "2"                # iota(7) = 2
+
+
+def test_iota_past_the_scan_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "SCAN_TERM_CAP", 64)
+    assert run_cli(capsys, "iota", "--m", "64", "--format", "csv") == (0, "m,iota\n64,64\n", "")
+    assert run_cli(capsys, "iota", "--m", "128") == (
+        1, "", "failure: no repeated residue within 65 terms mod 128\n")
 
 
 def test_iota_flags_are_mutually_exclusive():

@@ -291,7 +291,7 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
 
 def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
     # the sweep tries no modulus past the memo's limit, whatever its cap
-    monkeypatch.setattr(discriminator, "_MEMO_MAX_MODULUS", 20)
+    monkeypatch.setattr(discriminator, "SCAN_TERM_CAP", 20)
     assert discriminator_table(SEQ, 16) == [salajan_discriminator_closed(n).value for n in range(1, 17)]
     memo = discriminator._IOTA_MEMO[SEQ]
     assert len(memo) <= 21

@@ -333,6 +333,13 @@ def test_artin_constant_matches_high_precision_product():
     assert artin_constant(10_000) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("x", [10**6, 1_542_404, 2 * 10**6])
+def test_artin_constant_is_one_exactly_rounded_sum(x):
+    # at 1,542,404 a sum of per-segment partials would round one ulp lower
+    p = primes_up_to(x).astype(np.float64)
+    assert artin_constant(x) == math.exp(math.fsum(np.log1p(-1.0 / (p * (p - 1.0))).tolist()))
+
+
 def test_artin_constant_monotone_nonincreasing():
     values = [artin_constant(x) for x in (10, 100, 1000, 10_000)]
     assert all(a >= b for a, b in zip(values, values[1:]))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrim import sequences
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
     CapExceeded,
@@ -281,3 +282,15 @@ def test_large_moduli_stay_in_python():
         assert distinct_prefix_length(salajan(), m, 2000) == set_reference(2, 3, 2, 1, m, 2000)
         spec = linear_recurrence(-7, 5, 34, 15)
         assert distinct_prefix_length(spec, m, 1500) == set_reference(-7, 5, 34, 15, m, 1500)
+
+
+def test_scans_stop_past_the_term_cap(monkeypatch):
+    assert sequences.SCAN_TERM_CAP == 2**22
+    monkeypatch.setattr(sequences, "SCAN_TERM_CAP", 64)
+    # answers up to the cap stay exact, whatever the limit: iota(2^e) = 2^e
+    assert distinct_prefix_length(salajan(), 29, 10**9) == 14
+    assert distinct_prefix_length(salajan(), 64, 64) == 64
+    assert distinct_prefix_length(salajan(), 128, 65) == 65
+    for spec, m in ((salajan(), 128), (polynomial(0, 1), 1000)):
+        with pytest.raises(CapExceeded, match=f"^no repeated residue within 65 terms mod {m}$"):
+            distinct_prefix_length(spec, m, m)
