@@ -40,7 +40,8 @@ CLASS_P3 = "P3"
 CLASS_NONE = "none"
 _CLASSES = (CLASS_P1, CLASS_P2, CLASS_P3, CLASS_NONE)
 
-# the batch classifier's uint64 arithmetic is exact for p below this
+# the batch classifier's uint64 arithmetic is exact for p below this, and the
+# census refuses x from here on
 _BATCH_LIMIT = 1 << 32
 
 
@@ -142,21 +143,20 @@ def _classify_batch(primes: np.ndarray) -> np.ndarray:
 def census_scan(x: int) -> DensityReport:
     """Classify every prime 3 < p <= x and tally densities against predictions.
 
-    One sieve segment at a time goes through the batch classifier; primes
-    from 2^32 up, beyond its exact range, through `classify_prime`.
+    One sieve segment at a time goes through the batch classifier; x from
+    2^32 up, beyond its exact range, raises CapExceeded before any work.
     """
     import numpy as np
 
     if x < 5:
         raise ValueError("scan limit must be >= 5")
+    if x >= _BATCH_LIMIT:
+        raise CapExceeded(f"census bound {x} exceeds cap {_BATCH_LIMIT - 1}")
     tally = np.zeros(len(_CLASSES), dtype=np.int64)
     pi_x = 0
     for block in iter_prime_blocks(x):
         pi_x += len(block)
-        batch = block[(block > 3) & (block < _BATCH_LIMIT)]
-        tally += np.bincount(_classify_batch(batch), minlength=len(_CLASSES))
-        for p in block[block >= _BATCH_LIMIT].tolist():
-            tally[_CLASSES.index(classify_prime(p).pclass)] += 1
+        tally += np.bincount(_classify_batch(block[block > 3]), minlength=len(_CLASSES))
     counts = dict(zip(_CLASSES, tally.tolist()))
     predicted = {CLASS_P1: DENSITY_P1, CLASS_P2: DENSITY_P2, CLASS_P3: DENSITY_P3}
     empirical = {c: counts[c] / pi_x for c in predicted}

@@ -40,6 +40,7 @@ from .periods import (
 )
 from .sequences import (
     SALAJAN,
+    SCAN_TERM_CAP,
     CapExceeded,
     MethodsDisagree,
     parse_spec,
@@ -70,9 +71,21 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
             )
 
 
+# the most terms the scans of one `iota --range` or `screen --range` may
+# look at, each m counted at its bound min(m, SCAN_TERM_CAP + 1)
+SPAN_TERM_BUDGET = 1 << 26
+
+
+def _scan_bound_sum(hi: int) -> int:
+    """The sum of min(m, SCAN_TERM_CAP + 1) over 1 <= m <= hi."""
+    k = min(hi, SCAN_TERM_CAP + 1)
+    return k * (k + 1) // 2 + (hi - k) * (SCAN_TERM_CAP + 1)
+
+
 def _span_targets(span: str, least: int, what: str) -> range:
     """The integers n >= least of the span LO:HI; ValueError when the span is
-    malformed or holds none, naming them as `what`."""
+    malformed or holds none, naming them as `what`, and CapExceeded when
+    their scans may look at more than SPAN_TERM_BUDGET terms."""
     lo, sep, hi = span.partition(":")
     if not sep:
         raise ValueError("range must look like lo:hi")
@@ -85,6 +98,9 @@ def _span_targets(span: str, least: int, what: str) -> range:
     targets = range(max(lo_i, least), hi_i + 1)
     if not targets:
         raise ValueError(f"range {span} holds no {what}")
+    terms = _scan_bound_sum(targets[-1]) - _scan_bound_sum(targets[0] - 1)
+    if terms > SPAN_TERM_BUDGET:
+        raise CapExceeded(f"range {span} may scan {terms} terms, more than {SPAN_TERM_BUDGET}")
     return targets
 
 

@@ -324,8 +324,14 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
         )
     if cert.reason == REASON_IOTA:
         iota = w.get("iota")
-        # the walk stops at iota + 1 terms, so a forged index costs no more
-        return type(iota) is int and 2 * iota <= d and _first_collision(d, iota + 1)[1] == iota + 1
+        # the walk stops at iota + 1 terms, so a forged index costs no more;
+        # no screen reports an iota past SCAN_TERM_CAP, so none is walked
+        return (
+            type(iota) is int
+            and 2 * iota <= d
+            and iota <= SCAN_TERM_CAP
+            and _first_collision(d, iota + 1)[1] == iota + 1
+        )
     return False
 
 

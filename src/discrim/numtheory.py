@@ -1,9 +1,10 @@
 """Exact integer building blocks: primality, factoring, orders, valuations.
 
 Everything here is deterministic. Primality uses a Miller-Rabin witness set
-that is exhaustive for 64-bit inputs, factoring is trial division plus
-Pollard rho with Brent cycling, and multiplicative orders are computed by
-reducing the Carmichael exponent rather than by iteration.
+that is exhaustive for 64-bit inputs, factoring reads a small odd part from a
+smallest-prime-factor table and is otherwise trial division plus Pollard rho
+with Brent cycling, and multiplicative orders are computed by reducing the
+Carmichael exponent rather than by iteration.
 """
 
 from __future__ import annotations
@@ -127,11 +128,46 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
+# odd numbers below this are factored from `_spf`: _spf[m] is the least prime
+# factor of an odd composite m and 0 for an odd prime (even entries are never
+# read). Every such factor is at most isqrt(2^17) = 362, so "H" holds it and
+# the table takes 256 KB; it is sieved on first use, in about 2 ms.
+SPF_ENTRIES = 1 << 17
+
+_spf: Sequence[int] = ()
+
+
+def _sieve_spf() -> Sequence[int]:
+    from array import array   # an extension module; `import discrim.cli` stays without it
+
+    spf = array("H", [0]) * SPF_ENTRIES
+    # largest prime first, so each composite ends with its least one
+    for p in reversed([p for p in _SMALL_PRIMES[1:] if p * p < SPF_ENTRIES]):
+        spf[p * p :: 2 * p] = array("H", [p]) * len(range(p * p, SPF_ENTRIES, 2 * p))
+    return spf
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of 1 <= n <= 2^64 - 1 as sorted (p, e) pairs;
     n = 1 has none."""
+    global _spf
     if not 1 <= n <= U64_MAX:
         raise ValueError("factorize expects 1 <= n <= 2^64 - 1")
+    twos = (n & -n).bit_length() - 1
+    m = n >> twos
+    if m < SPF_ENTRIES:
+        if not _spf:
+            _spf = _sieve_spf()
+        out = [(2, twos)] if twos else []
+        while m > 1:
+            p = _spf[m] or m
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        return tuple(out)
     if n > _TRIAL_SQUARE and is_prime(n):
         return ((n, 1),)
     counts: dict[int, int] = {}
@@ -157,53 +193,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             stack.append(d)
             stack.append(m // d)
     return tuple(sorted(counts.items()))
-
-
-# Period formulas over a range of moduli factor from one smallest-prime-factor
-# table, `_spf`: _spf[n] is the least prime factor of a composite n and 0
-# otherwise. Sieving it by slice assignment costs about 14 ns an entry, and
-# `factorize` takes about 3.5 us to trial-divide a number below 10^5 (2
-# cores), so one factorization is worth SPF_MISS_ENTRIES = 256 entries. A
-# number above the table is charged that much, and once the charges reach the
-# size of a table covering twice that number, the table is sieved that large:
-# rent or buy. A lone call builds nothing. The table never exceeds
-# SPF_MAX_ENTRIES (4 MB), and numbers beyond it are not charged.
-SPF_MISS_ENTRIES = 256
-SPF_MAX_ENTRIES = 1 << 20
-
-_spf: Sequence[int] = ()
-_spf_charged = 0   # entries' worth of misses since the table was last sieved
-
-
-def _table_factorize(n: int) -> tuple[tuple[int, int], ...] | None:
-    """factorize(n) for n >= 1 read from the smallest-prime-factor table, or
-    None when n lies above it; that miss is charged, and may grow the table."""
-    global _spf, _spf_charged
-    if n >= len(_spf):
-        if n >= SPF_MAX_ENTRIES:
-            return None
-        size = min(2 * n + 1, SPF_MAX_ENTRIES)
-        _spf_charged += SPF_MISS_ENTRIES
-        if _spf_charged < size:
-            return None
-        from array import array   # an extension module; `import discrim.cli` stays without it
-
-        spf = array("I", [0]) * size
-        # largest prime first, so each composite ends with its least one
-        for p in reversed([p for p in _SMALL_PRIMES if p * p < size]):
-            spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
-        _spf, _spf_charged = spf, 0
-    spf = _spf
-    out = []
-    while n > 1:
-        p = spf[n] or n
-        n //= p
-        e = 1
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return tuple(out)
 
 
 def padic_valuation(p: int, n: int) -> int:

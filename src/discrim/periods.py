@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .numtheory import _table_factorize, factorize, is_prime, mult_order, primes_up_to
+from .numtheory import factorize, is_prime, mult_order, primes_up_to
 from .sequences import (
     POLYNOMIAL,
     CapExceeded,
@@ -28,8 +28,9 @@ from .sequences import (
 PERIOD_STATE_CAP = 1 << 20
 
 # ord_{q^e}(9) by prime power q^e, for the period formula. It records only
-# orders met at moduli whose delta lies inside the smallest-prime-factor
-# table, so it stays about as small as the table.
+# q^e below ORDER_MEMO_BOUND, so it never holds many more than the 82,025
+# primes below 2^20.
+ORDER_MEMO_BOUND = 1 << 20
 _PRIME_POWER_ORDERS: dict[int, int] = {}
 
 
@@ -90,9 +91,8 @@ def salajan_period_formula(d: int) -> PeriodInfo:
     """Closed-form period 2*ord_9(4*delta) and pre-period max(1, a) for d = 3^a * delta.
 
     ord_9(4*delta) is the lcm of ord_{q^e}(9) over the prime powers q^e
-    exactly dividing 4*delta (CRT), each order computed once per process.
-    delta is factored from the smallest-prime-factor table when it lies
-    inside, and 4*delta by `factorize` otherwise.
+    exactly dividing 4*delta (CRT); the order for each q^e below
+    ORDER_MEMO_BOUND is computed once per process.
     """
     if d < 2:
         raise ValueError("modulus must be >= 2")
@@ -101,20 +101,13 @@ def salajan_period_formula(d: int) -> PeriodInfo:
     while delta % 3 == 0:
         alpha += 1
         delta //= 3
-    factors = _table_factorize(delta)
-    inside = factors is not None
-    if inside:
-        twos = (delta & -delta).bit_length() - 1
-        factors = ((2, twos + 2), *(factors[1:] if twos else factors))
-    else:
-        factors = factorize(4 * delta)
     order = 1
-    for q, e in factors:
+    for q, e in factorize(4 * delta):
         power = q**e
         part = _PRIME_POWER_ORDERS.get(power)
         if part is None:
             part = mult_order(9, power, ((q, e),))
-            if inside:
+            if power < ORDER_MEMO_BOUND:
                 _PRIME_POWER_ORDERS[power] = part
         order = math.lcm(order, part)
     return PeriodInfo(d, max(1, alpha), 2 * order)

@@ -14,9 +14,7 @@ def empty_iota_memo(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def empty_period_tables(monkeypatch):
-    """Each test starts with no smallest-prime-factor table, no charged
-    misses and no recorded prime-power orders, so the period formula's
-    tables grow from nothing in every test."""
+    """Each test starts with no smallest-prime-factor table and no recorded
+    prime-power orders, so both are built from nothing in every test."""
     monkeypatch.setattr(numtheory, "_spf", ())
-    monkeypatch.setattr(numtheory, "_spf_charged", 0)
     monkeypatch.setattr(periods, "_PRIME_POWER_ORDERS", {})

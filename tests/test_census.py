@@ -189,14 +189,14 @@ def test_census_scan_10_6_counts():
     assert all(type(v) is int for v in report.counts.values())
 
 
-def test_census_scan_sends_large_primes_to_the_scalar_path(monkeypatch):
-    want = census_scan(100_000)
-    calls = []
-    real = census.classify_prime
-    monkeypatch.setattr(census, "classify_prime", lambda p: calls.append(p) or real(p))
+def test_census_scan_stops_at_the_batch_range(monkeypatch):
+    # x below the batch classifier's exact range is counted as before; from
+    # it on the scan refuses before any work
+    want = census_scan(49_999)
     monkeypatch.setattr(census, "_BATCH_LIMIT", 50_000)
-    assert census_scan(100_000) == want
-    assert calls == [int(p) for p in primes_up_to(100_000) if p >= 50_000]
+    assert census_scan(49_999) == want
+    with pytest.raises(CapExceeded, match=r"^census bound 50000 exceeds cap 49999$"):
+        census_scan(50_000)
 
 
 def test_census_tracks_predictions_loosely_at_10_5():

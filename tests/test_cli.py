@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from discrim import census, charsum, discriminator, periods, sequences
+from discrim import census, charsum, cli, discriminator, periods, sequences
 from discrim.cli import build_parser, main
 from discrim.census import fset_member_interval
 from discrim.discriminator import table_ranges
@@ -270,6 +270,24 @@ def test_bad_range_is_usage_error(capsys):
         assert code == 2 and "error:" in err, bad
 
 
+def test_over_budget_span_exits_1_at_once(capsys):
+    # a span's scans are bounded by sum(min(m, 2^22 + 1)); 1:11584 stays
+    # within 2^26 terms and 1:11585 does not
+    start = time.perf_counter()
+    assert run_cli(capsys, "iota", "--range", "1:1000000000") == (
+        1, "", "failure: range 1:1000000000 may scan 4185508904880640 terms, more than 67108864\n")
+    assert time.perf_counter() - start < 0.5
+    assert cli._scan_bound_sum(11584) <= cli.SPAN_TERM_BUDGET < cli._scan_bound_sum(11585)
+    code, out, err = run_cli(capsys, "screen", "--range", "2:11585")
+    assert (code, out) == (1, "") and err.startswith("failure: range 2:11585 may scan ")
+    # past the scan cap each modulus counts 2^22 + 1 terms, so 16 of them
+    # overrun 2^26 by 16
+    cap = sequences.SCAN_TERM_CAP + 1
+    assert cli._scan_bound_sum(cap + 7) == cap * (cap + 1) // 2 + 7 * cap
+    assert run_cli(capsys, "iota", "--range", "8388608:8388623") == (
+        1, "", "failure: range 8388608:8388623 may scan 67108880 terms, more than 67108864\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("fset", "--max", "0"),
     ("fset", "--max", "-3"),
@@ -331,6 +349,13 @@ def test_screen_rejects_d_below_2(capsys):
 
 
 # ------------------------------------------------------------------ census / fset / charsum / artin
+
+
+def test_census_past_the_batch_range_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    assert run_cli(capsys, "census", "--x", "4294967296") == (
+        1, "", "failure: census bound 4294967296 exceeds cap 4294967295\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_census_output(capsys):

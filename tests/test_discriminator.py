@@ -647,7 +647,7 @@ def test_recheck_needs_no_screen_engine(monkeypatch):
         raise AssertionError("recheck called into the screen's engines")
 
     names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
-             "mult_order", "factorize", "_table_factorize", "_PRIME_POWER_ORDERS")
+             "mult_order", "factorize", "_PRIME_POWER_ORDERS")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
             if hasattr(module, name):
@@ -750,10 +750,12 @@ def test_collision_search_walks_no_further_than_the_row_start():
 
 def test_forged_iota_certificate_is_rejected_at_once():
     # u_1..u_6 are distinct mod 2^40 and its first repeat lies far past them,
-    # so the walk stops at iota + 1 = 6 terms
-    forged = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 5})
+    # so the walk stops at iota + 1 = 6 terms; an iota past the scan cap,
+    # which no screen reports, is rejected without a walk
     start = time.perf_counter()
-    assert recheck_certificate(forged) is False
+    for iota in (5, 2**23):
+        forged = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
+        assert recheck_certificate(forged) is False
     assert time.perf_counter() - start < 0.5
     for iota in (-3, -1, 0, 1):
         cert = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
@@ -767,8 +769,7 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
         raise AssertionError("the checker called into the search's engines")
 
     names = ("salajan_period_formula", "incongruence_index", "mult_order", "factorize",
-             "_table_factorize", "_PRIME_POWER_ORDERS", "_first_collision",
-             "discriminator_brute", "_least_moduli")
+             "_PRIME_POWER_ORDERS", "_first_collision", "discriminator_brute", "_least_moduli")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
             if hasattr(module, name):
@@ -805,7 +806,7 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
     pairs = [collision_certificate(a, v) for a, _, v in rows]
     honest, honest_swept = theorem1()
     with monkeypatch.context() as mp:
-        mp.setattr(numtheory, "_spf", array("I", [2]) * (1 << 17))
+        mp.setattr(numtheory, "_spf", array("H", [2]) * numtheory.SPF_ENTRIES)
         mp.setattr(periods, "_PRIME_POWER_ORDERS", {2**e: 7 for e in range(1, 64)})
         assert salajan_period_formula(5) == periods.PeriodInfo(5, 1, 14)   # truly 4
         bad_certs = [nonvalue_screen(d) for d in ds]

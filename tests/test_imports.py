@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 from discrim import census, cli, numtheory
+from discrim.numtheory import mult_order
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,15 +88,20 @@ def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     assert code == (1 if "linrec:1,2,1,3" in argv else 0)
 
 
-def test_a_lone_period_formula_builds_no_table():
-    # one miss is charged far less than a table covering 2 * 99991 would cost
-    body = ("from discrim import numtheory, periods\n"
+def test_a_lone_period_formula_builds_one_fixed_table():
+    # importing the CLI builds no table; the first formula call builds the
+    # one smallest-prime-factor table, and the next one reuses it
+    body = ("from discrim import cli, numtheory, periods\n"
+            "print(len(numtheory._spf), periods._PRIME_POWER_ORDERS)\n"
             "print(periods.salajan_period_formula(99991))\n"
-            "print(len(numtheory._spf), numtheory._spf_charged, periods._PRIME_POWER_ORDERS)")
+            "table = numtheory._spf\n"
+            "print(periods.salajan_period_formula(99989).period)\n"
+            "print(len(table), numtheory._spf is table, sorted(periods._PRIME_POWER_ORDERS))")
     heavy, printed = run_checked(body)
     assert heavy == ""
-    assert printed == ["PeriodInfo(modulus=99991, pre_period=1, period=19998)",
-                       f"0 {numtheory.SPF_MISS_ENTRIES} {{}}"]
+    assert printed == ["0 {}", "PeriodInfo(modulus=99991, pre_period=1, period=19998)",
+                       str(2 * mult_order(9, 4 * 99989)),
+                       f"{numtheory.SPF_ENTRIES} True [4, 99989, 99991]"]
 
 
 def test_alpha_matches_mpmath_at_300_bits():

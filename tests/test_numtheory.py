@@ -153,6 +153,23 @@ def test_factorize_matches_sympy_below_50000():
         assert dict(factorize(n)) == sympy.factorint(n), n
 
 
+def test_factorize_matches_sympy_to_2_18():
+    # past the smallest-prime-factor table's 2^17 odd numbers; below 50000
+    # is the test above
+    for n in range(50_001, 2**18 + 1):
+        assert dict(factorize(n)) == sympy.factorint(n), n
+
+
+def test_factorize_matches_sympy_at_the_table_edge():
+    # 2^k * m with an odd m on either side of the table's last entry: read
+    # from the table below it, trial-divided from it on
+    assert numtheory.SPF_ENTRIES == 2**17
+    for k in range(41):
+        for m in range(2**17 - 99, 2**17 + 101, 2):
+            fac = factorize(m << k)
+            assert list(fac) == sorted(fac) and dict(fac) == sympy.factorint(m << k), (k, m)
+
+
 def test_factorize_trusts_trial_division_below_the_trial_square(monkeypatch):
     # below 4093^2 trial division stops at p*p > n, which proves the
     # cofactor prime, so no Miller-Rabin test is needed
@@ -165,6 +182,9 @@ def test_factorize_trusts_trial_division_below_the_trial_square(monkeypatch):
 
     monkeypatch.setattr(numtheory, "is_prime", counting)
     for n in range(1, 100_001):
+        factorize(n)
+    # odd numbers from 2^17 on lie past the smallest-prime-factor table
+    for n in range(2**17 + 1, 2**17 + 100_001, 2):
         factorize(n)
     assert calls == []
 

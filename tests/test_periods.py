@@ -78,33 +78,21 @@ def formula_reference(d):
     return PeriodInfo(d, max(1, a), 2 * mult_order(9, 4 * delta))
 
 
-def test_table_factorizations_equal_factorize():
-    # misses at 2^16 are charged until the charges pay for a table covering 2^17
-    n = 1 << 16
-    misses = 0
-    while numtheory._table_factorize(n) is None:
-        misses += 1
-    assert misses == (2 * n + 1) // numtheory.SPF_MISS_ENTRIES
-    assert len(numtheory._spf) == 2 * n + 1
-    table = list(map(numtheory._table_factorize, range(1, 2 * n + 1)))
-    assert table == list(map(factorize, range(1, 2 * n + 1)))
-
-
-def test_table_stops_at_its_cap(monkeypatch):
-    # a miss that would grow the table past the cap builds it at the cap; a
-    # number at or past the cap is never charged
-    monkeypatch.setattr(numtheory, "SPF_MAX_ENTRIES", 1000)
-    monkeypatch.setattr(numtheory, "_spf_charged", 999)
-    assert numtheory._table_factorize(1000) is None and numtheory._spf_charged == 999
-    assert numtheory._table_factorize(999) == factorize(999)
-    assert len(numtheory._spf) == 1000 and numtheory._spf_charged == 0
+def test_order_memo_records_only_powers_below_its_bound():
+    # 2^20 + 7 is prime, so its order is computed at every call and never kept
+    big = 2**20 + 7
+    assert factorize(big) == ((big, 1),)
+    for _ in range(2):
+        assert salajan_period_formula(big) == formula_reference(big)
+    assert salajan_period_formula(big - 4) == formula_reference(big - 4)
+    powers = set(periods._PRIME_POWER_ORDERS)
+    assert powers and big not in powers and max(powers) < periods.ORDER_MEMO_BOUND
 
 
 def test_formula_equals_the_order_mod_4_delta_to_30000():
     assert all(salajan_period_formula(d) == formula_reference(d) for d in range(2, 30001))
-    # orders are recorded only from moduli inside the table
-    powers = set(periods._PRIME_POWER_ORDERS)
-    assert powers and max(powers) < 4 * len(numtheory._spf)
+    # every delta here lies inside the one smallest-prime-factor table
+    assert len(numtheory._spf) == numtheory.SPF_ENTRIES
 
 
 @settings(max_examples=100, deadline=None)
