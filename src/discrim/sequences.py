@@ -15,10 +15,17 @@ POLYNOMIAL = "polynomial"
 
 DEFAULT_EXACT_CAP = 200_000
 
-# a first-collision scan keeps every residue it has seen, about 68 B a term,
-# so it looks at most SCAN_TERM_CAP + 1 terms ahead (near 290 MB) and raises
-# CapExceeded past them: every answer up to SCAN_TERM_CAP stays exact
+# a first-collision scan looks at most SCAN_TERM_CAP + 1 terms ahead and
+# raises CapExceeded past them: every answer up to SCAN_TERM_CAP stays exact,
+# and a scan that keeps a set (above MARK_BOUND, about 68 B a term) stays
+# near 290 MB
 SCAN_TERM_CAP = 1 << 22
+
+# a scan mod m <= MARK_BOUND marks residues in a bytearray(m), one byte each.
+# CPython zero-fills every byte of it up front (bytearray(2**26) took 37 ms
+# where bytes(2**26) took 31 us), so a short scan at a huge m would pay for
+# all m bytes; above the bound the residues seen are kept in a set instead
+MARK_BOUND = 1 << 24
 
 
 class CapExceeded(RuntimeError):
@@ -171,19 +178,30 @@ def exact_terms(spec: SequenceSpec, n: int):
         x, y = y, c1 * y + c2 * x
 
 
-def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
-    """min(iota(m), limit): how many leading terms stay pairwise distinct mod m.
+def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:
+    """Index of the first repeat mod m among the first `steps` terms, or
+    `steps`; seen residues are marked in a bytearray(m)."""
+    seen = bytearray(m)
+    if spec.kind == POLYNOMIAL:
+        coeffs = spec.coeffs
+        for k in range(steps):
+            r = _poly_eval(coeffs, k + 1) % m
+            if seen[r]:
+                return k
+            seen[r] = 1
+    else:
+        c1, c2, x, y = spec.as_recurrence()
+        x, y = x % m, y % m
+        for k in range(steps):
+            if seen[x]:
+                return k
+            seen[x] = 1
+            x, y = y, (c1 * y + c2 * x) % m
+    return steps
 
-    Streams residues into a set and stops at the first repeat or at `limit`,
-    whichever comes first. This is the shared engine behind the single-modulus
-    discriminator check and the incongruence index. A scan that sees no repeat
-    in SCAN_TERM_CAP + 1 terms, short of `limit`, raises CapExceeded.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    steps = min(limit, SCAN_TERM_CAP + 1)
+
+def _set_scan(spec: SequenceSpec, m: int, steps: int) -> int:
+    """`_mark_scan` for any m: seen residues are kept in a set."""
     seen = set()
     add = seen.add
     if spec.kind == POLYNOMIAL:
@@ -201,6 +219,25 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
                 return k
             add(x)
             x, y = y, (c1 * y + c2 * x) % m
-    if steps < limit:
+    return steps
+
+
+def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
+    """min(iota(m), limit): how many leading terms stay pairwise distinct mod m.
+
+    Streams residues, marking each one seen (in a bytearray(m) for
+    m <= MARK_BOUND, else in a set), and stops at the first repeat or at
+    `limit`, whichever comes first. This is the shared engine behind the
+    single-modulus discriminator check and the incongruence index. A scan that
+    sees no repeat in SCAN_TERM_CAP + 1 terms, short of `limit`, raises
+    CapExceeded.
+    """
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    steps = min(limit, SCAN_TERM_CAP + 1)
+    k = _mark_scan(spec, m, steps) if m <= MARK_BOUND else _set_scan(spec, m, steps)
+    if k == steps and steps < limit:
         raise CapExceeded(f"no repeated residue within {steps} terms mod {m}")
-    return limit
+    return k

@@ -647,7 +647,7 @@ def test_recheck_needs_no_screen_engine(monkeypatch):
         raise AssertionError("recheck called into the screen's engines")
 
     names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
-             "mult_order", "factorize", "_PRIME_POWER_ORDERS")
+             "_mark_scan", "_set_scan", "mult_order", "factorize", "_PRIME_POWER_ORDERS")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
             if hasattr(module, name):

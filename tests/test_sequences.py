@@ -1,5 +1,7 @@
 """Sequence providers, checked against the raw recurrence as the oracle."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,7 +278,8 @@ def test_first_repeat_inside_one_block(c1, c2, v1, v2, m):
 
 
 def test_large_moduli_stay_in_python():
-    # the set loop takes moduli of any size: past 2^22, past 2^31 and near 2^61
+    # moduli of any size: past 2^22 (a 4 MB bytearray), and past 2^31 and near
+    # 2^61, where only the set loop above MARK_BOUND can run
     for m in (2**22 + 1, 2**31 + 11, 2**61 - 1):
         assert distinct_prefix_length(linear_recurrence(2, -1, 0, 1), m, 3000) == 3000
         assert distinct_prefix_length(salajan(), m, 2000) == set_reference(2, 3, 2, 1, m, 2000)
@@ -294,3 +297,32 @@ def test_scans_stop_past_the_term_cap(monkeypatch):
     for spec, m in ((salajan(), 128), (polynomial(0, 1), 1000)):
         with pytest.raises(CapExceeded, match=f"^no repeated residue within 65 terms mod {m}$"):
             distinct_prefix_length(spec, m, m)
+
+
+def test_both_storages_match_the_set_reference(monkeypatch):
+    # with the bound at 1000, moduli up to 1000 are marked in a bytearray and
+    # the rest kept in a set
+    monkeypatch.setattr(sequences, "MARK_BOUND", 1000)
+    specs = (salajan(), linear_recurrence(2, -1, 0, 1), linear_recurrence(-7, 5, 34, 15),
+             polynomial(1, 1), polynomial(0, 0, 1))
+    for m in (1, 7, 999, 1000, 1001, 4096):
+        for limit in (1, m, m + 1):
+            for spec in specs:
+                check_against_set_reference(spec, m, limit)
+    monkeypatch.setattr(sequences, "SCAN_TERM_CAP", 64)
+    for spec, m in ((salajan(), 128), (polynomial(0, 1), 1000), (salajan(), 2048), (polynomial(0, 1), 1001)):
+        with pytest.raises(CapExceeded, match=f"^no repeated residue within 65 terms mod {m}$"):
+            distinct_prefix_length(spec, m, m)
+
+
+def test_scan_memory_does_not_grow_per_term():
+    # a full scan of 2^16 terms takes one byte a residue, not a set entry a term
+    m = 1 << 16
+    for spec in (salajan(), polynomial(1, 1)):
+        tracemalloc.start()
+        try:
+            assert distinct_prefix_length(spec, m, m + 1) == m
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m + (64 << 10), (spec, peak)
