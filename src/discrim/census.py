@@ -19,7 +19,14 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-from .numtheory import _pow_mod_u32, is_prime, iter_prime_blocks, mult_order, primes_up_to
+from .numtheory import (
+    PRIME_LIMIT_CAP,
+    _pow_mod_u32,
+    is_prime,
+    iter_prime_blocks,
+    mult_order,
+    primes_up_to,
+)
 from .sequences import CapExceeded, MethodsDisagree
 
 ARTIN_CONSTANT = 0.3739558136
@@ -39,10 +46,6 @@ CLASS_P2 = "P2"
 CLASS_P3 = "P3"
 CLASS_NONE = "none"
 _CLASSES = (CLASS_P1, CLASS_P2, CLASS_P3, CLASS_NONE)
-
-# the batch classifier's uint64 arithmetic is exact for p below this, and the
-# census refuses x from here on
-_BATCH_LIMIT = 1 << 32
 
 
 class PrimeClassRecord(NamedTuple):
@@ -150,8 +153,8 @@ def census_scan(x: int) -> DensityReport:
 
     if x < 5:
         raise ValueError("scan limit must be >= 5")
-    if x >= _BATCH_LIMIT:
-        raise CapExceeded(f"census bound {x} exceeds cap {_BATCH_LIMIT - 1}")
+    if x >= PRIME_LIMIT_CAP:
+        raise CapExceeded(f"census bound {x} exceeds cap {PRIME_LIMIT_CAP - 1}")
     tally = np.zeros(len(_CLASSES), dtype=np.int64)
     pi_x = 0
     for block in iter_prime_blocks(x):

@@ -210,15 +210,16 @@ def table_ranges(n_max: int) -> list[tuple[int, int, int]]:
     """Closed-form values over 1..n_max compressed into (start, end, value) rows.
 
     2^e and 5^f stay fixed from n up to the next breakpoint
-    min(2^e, 4*5^(f-1)), so the walk steps from breakpoint to breakpoint:
-    O(log n_max) steps, not one per n.
+    min(2^e, 4*5^(f-1)), and past it the power whose breakpoint it is steps
+    up once, so the walk goes from breakpoint to breakpoint with both powers
+    carried along: O(log n_max) steps, not one per n.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     rows: list[list[int]] = []
+    pow2, pow5 = _closed_powers(1)
     n = 1
     while n <= n_max:
-        pow2, pow5 = _closed_powers(n)
         end = min(pow2, pow5 // 5 * 4, n_max)
         v = min(pow2, pow5)
         if rows and rows[-1][2] == v:
@@ -226,6 +227,10 @@ def table_ranges(n_max: int) -> list[tuple[int, int, int]]:
         else:
             rows.append([n, end, v])
         n = end + 1
+        if end == pow2:
+            pow2 <<= 1
+        if end == pow5 // 5 * 4:
+            pow5 *= 5
     return [tuple(r) for r in rows]
 
 

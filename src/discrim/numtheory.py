@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
+from .sequences import CapExceeded
+
 U64_MAX = 2**64 - 1
 
 # exhaustive witness set for n < 3.3e24, comfortably covers 64 bits
@@ -25,6 +27,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # a 2^18 segment's batch peaks near 9 MB where a 2^20 one peaks near 32 MB, at
 # the same speed
 _SIEVE_BLOCK = 1 << 18
+
+# prime walks stop below this: the census batch classifier's uint64
+# arithmetic is exact only for p < 2^32, and a walk sieves every base prime up
+# to sqrt(limit) into one list before its first segment (a 1 GB mask at
+# 10^18); `census_scan` and `artin_constant` refuse limits from here on
+PRIME_LIMIT_CAP = 1 << 32
 
 
 def is_prime(n: int) -> bool:
@@ -302,11 +310,14 @@ def artin_constant(prime_limit: int) -> float:
 
     The log terms of every sieve segment go into one exactly rounded
     `math.fsum`, so the value does not depend on the segment size; monotone
-    nonincreasing in prime_limit.
+    nonincreasing in prime_limit. A prime_limit from PRIME_LIMIT_CAP = 2^32
+    up raises CapExceeded before any work.
     """
     import numpy as np
 
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
+    if prime_limit >= PRIME_LIMIT_CAP:
+        raise CapExceeded(f"prime limit {prime_limit} exceeds cap {PRIME_LIMIT_CAP - 1}")
     logs = (np.log1p(-1.0 / (p * (p - 1.0))).tolist() for p in iter_prime_blocks(prime_limit))
     return math.exp(math.fsum(itertools.chain.from_iterable(logs)))

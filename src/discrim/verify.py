@@ -18,7 +18,6 @@ from .discriminator import (
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
     collision_certificate,
-    discriminator_brute,
     discriminator_table,
     image_of_discriminator,
     nonvalue_screen,
@@ -110,33 +109,33 @@ def check_table() -> CheckResult:
 
 def check_theorem1(n_max: int = 4096) -> CheckResult:
     """Brute force equals the closed form for n <= n_max (one table sweep) and
-    at the start and end of every reference row. Above n_max a row is settled
-    by a collision certificate that `recheck_collision_certificate` accepts,
-    and only a row it rejects by `discriminator_brute` at both ends."""
+    at the start and end of every reference row. Above n_max a row counts only
+    when `recheck_collision_certificate` accepts its collision certificate; a
+    row it rejects turns the suite red and is named, with the command that
+    reproduces the failure."""
     if n_max > THEOREM1_MAX_N:
         raise ValueError(f"n_max must be at most {THEOREM1_MAX_N}")
-    seq = salajan()
-    brute = discriminator_table(seq, n_max)
+    brute = discriminator_table(salajan(), n_max)
     mismatches = [
         n for n in range(1, n_max + 1) if brute[n - 1] != salajan_discriminator_closed(n).value
     ]
 
     boundaries = 0
     bad_bounds = []
+    rejected = []
     failing_moduli = 0
     for a, b, v in EXPECTED_TABLE:
-        certified = b > n_max and recheck_collision_certificate((a, b, v), *collision_certificate(a, v))
+        if b > n_max and not recheck_collision_certificate((a, b, v), *collision_certificate(a, v)):
+            rejected.append((a, b, v))
+            continue
         for n in sorted({a, b}):
             d = salajan_discriminator_closed(n).value
-            if n <= n_max:
-                m = brute[n - 1]
-            else:
-                m = v if certified else discriminator_brute(seq, n).value
+            m = brute[n - 1] if n <= n_max else v
             if m != d:
                 bad_bounds.append((n, d, m))
             failing_moduli += m - n
             boundaries += 1
-    ok = not mismatches and not bad_bounds
+    ok = not mismatches and not bad_bounds and not rejected
     detail = (
         f"brute=closed for n<=n_max ({n_max}), {boundaries} boundaries tight "
         f"({failing_moduli} smaller moduli all fail)"
@@ -145,6 +144,12 @@ def check_theorem1(n_max: int = 4096) -> CheckResult:
         detail = f"closed/brute mismatch at n={mismatches[:10]}"
     if bad_bounds:
         detail += f"; boundary failures (n, closed, brute): {bad_bounds[:5]}"
+    if rejected:
+        detail += (
+            f"; collision certificate rejected on {len(rejected)} row(s) "
+            f"(start, end, value): {rejected[:5]}; "
+            f"reproduce: discrim verify --suite theorem1 --nmax {n_max}"
+        )
     return CheckResult("theorem1", ok, detail)
 
 

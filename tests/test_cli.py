@@ -462,6 +462,13 @@ def test_artin_value(capsys):
     assert float(row["artin_partial"]) == pytest.approx(artin_constant(100), abs=1e-12)
 
 
+def test_artin_past_the_prime_range_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    assert run_cli(capsys, "artin", "--prime-limit", str(10**18)) == (
+        1, "", f"failure: prime limit {10**18} exceeds cap 4294967295\n")
+    assert time.perf_counter() - start < 0.5
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -223,12 +223,14 @@ def test_table_matches_brute_at_boundaries_and_a_sample():
         assert table[n - 1] == discriminator_brute(SEQ, n).value, n
 
 
-def test_theorem1_falls_back_to_brute_force_on_a_rejected_certificate(monkeypatch):
-    # above n_max a row is settled by its certificate; a row whose certificate
-    # fails the check gets the sweep at its start and end, and only that row
+def test_theorem1_goes_red_on_a_rejected_certificate(monkeypatch):
+    # above n_max a row counts only when its certificate passes the check; a
+    # row that fails it is named, and no sweep above n_max settles it instead
     from discrim import verify
 
     search = verify.collision_certificate
+    sweep = discriminator._least_moduli
+    swept = []
 
     def bad_search(start, value):
         first, second = search(start, value)
@@ -236,20 +238,20 @@ def test_theorem1_falls_back_to_brute_force_on_a_rejected_certificate(monkeypatc
             second[0] = start + 1   # a pair past the row's start proves nothing
         return first, second
 
-    swept = []
+    def recording_sweep(spec, lo, hi, search_cap):
+        swept.append(hi)
+        return sweep(spec, lo, hi, search_cap)
 
-    def brute(spec, n, search_cap=None):
-        swept.append(n)
-        lie = n == 2049   # a wrong brute value at the rejected row's start
-        return discriminator.DiscriminatorRecord(
-            n, salajan_discriminator_closed(n).value + lie, METHOD_BRUTE)
-
+    monkeypatch.setattr(discriminator, "_least_moduli", recording_sweep)
+    assert verify.check_theorem1(64).passed
+    assert swept == [64]
     monkeypatch.setattr(verify, "collision_certificate", bad_search)
-    monkeypatch.setattr(verify, "discriminator_brute", brute)
     result = verify.check_theorem1(64)
-    assert swept == [2049, 2500]
+    assert swept == [64, 64]
     assert not result.passed
-    assert result.detail.endswith("boundary failures (n, closed, brute): [(2049, 3125, 3126)]")
+    assert result.detail.endswith(
+        "; collision certificate rejected on 1 row(s) (start, end, value): [(2049, 2500, 3125)]; "
+        "reproduce: discrim verify --suite theorem1 --nmax 64")
 
 
 def test_table_generic_sequences_and_validation():
@@ -465,6 +467,28 @@ def test_table_steps_agree_with_the_per_n_compression():
         assert table_ranges(n_max) == per_n[:k] + [per_n[k][:1] + (n_max,) + per_n[k][2:]], n_max
     for n_max in [rng.randint(40_001, 10**6) for _ in range(200)]:
         _assert_rows_follow_the_closed_form(table_ranges(n_max), n_max)
+
+
+def _table_per_row(n_max):
+    """table_ranges' rows, with the powers worked out afresh for each row."""
+    rows, n = [], 1
+    while n <= n_max:
+        pow2, pow5 = discriminator._closed_powers(n)
+        end = min(pow2, pow5 // 5 * 4, n_max)
+        v = min(pow2, pow5)
+        if rows and rows[-1][2] == v:
+            rows[-1][1] = end
+        else:
+            rows.append([n, end, v])
+        n = end + 1
+    return [tuple(r) for r in rows]
+
+
+def test_table_carries_its_powers_from_row_to_row():
+    rng = random.Random(21)
+    edges = [x + d for k in range(1, 60) for x in (2**k, 4 * 5**k) for d in (-1, 0, 1)]
+    for n_max in edges + [rng.randint(1, 10 ** rng.randint(1, 60)) for _ in range(300)] + [10**400]:
+        assert table_ranges(n_max) == _table_per_row(n_max), n_max
 
 
 def test_table_up_to_10_18_follows_the_closed_form():
@@ -790,21 +814,10 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
                 [recheck_certificate(cert) for cert in certs],
                 [recheck_collision_certificate(row, *pair) for row, pair in zip(rows * 2, pairs)])
 
-    def theorem1():
-        swept = []
-
-        def brute(spec, n):
-            swept.append(n)
-            return discriminator_brute(spec, n)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(verify, "EXPECTED_TABLE", EXPECTED_TABLE[:15])
-            mp.setattr(verify, "discriminator_brute", brute)
-            return verify.check_theorem1(64), swept
-
     certs = [nonvalue_screen(d) for d in ds]
     pairs = [collision_certificate(a, v) for a, _, v in rows]
-    honest, honest_swept = theorem1()
+    monkeypatch.setattr(verify, "EXPECTED_TABLE", EXPECTED_TABLE[:15])
+    honest = verify.check_theorem1(64)
     with monkeypatch.context() as mp:
         mp.setattr(numtheory, "_spf", array("H", [2]) * numtheory.SPF_ENTRIES)
         mp.setattr(periods, "_PRIME_POWER_ORDERS", {2**e: 7 for e in range(1, 64)})
@@ -812,7 +825,7 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
         bad_certs = [nonvalue_screen(d) for d in ds]
         bad_pairs = [collision_certificate(a, v) for a, _, v in rows]
         poisoned = oracles(certs + bad_certs, pairs + bad_pairs)
-        result, swept = theorem1()
+        result = verify.check_theorem1(64)
     assert poisoned == oracles(certs + bad_certs, pairs + bad_pairs)
     # the checkers keep every true certificate and reject every false period
     # witness and every row's poisoned pairs
@@ -822,6 +835,9 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
              if cert.reason == REASON_PERIOD and cert.witness["rho"] % brute.period]
     assert len(false) > 300 and not any(rechecked[len(ds) + k] for k in false)
     assert rows_checked == [True] * len(rows) + [False] * len(rows)
-    # the same passing result, with brute force at every boundary above n_max
-    assert honest.passed and result == honest
-    assert honest_swept == [] and swept == [n for a, b, _ in rows for n in (a, b)]
+    # theorem1 passes on the honest search and goes red on the poisoned one,
+    # naming the rows above n_max, whose poisoned pairs were all rejected
+    assert honest.passed and not result.passed
+    assert result.detail.endswith(
+        f"; collision certificate rejected on {len(rows)} row(s) (start, end, value): "
+        f"{rows[:5]}; reproduce: discrim verify --suite theorem1 --nmax 64")

@@ -24,6 +24,7 @@ from discrim.numtheory import (
     primes_up_to,
     smallest_primitive_root,
 )
+from discrim.sequences import CapExceeded
 
 
 # ------------------------------------------------------------------ primality
@@ -358,6 +359,20 @@ def test_artin_constant_is_one_exactly_rounded_sum(x):
     # at 1,542,404 a sum of per-segment partials would round one ulp lower
     p = primes_up_to(x).astype(np.float64)
     assert artin_constant(x) == math.exp(math.fsum(np.log1p(-1.0 / (p * (p - 1.0))).tolist()))
+
+
+def test_artin_constant_refuses_the_cap_before_any_work(monkeypatch):
+    # the base sieve is the first work a prime walk does: from 2^32 on it is
+    # never reached, and below 2^32 it is
+    def refuse(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(numtheory, "_small_sieve", refuse)
+    for limit in (numtheory.PRIME_LIMIT_CAP, 10**18):
+        with pytest.raises(CapExceeded, match=rf"^prime limit {limit} exceeds cap 4294967295$"):
+            artin_constant(limit)
+    with pytest.raises(AssertionError, match=r"^sieved up to 65535$"):
+        artin_constant(numtheory.PRIME_LIMIT_CAP - 1)
 
 
 def test_artin_constant_monotone_nonincreasing():
