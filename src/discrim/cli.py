@@ -178,9 +178,10 @@ def _cmd_discriminate(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    rows = [
-        {"start": a, "end": b, "value": v} for a, b, v in table_ranges(args.max)
-    ]
+    ranges = table_ranges(args.max)
+    value = ranges[-1][2]   # values grow from row to row
+    _check_digits(value, f"table value of {value.bit_length()} bits")
+    rows = [{"start": a, "end": b, "value": v} for a, b, v in ranges]
     _emit(rows, args.format, out)
     return 0
 
@@ -249,12 +250,25 @@ def _cmd_census(args, out) -> int:
     return 0
 
 
+def _digit_limit() -> int:
+    """The most digits Python turns an int into as text
+    (`sys.get_int_max_str_digits()`); 0, or no such function, means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_digits(n: int, what: str) -> None:
+    """Raise CapExceeded, naming n as `what`, when n has more digits than
+    Python turns into text."""
+    limit = _digit_limit()
+    if limit and n >= 10**limit:
+        raise CapExceeded(f"{what} has more than {limit} digits")
+
+
 def _check_witness_digits(b_max: int) -> None:
     """Raise CapExceeded, before the F-set pass, when a witness 2^k printed
-    for some b <= b_max has more digits than Python turns into text
-    (`sys.get_int_max_str_digits()`; 0, or no such function, means no
-    limit). Witnesses grow with b, so the last non-member's is the longest."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for some b <= b_max is too long to print. Witnesses grow with b, so the
+    last non-member's is the longest."""
+    limit = _digit_limit()
     # the witness exponent k of b is at most 3b, and 2^k <= 8^limit < 10^limit
     # while k <= 3 * limit, so only b_max > limit can reach the limit
     if not limit or b_max <= limit:
@@ -262,8 +276,7 @@ def _check_witness_digits(b_max: int) -> None:
     b = b_max
     while (rec := fset_member_interval(b)).member:   # b = 1 is no member
         b -= 1
-    if rec.witness >= 10**limit:
-        raise CapExceeded(f"F-set witness 2^{rec.k} at b={b} has more than {limit} digits")
+    _check_digits(rec.witness, f"F-set witness 2^{rec.k} at b={b}")
 
 
 def _cmd_fset(args, out) -> int:

@@ -1,6 +1,7 @@
 """Prime classification, density census, and the F-set of exponents."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -270,6 +271,27 @@ def test_fset_passes_refuse_b_past_the_cap():
     for scan in (fset_scan_interval, census.fset_scan_checked, fset_count):
         with pytest.raises(CapExceeded, match="F-set bound 262145 exceeds cap 262144"):
             scan(census.FSET_B_CAP + 1)
+
+
+@pytest.mark.parametrize("width", [1, 4, 8, 16])
+def test_fset_pass_reseeds_exactly_from_a_narrow_bracket(monkeypatch, width):
+    # at widths 4, 8 and 16 the bracket around 5^b straddles a power of 2 at
+    # 966, 204 and 13 of the b <= 3000, at width 1 at nearly every b, and
+    # each time starts again from 5^b computed whole
+    monkeypatch.setattr(census, "_BRACKET_BITS", width)
+    exact = [fset_member_interval(b) for b in range(1, 3001)]
+    assert fset_scan_interval(3000) == exact
+    assert fset_count(3000)[0] == sum(r.member for r in exact)
+
+
+def test_fset_anchors_at_the_cap():
+    cap = census.FSET_B_CAP
+    assert fset_count(cap)[0] == 177752
+    records = fset_scan_interval(cap)
+    assert len(records) == cap
+    sample = random.Random(2018).sample(range(1, cap), 40) + [cap]
+    for b in sample:
+        assert records[b - 1] == fset_member_interval(b), b
 
 
 def test_poisoned_weyl_reads_the_same_in_every_checked_pass(monkeypatch):

@@ -181,6 +181,24 @@ def test_table_human_is_aligned(capsys):
     assert len(lines) == 5
 
 
+def test_table_value_past_the_digit_limit_fails_before_any_row(capsys, int_digits):
+    int_digits(4300)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--max", "9" * 4300)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (
+        1, "", "failure: table value of 14286 bits has more than 4300 digits\n")
+    # 2^2126 has 640 digits and is the largest value below 10^640; past it
+    # the last row's value is 5^916, with 641 digits and 2127 bits
+    int_digits(640)
+    for fmt in ("human", "csv", "json"):
+        code, out, _ = run_cli(capsys, "table", "--max", str(2**2126), "--format", fmt)
+        assert code == 0 and str(2**2126) in out.splitlines()[-1]
+        code, out, err = run_cli(capsys, "table", "--max", str(2**2126 + 1), "--format", fmt)
+        assert (code, out, err) == (
+            1, "", "failure: table value of 2127 bits has more than 640 digits\n")
+
+
 # ------------------------------------------------------------------ period / iota
 
 
