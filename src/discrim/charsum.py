@@ -146,7 +146,7 @@ def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
         direct += int(np.count_nonzero(in_a[(bx + x1) % n * n + (by + y1) % n]))
     del in_a
     fa = np.fft.fft2(_indicator_grid(a, n))
-    fb = np.fft.fft2(_indicator_grid(b, n))
+    fb = fa if b == a else np.fft.fft2(_indicator_grid(b, n))   # one transform when B = A
     charsum = np.sum(np.conj(fb) ** 2 * fa) / (n * n)
     residual = abs(direct - charsum)
     return direct, float(charsum.real), float(residual)

@@ -17,7 +17,6 @@ import sys
 from .census import (
     census_scan,
     check_fset_bound,
-    fset_member_interval,
     fset_member_weyl,
     fset_scan_checked,
     fset_scan_interval,
@@ -173,6 +172,7 @@ def _cmd_discriminate(args, out) -> int:
         rec = discriminator_brute(spec, args.n, args.cap)
     else:
         rec = salajan_discriminator_checked(args.n, args.cap)
+    _check_digits(rec.value, f"discriminator value of {rec.value.bit_length()} bits")
     _emit([{"n": rec.n, "value": rec.value, "method": rec.method}], args.format, out)
     return 0
 
@@ -250,33 +250,14 @@ def _cmd_census(args, out) -> int:
     return 0
 
 
-def _digit_limit() -> int:
-    """The most digits Python turns an int into as text
-    (`sys.get_int_max_str_digits()`); 0, or no such function, means no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _check_digits(n: int, what: str) -> None:
     """Raise CapExceeded, naming n as `what`, when n has more digits than
-    Python turns into text."""
-    limit = _digit_limit()
+    Python turns into text (`sys.get_int_max_str_digits()`; 0, or no such
+    function, means no limit). Each subcommand that prints integers passes
+    the largest one it is about to print, before it writes anything."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and n >= 10**limit:
         raise CapExceeded(f"{what} has more than {limit} digits")
-
-
-def _check_witness_digits(b_max: int) -> None:
-    """Raise CapExceeded, before the F-set pass, when a witness 2^k printed
-    for some b <= b_max is too long to print. Witnesses grow with b, so the
-    last non-member's is the longest."""
-    limit = _digit_limit()
-    # the witness exponent k of b is at most 3b, and 2^k <= 8^limit < 10^limit
-    # while k <= 3 * limit, so only b_max > limit can reach the limit
-    if not limit or b_max <= limit:
-        return
-    b = b_max
-    while (rec := fset_member_interval(b)).member:   # b = 1 is no member
-        b -= 1
-    _check_digits(rec.witness, f"F-set witness 2^{rec.k} at b={b}")
 
 
 def _cmd_fset(args, out) -> int:
@@ -286,9 +267,12 @@ def _cmd_fset(args, out) -> int:
     if args.method == "weyl":
         rows = [(b, fset_member_weyl(b), None) for b in range(1, args.max + 1)]
     else:
-        _check_witness_digits(args.max)
         scan = fset_scan_interval if args.method == "interval" else fset_scan_checked
-        rows = [(r.b, r.member, r.witness) for r in scan(args.max)]
+        records = scan(args.max)
+        # witnesses grow with b, so the last non-member's (b = 1 is one) is the longest
+        last = next(r for r in reversed(records) if not r.member)
+        _check_digits(last.witness, f"F-set witness 2^{last.k} at b={last.b}")
+        rows = [(r.b, r.member, r.witness) for r in records]
     _emit(
         [{"b": b, "member": m, "witness": "" if w is None else w} for b, m, w in rows],
         args.format,

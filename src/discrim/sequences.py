@@ -74,13 +74,6 @@ class SequenceSpec(_SpecFields):
             return self.coeffs[0], self.coeffs[1], self.initial[0], self.initial[1]
         raise ValueError("polynomial sequences have no recurrence form")
 
-    def text(self) -> str:
-        if self.kind == SALAJAN:
-            return "salajan"
-        if self.kind == LINEAR_RECURRENCE:
-            return "linrec:" + ",".join(map(str, self.coeffs + self.initial))
-        return "poly:" + ",".join(map(str, self.coeffs))
-
 
 def salajan() -> SequenceSpec:
     return SequenceSpec(SALAJAN)

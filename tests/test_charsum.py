@@ -152,6 +152,40 @@ def test_pair_count_identity_randomized():
             assert round(charsum) == direct
 
 
+def test_pair_count_identity_transforms_a_once_when_b_is_a(monkeypatch):
+    import numpy as np
+
+    p, n = 23, 22
+    a = build_A(p)
+    other = set(sorted(a)[:5]) | {(0, 1)}
+
+    def grid(pairs):
+        g = np.zeros((n, n))
+        for x, y in pairs:
+            g[x, y] = 1.0
+        return g
+
+    def reference(pairs_b):
+        """(charsum, residual) with each grid transformed on its own."""
+        direct = sum(((x1 + x2) % n, (y1 + y2) % n) in a for x1, y1 in pairs_b for x2, y2 in pairs_b)
+        fa, fb = np.fft.fft2(grid(a)), np.fft.fft2(grid(pairs_b))
+        charsum = np.sum(np.conj(fb) ** 2 * fa) / (n * n)
+        return float(charsum.real), float(abs(direct - charsum))
+
+    want = {id(b): reference(b) for b in (a, other)}
+    calls = []
+    fft2 = np.fft.fft2
+    monkeypatch.setattr(np.fft, "fft2", lambda g: calls.append(g.shape) or fft2(g))
+    for b, transforms in ((a, 1), (other, 2)):
+        calls.clear()
+        _, charsum, residual = pair_count_identity_check(a, b, n)
+        assert len(calls) == transforms
+        assert (charsum, residual) == want[id(b)]   # bitwise
+    calls.clear()
+    assert char_sum_report(p).identity_residual == want[id(a)][1]
+    assert len(calls) == 1
+
+
 def test_pair_count_identity_validation():
     with pytest.raises(ValueError):
         pair_count_identity_check(set(), {(0, 0)}, 6)

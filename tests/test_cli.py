@@ -147,6 +147,25 @@ def test_discriminate_rejects_nonpositive_n(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_discriminate_value_past_the_digit_limit_fails_before_any_row(capsys, int_digits):
+    int_digits(4300)
+    for fmt in ("human", "csv", "json"):
+        code, out, err = run_cli(
+            capsys, "discriminate", "--n", "9" * 4300, "--method", "closed", "--format", fmt)
+        assert (code, out, err) == (
+            1, "", "failure: discriminator value of 14286 bits has more than 4300 digits\n")
+    # D(2^2126) = 2^2126, with 640 digits; D(2^2126 + 1) = 5^916, with 641
+    int_digits(640)
+    for fmt in ("human", "csv", "json"):
+        code, out, _ = run_cli(
+            capsys, "discriminate", "--n", str(2**2126), "--method", "closed", "--format", fmt)
+        assert code == 0 and str(2**2126) in out.splitlines()[-1]
+        code, out, err = run_cli(
+            capsys, "discriminate", "--n", str(2**2126 + 1), "--method", "closed", "--format", fmt)
+        assert (code, out, err) == (
+            1, "", "failure: discriminator value of 2127 bits has more than 640 digits\n")
+
+
 # ------------------------------------------------------------------ table
 
 
@@ -425,7 +444,7 @@ def int_digits():
     sys.set_int_max_str_digits(saved)
 
 
-def test_fset_witness_past_the_digit_limit_fails_before_the_pass(capsys, int_digits):
+def test_fset_witness_past_the_digit_limit_fails_before_any_row(capsys, int_digits, monkeypatch):
     # b = 6151's witness 2^14282 has 4300 digits; 6152 and 6153 are members
     # and 6154's witness 2^14289 has 4302
     int_digits(4300)
@@ -437,6 +456,13 @@ def test_fset_witness_past_the_digit_limit_fails_before_the_pass(capsys, int_dig
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (
             1, "", f"failure: F-set witness 2^{k} at b={b} has more than 4300 digits\n")
+    # the witness comes from the pass's own records, with no second walk
+    def refuse(b):
+        raise AssertionError(f"fset_member_interval({b}) called by the CLI")
+    monkeypatch.setattr(cli, "fset_member_interval", refuse, raising=False)
+    code, out, err = run_cli(capsys, "fset", "--max", "6154")
+    assert (code, out, err) == (
+        1, "", "failure: F-set witness 2^14289 at b=6154 has more than 4300 digits\n")
     # without a limit every witness prints
     int_digits(0)
     code, out, _ = run_cli(capsys, "fset", "--max", "6160", "--method", "interval", "--format", "csv")

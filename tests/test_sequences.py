@@ -101,9 +101,14 @@ def test_term_mod_large_index_consistency(j, m):
 
 
 def test_parse_spec_round_trips():
-    for text in ("salajan", "linrec:2,3,2,1", "linrec:-1,4,0,7", "poly:1,2,3", "poly:5"):
-        spec = parse_spec(text)
-        assert parse_spec(spec.text()) == spec
+    for text, spec in (
+        ("salajan", salajan()),
+        ("linrec:2,3,2,1", linear_recurrence(2, 3, 2, 1)),
+        ("linrec:-1,4,0,7", linear_recurrence(-1, 4, 0, 7)),
+        ("poly:1,2,3", polynomial(1, 2, 3)),
+        ("poly:5", polynomial(5)),
+    ):
+        assert parse_spec(text) == spec
     assert parse_spec(" salajan ") == salajan()
 
 
