@@ -22,9 +22,10 @@ from .sequences import (
     salajan,
 )
 
-# states (pre_period + period) a period walk may visit, one bound for every
-# caller: 2^20 steps take about 0.15 s. It bounds time only, since the walk
-# keeps two states at a time.
+# bound on pre_period + period, one for every caller. The search at 2^20 takes
+# about sqrt(2^21) = 1,448 iterations and holds that many states, about 2 ms
+# and 0.2 MB; it stays 2^20 so that every answer and every refusal stays as
+# it was (`discrim period --d 1000000007` exits 1 under it)
 PERIOD_STATE_CAP = 1 << 20
 
 # ord_{q^e}(9) by prime power q^e, for the period formula. It records only
@@ -41,17 +42,21 @@ class PeriodInfo(NamedTuple):
 
 
 def period_brute(spec: SequenceSpec, d: int) -> PeriodInfo:
-    """Exact pre-period and period mod d by walking the state pairs.
+    """Exact pre-period and period mod d from the state pairs.
 
     A pair of consecutive residues determines all later ones, so the state
-    walk (v_n, v_{n+1}) mod d enters a cycle. The map (x, y) -> (y, c1*y +
+    walk (v_n, v_{n+1}) mod d enters a cycle. The map M(x, y) = (y, c1*y +
     c2*x) is linear on (Z/d)^2, so by Fitting's lemma every walk is on its
     cycle after the module's length, 2*Omega(d) < 2*d.bit_length() steps;
     with gcd(c2, d) = 1 the map is a bijection and every walk starts on its
-    cycle. From there the period is the first return, and the pre-period is
-    where two pointers `period` apart from (v1, v2) meet. Cost O(pre_period
-    + period) steps in O(1) memory; raises CapExceeded when pre_period +
-    period exceeds PERIOD_STATE_CAP.
+    cycle. From there the period is the least return time, found by Terr's
+    baby-step giant-step (Math. Comp. 69 (2000) 767-773): iteration i stores
+    the baby M^i c and checks the giant M^(i(i+1)/2) c against the earlier
+    babies, so it tests every return time in (i(i-1)/2, i(i+1)/2]. The
+    pre-period is where two pointers `period` apart from (v1, v2) meet, the
+    second put in place by squaring the 2x2 matrix. Cost O(sqrt(2*period))
+    iterations plus O(pre_period) steps, in O(sqrt(cap)) memory; raises
+    CapExceeded when pre_period + period exceeds PERIOD_STATE_CAP.
     """
     if d < 2:
         raise ValueError("modulus must be >= 2")
@@ -65,19 +70,32 @@ def period_brute(spec: SequenceSpec, d: int) -> PeriodInfo:
     for _ in range(lead):
         x, y = y, (c1 * y + c2 * x) % d
     # pre_period >= 1, so a period of cap or more overruns the cap; if the
-    # lead were short of the cycle, (x, y) would never return and this raises
+    # lead were short of the cycle, (x, y) would never return and this raises.
+    # (x, y) is the baby M^i c, (p, q; r, s) the matrix M^i and (g, h) the
+    # giant M^(i(i+1)/2) c; babies are distinct while no return is found
     cx, cy = x, y
-    for period in range(1, cap):
+    babies = {cx * d + cy: 0}
+    p, q, r, s = 1, 0, 0, 1
+    g, h = cx, cy
+    i = period = 0
+    while i * (i + 1) // 2 < cap - 1:
+        i += 1
         x, y = y, (c1 * y + c2 * x) % d
         if x == cx and y == cy:
+            period = i
             break
-    else:
+        p, q, r, s = r, s, (c2 * p + c1 * r) % d, (c2 * q + c1 * s) % d
+        g, h = (p * g + q * h) % d, (r * g + s * h) % d
+        j = babies.get(g * d + h)
+        if j is not None:
+            period = i * (i + 1) // 2 - j
+            break
+        babies[x * d + y] = i
+    if not 0 < period < cap:
         raise CapExceeded(f"no repeated state within {cap} steps mod {d}")
     if not lead:
         return PeriodInfo(d, 1, period)
-    x, y = x0, y0
-    for _ in range(period):
-        x, y = y, (c1 * y + c2 * x) % d
+    x, y = _matrix_power_apply(c1, c2, period, d, x0, y0)
     a, b = x0, y0
     for pre_period in range(1, cap - period + 1):
         if a == x and b == y:
@@ -85,6 +103,22 @@ def period_brute(spec: SequenceSpec, d: int) -> PeriodInfo:
         a, b = b, (c1 * b + c2 * a) % d
         x, y = y, (c1 * y + c2 * x) % d
     raise CapExceeded(f"no repeated state within {cap} steps mod {d}")
+
+
+def _matrix_power_apply(c1: int, c2: int, n: int, d: int, x: int, y: int) -> tuple[int, int]:
+    """M^n (x, y) mod d for M(x, y) = (y, c1*y + c2*x), by repeated squaring."""
+    # (p, q; r, s) is M^(2^k) as n's bits are read from the lowest up
+    p, q, r, s = 0, 1, c2 % d, c1 % d
+    while n:
+        if n & 1:
+            x, y = (p * x + q * y) % d, (r * x + s * y) % d
+        n >>= 1
+        if n:
+            p, q, r, s = (
+                (p * p + q * r) % d, (p * q + q * s) % d,
+                (r * p + s * r) % d, (r * q + s * s) % d,
+            )
+    return x, y
 
 
 def salajan_period_formula(d: int) -> PeriodInfo:
@@ -114,7 +148,7 @@ def salajan_period_formula(d: int) -> PeriodInfo:
 
 
 def salajan_period_checked(d: int) -> PeriodInfo:
-    """Period formula cross-checked against the brute cycle walk."""
+    """Period formula cross-checked against the brute cycle search."""
     formula = salajan_period_formula(d)
     brute = period_brute(salajan(), d)
     if (formula.pre_period, formula.period) != (brute.pre_period, brute.period):

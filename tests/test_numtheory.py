@@ -48,7 +48,15 @@ def test_is_prime_matches_sieve_below_10000():
         (2**64 - 1, False),
         (561, False),           # Carmichael number
         (41041, False),         # Carmichael number
+        # the least strong pseudoprime to each prefix of the witness list,
+        # so a prefix one base shorter than is_prime's would call it prime
+        (1373653, False),       # bases 2, 3
+        (25326001, False),      # bases 2, 3, 5
         (3215031751, False),    # strong pseudoprime to bases 2, 3, 5, 7
+        (2152302898747, False),  # bases 2 to 11
+        (3474749660383, False),  # bases 2 to 13
+        (341550071728321, False),  # bases 2 to 17
+        (3825123056546413051, False),  # bases 2 to 23
         (U64_MAX - 58, True),   # largest prime below 2^64
     ],
 )

@@ -1,6 +1,7 @@
 """Periods and incongruence indices: formula vs cycle detection vs raw streams."""
 
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -199,10 +200,57 @@ def test_period_brute_cap_is_exact(monkeypatch, spec, d):
         period_brute(spec, d)
 
 
+@pytest.mark.parametrize("spec,d", [
+    (SEQ, 7), (SEQ, 9), (SEQ, 243), (linear_recurrence(0, 0, 5, 3), 8),
+    (linear_recurrence(4, 6, 1, 1), 20), (linear_recurrence(2, 2, 1, 1), 50),
+    (linear_recurrence(1, 3, 0, 1), 1021), (SEQ, 5), (SEQ, 16),
+])
+def test_period_brute_cap_sweep_across_window_edges(monkeypatch, spec, d):
+    # the search tests return times in windows (i(i-1)/2, i(i+1)/2], so
+    # every cap, not just the one at pre_period + period, must cut exactly;
+    # mod 5 and 16 the period is one more than a window's end (4 = 3 + 1,
+    # 16 = 15 + 1) with pre-period 1, where a search stopping one window
+    # early would miss it
+    info = period_brute(spec, d)
+    need = info.pre_period + info.period
+    for cap in range(2, need + 4):
+        monkeypatch.setattr(periods, "PERIOD_STATE_CAP", cap)
+        if need <= cap:
+            assert period_brute(spec, d) == info, cap
+        else:
+            with pytest.raises(CapExceeded, match=f"^no repeated state within {cap} steps mod {d}$"):
+                period_brute(spec, d)
+
+
+@pytest.mark.parametrize("d,pre_period", [(100000007, 1), (9 * 100000007, 2)])
+def test_period_brute_reaches_periods_near_10_8(monkeypatch, d, pre_period):
+    # period 100000006 for the prime and for 9 times it; the second runs the
+    # lead, the matrix power and the two-pointer pre-period search
+    monkeypatch.setattr(periods, "PERIOD_STATE_CAP", 1 << 32)
+    start = time.perf_counter()
+    info = period_brute(SEQ, d)
+    took = time.perf_counter() - start
+    assert info == salajan_period_formula(d) == PeriodInfo(d, pre_period, 100000006)
+    assert took < 2.0
+
+
 def test_period_brute_memory_is_constant():
     tracemalloc.start()
     try:
         period_brute(SEQ, 99989)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_period_brute_memory_at_the_cap():
+    # a refusal runs the search to its last window, about sqrt(2 * 2^20)
+    # stored states; mod 10^9 + 7 the period is about 10^9
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            period_brute(SEQ, 10**9 + 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
