@@ -68,13 +68,22 @@ def _check_dft_order(n: int) -> None:
         raise ValueError(f"group order {n} exceeds DFT guard {MAX_DFT_ORDER}")
 
 
+def _check_pairs(pairs, n: int) -> set[tuple[int, int]]:
+    """The pairs as a set; ValueError unless it is nonempty and inside Z_n x Z_n."""
+    pairs = set(pairs)
+    if not pairs:
+        raise ValueError("character sums over an empty set are degenerate")
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"pair {(x, y)} outside Z_{n} x Z_{n}")
+    return pairs
+
+
 def _indicator_grid(pairs, n: int) -> np.ndarray:
     import numpy as np
 
     grid = np.zeros((n, n), dtype=np.float64)
     for x, y in pairs:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"pair {(x, y)} outside Z_{n} x Z_{n}")
         grid[x, y] += 1.0
     return grid
 
@@ -88,10 +97,8 @@ def max_nontrivial_char_sum(pairs, group_order: int, method: str = "dft") -> flo
     """
     import numpy as np
 
-    pairs = set(pairs)
-    if not pairs:
-        raise ValueError("character sums over an empty set are degenerate")
     n = group_order
+    pairs = _check_pairs(pairs, n)
     if n < 2:
         raise ValueError("a group of order 1 has no nontrivial characters")
     if method == "dft":
@@ -129,18 +136,15 @@ def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
     """
     import numpy as np
 
-    a = set(pairs_a)
-    b = set(pairs_b)
-    if not a or not b:
-        raise ValueError("identity check needs nonempty sets")
     n = group_order
     _check_dft_order(n)
+    a = _check_pairs(pairs_a, n)
+    b = _check_pairs(pairs_b, n)
     in_a = np.zeros(n * n, dtype=bool)   # (x, y) at x*n + y
     for x, y in a:
-        if 0 <= x < n and 0 <= y < n:
-            in_a[x * n + y] = True
-    bx = np.array([x % n for x, _ in b], dtype=np.int64)
-    by = np.array([y % n for _, y in b], dtype=np.int64)
+        in_a[x * n + y] = True
+    bx = np.array([x for x, _ in b], dtype=np.int64)
+    by = np.array([y for _, y in b], dtype=np.int64)
     direct = 0
     for x1, y1 in zip(bx.tolist(), by.tolist()):
         direct += int(np.count_nonzero(in_a[(bx + x1) % n * n + (by + y1) % n]))
@@ -160,11 +164,10 @@ def bplusb_bound_check(p: int, pairs_b, g: int | None = None) -> bool:
     bug, the inequality being a theorem.
     """
     g = _resolve_root(p, g)
-    a = build_A(p, g)
-    b = set(pairs_b)
-    if not b:
-        raise ValueError("B must be nonempty")
     n = p - 1
+    _check_dft_order(n)   # before A, whose O(p) build is the cost for large p
+    b = _check_pairs(pairs_b, n)
+    a = build_A(p, g)
     blist = list(b)
     for x1, y1 in blist:
         for x2, y2 in blist:

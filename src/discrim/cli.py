@@ -110,51 +110,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("csv", "json", "human"), default="human")
         p.add_argument("--output", default=None, help="write to this file instead of stdout")
         return p
 
-    p = add("discriminate", "smallest modulus separating the first n terms")
+    p = add("discriminate", "smallest modulus separating the first n terms", _cmd_discriminate)
     p.add_argument("--seq", default="salajan", help="salajan | linrec:c1,c2,v1,v2 | poly:a0,a1,...")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("closed", "brute", "both"), default=None)
     p.add_argument("--cap", type=int, default=None, help="largest modulus the brute scan will try")
 
-    p = add("table", "closed-form value ranges up to --max")
+    p = add("table", "closed-form value ranges up to --max", _cmd_table)
     p.add_argument("--max", type=int, required=True)
 
-    p = add("period", "period and pre-period of the sequence mod d")
+    p = add("period", "period and pre-period of the sequence mod d", _cmd_period)
     p.add_argument("--seq", default="salajan")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--method", choices=("formula", "brute", "both"), default="both")
 
-    p = add("iota", "incongruence index: longest pairwise-distinct prefix mod m")
+    p = add("iota", "incongruence index: longest pairwise-distinct prefix mod m", _cmd_iota)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int)
     group.add_argument("--range", dest="span", metavar="LO:HI")
 
-    p = add("screen", "non-value certificates")
+    p = add("screen", "non-value certificates", _cmd_screen)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=int)
     group.add_argument("--range", dest="span", metavar="LO:HI")
 
-    p = add("census", "prime classification densities up to --x")
+    p = add("census", "prime classification densities up to --x", _cmd_census)
     p.add_argument("--x", type=int, required=True)
 
-    p = add("fset", "exponents b whose interval [4*5^(b-1), 5^b] misses the powers of 2")
+    p = add("fset", "exponents b whose interval [4*5^(b-1), 5^b] misses the powers of 2", _cmd_fset)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--method", choices=("interval", "weyl", "both"), default="both")
 
-    p = add("charsum", "character-sum verification report for one prime")
+    p = add("charsum", "character-sum verification report for one prime", _cmd_charsum)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--g", type=int, default=None, help="primitive root (smallest if omitted)")
 
-    p = add("artin", "partial product of the Artin constant")
+    p = add("artin", "partial product of the Artin constant", _cmd_artin)
     p.add_argument("--prime-limit", type=int, required=True)
 
-    p = add("verify", "run verification suites")
+    p = add("verify", "run verification suites", _cmd_verify)
     p.add_argument("--suite", default="all", help="|".join(SUITES) + " or all")
     p.add_argument("--nmax", type=int, default=None, help="range cap for the theorem1 suite")
 
@@ -322,29 +323,17 @@ def _cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "discriminate": _cmd_discriminate,
-    "table": _cmd_table,
-    "period": _cmd_period,
-    "iota": _cmd_iota,
-    "screen": _cmd_screen,
-    "census": _cmd_census,
-    "fset": _cmd_fset,
-    "charsum": _cmd_charsum,
-    "artin": _cmd_artin,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
     try:
         if args.output:
-            with open(args.output, "w") as fh:
-                return handler(args, fh)
-        return handler(args, sys.stdout)
+            try:
+                fh = open(args.output, "w")
+            except OSError as exc:
+                raise ValueError(f"cannot open --output {args.output}: {exc.strerror}") from None
+            with fh:
+                return args.handler(args, fh)
+        return args.handler(args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -305,13 +305,14 @@ def _first_collision(d: int, limit: int) -> tuple[int, int]:
 def recheck_certificate(cert: NonValueCertificate) -> bool:
     """Check a certificate's claim from its witness fields and the recurrence
     alone, sharing no code with the screen that made it. A malformed
-    certificate (d < 2, a witness field missing or not an int) fails. The
-    witness fields `prime_min_n` and `prime_floor_bound` are report-only:
-    `discrim screen` prints them, and this check never reads them."""
+    certificate (d < 2, a witness that is not a dict, a witness field missing
+    or not an int) fails. The witness fields `prime_min_n` and
+    `prime_floor_bound` are report-only: `discrim screen` prints them, and
+    this check never reads them."""
     d, w = cert.d, cert.witness
     if cert.verdict == VERDICT_UNDECIDED:
         return True   # no claim to falsify
-    if cert.verdict != VERDICT_NON_VALUE or type(d) is not int or d < 2:
+    if cert.verdict != VERDICT_NON_VALUE or type(d) is not int or d < 2 or type(w) is not dict:
         return False
     if cert.reason == REASON_DIV3:
         return d % 3 == 0

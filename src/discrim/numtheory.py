@@ -1,10 +1,10 @@
 """Exact integer building blocks: primality, factoring, orders, valuations.
 
 Everything here is deterministic. Primality uses a Miller-Rabin witness set
-that is exhaustive for 64-bit inputs, factoring reads a small odd part from a
-smallest-prime-factor table and is otherwise trial division plus Pollard rho
-with Brent cycling, and multiplicative orders are computed by reducing the
-Carmichael exponent rather than by iteration.
+that is exhaustive for 64-bit inputs, factoring splits off 2^t, reads a small
+odd part from a smallest-prime-factor table and factors a larger one by trial
+division plus Pollard rho with Brent cycling, and multiplicative orders are
+computed by reducing the Carmichael exponent rather than by iteration.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _small_sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES: list[int] = _small_sieve(4096)
-# above this, trial division runs through every one of _SMALL_PRIMES
+# above this, trial division runs through every odd one of _SMALL_PRIMES
 _TRIAL_SQUARE = _SMALL_PRIMES[-1] ** 2
 
 
@@ -183,10 +183,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("factorize expects 1 <= n <= 2^64 - 1")
     twos = (n & -n).bit_length() - 1
     m = n >> twos
+    out = [(2, twos)] if twos else []
     if m < SPF_ENTRIES:
         if not _spf:
             _spf = _sieve_spf()
-        out = [(2, twos)] if twos else []
         while m > 1:
             p = _spf[m] or m
             m //= p
@@ -196,31 +196,28 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             out.append((p, e))
         return tuple(out)
-    if n > _TRIAL_SQUARE and is_prime(n):
-        return ((n, 1),)
+    if m > _TRIAL_SQUARE and is_prime(m):
+        return (*out, (m, 1))
     counts: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            # no prime <= sqrt(n) divides n, so n is 1 or prime
-            if n > 1:
-                counts[n] = 1
+    for p in itertools.islice(_SMALL_PRIMES, 1, None):   # m is odd
+        if p * p > m:
+            # no prime <= sqrt(m) divides m, so m is 1 or prime
+            if m > 1:
+                counts[m] = 1
             break
-        while n % p == 0:
+        while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
-            n //= p
-    else:   # every small prime tried, and n >= 4093^2 may still be composite
-        stack = [n]
+            m //= p
+    else:   # every small prime tried, and m >= 4093^2 may still be composite
+        stack = [m]
         while stack:
             m = stack.pop()
-            if m == 1:
-                continue
             if is_prime(m):
                 counts[m] = counts.get(m, 0) + 1
-                continue
-            d = _pollard_brent(m)
-            stack.append(d)
-            stack.append(m // d)
-    return tuple(sorted(counts.items()))
+            elif m > 1:
+                d = _pollard_brent(m)
+                stack += (d, m // d)
+    return (*out, *sorted(counts.items()))
 
 
 def padic_valuation(p: int, n: int) -> int:

@@ -100,6 +100,12 @@ def test_max_nontrivial_validation():
         max_nontrivial_char_sum({(0, 0)}, 1)
     with pytest.raises(ValueError):
         max_nontrivial_char_sum({(0, 7)}, 6)          # outside the group
+    for method in ("dft", "direct"):                  # both methods check the same way
+        with pytest.raises(ValueError):
+            max_nontrivial_char_sum(set(), 6, method=method)
+        for pairs in ({(0, 1), (7, 2)}, {(-1, 3)}):
+            with pytest.raises(ValueError, match="outside Z_6 x Z_6"):
+                max_nontrivial_char_sum(pairs, 6, method=method)
     with pytest.raises(ValueError):
         max_nontrivial_char_sum({(0, 0)}, 5000)       # beyond the DFT guard
     with pytest.raises(ValueError):
@@ -186,11 +192,26 @@ def test_pair_count_identity_transforms_a_once_when_b_is_a(monkeypatch):
     assert len(calls) == 1
 
 
-def test_pair_count_identity_validation():
+def test_pair_count_identity_validation(monkeypatch):
+    import numpy as np
+
     with pytest.raises(ValueError):
         pair_count_identity_check(set(), {(0, 0)}, 6)
     with pytest.raises(ValueError):
         pair_count_identity_check({(0, 0)}, set(), 6)
+    for order in (0, -3):
+        with pytest.raises(ValueError):
+            pair_count_identity_check({(0, 0)}, {(0, 0)}, order)
+    # pairs outside Z_6 x Z_6, in either set, are refused before the direct count
+    counted = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda *a: counted.append(1) or count_nonzero(*a))
+    good = {(0, 0), (1, 2)}
+    for bad in ((6, 0), (0, -1)):
+        for a, b in ((good | {bad}, good), (good, good | {bad})):
+            with pytest.raises(ValueError, match="outside Z_6 x Z_6"):
+                pair_count_identity_check(a, b, 6)
+    assert counted == []
 
 
 # ------------------------------------------------------------------ the B+B size bound
@@ -221,6 +242,20 @@ def test_bplusb_rejects_intersecting_sums():
         bplusb_bound_check(7, {(0, 3)}, 3)
     with pytest.raises(ValueError):
         bplusb_bound_check(7, set(), 3)
+    for b in ({(-1, 3)}, {(1, 6)}):
+        with pytest.raises(ValueError, match="outside Z_6 x Z_6"):
+            bplusb_bound_check(7, b)
+
+
+def test_bplusb_checks_the_dft_guard_before_building_a(monkeypatch):
+    from discrim import charsum
+
+    def refuse(*args):
+        raise AssertionError("build_A ran")
+
+    monkeypatch.setattr(charsum, "build_A", refuse)
+    with pytest.raises(ValueError, match="exceeds DFT guard"):
+        bplusb_bound_check(4099, {(0, 0)})
 
 
 # ------------------------------------------------------------------ the prime bound

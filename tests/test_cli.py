@@ -585,6 +585,15 @@ def test_output_file_writes_instead_of_stdout(tmp_path, capsys):
     assert rows[-1]["value"] == "8"
 
 
+@pytest.mark.parametrize("where", ["missing/rows.csv", "."])
+def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, where):
+    # a missing directory, or a directory
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "table", "--max", "8", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot open --output {target}: ") and err.count("\n") == 1
+
+
 def test_missing_subcommand_is_parser_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

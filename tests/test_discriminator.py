@@ -633,6 +633,16 @@ def test_recheck_rejects_tampered_witnesses():
     assert recheck_certificate(NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}))
 
 
+@pytest.mark.parametrize("witness", [None, [("rho", 6)], "rho", 6])
+def test_recheck_rejects_a_witness_that_is_not_a_dict(witness):
+    # one certificate per reason, each passing with the screen's own witness
+    for d in (9, 10, 7):
+        cert = nonvalue_screen(d)
+        assert cert.verdict == VERDICT_NON_VALUE and recheck_certificate(cert), d
+        assert recheck_certificate(cert._replace(witness=witness)) is False, d
+    assert {nonvalue_screen(d).reason for d in (9, 10, 7)} == {REASON_DIV3, REASON_PERIOD, REASON_IOTA}
+
+
 _TAMPERS = {"plus_one": lambda v: v + 1, "minus_one": lambda v: v - 1,
             "double": lambda v: 2 * v, "half": lambda v: v // 2}
 

@@ -151,10 +151,26 @@ def test_factorize_primes_and_semiprimes_past_trial_division():
     primes = list(sympy.primerange(4093**2, 4093**2 + 400)) + [2**61 - 1, 2**64 - 59]
     semis = [4091 * 4093, 4093 * 4099, 4099 * 4111, 4093**2, 4099**2, 65537 * 6700417,
              4294967291 * 4294967279]
+    # even n whose odd part needs rho, with or without small factors first
+    semis += [m << t for m in (4099 * 4111, 4099**2 * 4111, 15 * 4099 * 4111) for t in (1, 2, 17)]
     for n in primes:
         assert factorize(n) == ((n, 1),)
     for n in semis + list(range(4093**2 - 64, 4093**2 + 65)):
         assert dict(factorize(n)) == sympy.factorint(n), n
+
+
+def test_factorize_tests_a_large_prime_odd_part_once(monkeypatch):
+    # n = 2^t * q with a prime q past 4093^2: the 2^t is split off first, so
+    # q alone is tested, once, and no trial division runs
+    calls = []
+    real = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: calls.append(n) or real(n))
+    q_min = sympy.nextprime(4093**2)
+    for q, t in [(1000000007, 1), (1000000007, 34), (2**61 - 1, 2), (q_min, 1), (q_min, 39)]:
+        calls.clear()
+        fac = factorize(q << t)
+        assert calls == [q], (q, t)
+        assert fac == ((2, t), (q, 1)) and dict(fac) == sympy.factorint(q << t), (q, t)
 
 
 def test_factorize_matches_sympy_below_50000():
