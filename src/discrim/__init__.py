@@ -50,7 +50,6 @@ from .discriminator import (
 )
 from .numtheory import (
     artin_constant,
-    carmichael_lambda,
     factorize,
     is_prime,
     lte_valuation,
@@ -77,7 +76,6 @@ from .sequences import (
     parse_spec,
     polynomial,
     salajan,
-    salajan_term_exact,
     salajan_term_mod,
     term_exact,
 )

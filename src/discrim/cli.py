@@ -12,6 +12,8 @@ import argparse
 import csv
 import json
 import math
+import os
+import stat
 import sys
 
 from .census import (
@@ -327,12 +329,17 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.output:
+            # opened without truncating, and cut to what was written only once
+            # the handler returns, so a refused command leaves the file as it was
             try:
-                fh = open(args.output, "w")
+                fh = open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "w")
             except OSError as exc:
                 raise ValueError(f"cannot open --output {args.output}: {exc.strerror}") from None
             with fh:
-                return args.handler(args, fh)
+                code = args.handler(args, fh)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+                return code
         return args.handler(args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

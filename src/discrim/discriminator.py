@@ -79,7 +79,8 @@ def verify_discriminates(spec: SequenceSpec, n: int, m: int) -> bool:
 def _check_admissible(spec: SequenceSpec, n: int) -> None:
     """Raise SequenceNotAdmissible if two of v_1..v_n are equal. The exact
     terms are walked once, up to DEFAULT_EXACT_CAP, so a repeat inside the
-    cap is reported first and a longer prefix raises CapExceeded. Each term
+    cap is reported first and a longer prefix, or a term of more than
+    EXACT_TERM_BITS bits, raises CapExceeded. Each term
     is kept as a 16-byte digest, so memory does not grow with term size; a
     repeated digest counts once the exact terms agree, so only a 128-bit
     collision could hide a repeat."""

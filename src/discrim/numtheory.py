@@ -254,37 +254,24 @@ def _pow_mod_u32(base: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return r
 
 
-def carmichael_lambda(m: int, factors: Iterable[tuple[int, int]] | None = None) -> int:
-    """Exponent of the unit group mod m. `factors`, if given, is m's prime
-    factorization and saves factoring m; its primes are trusted, only its
-    product is checked."""
-    if m < 1:
-        raise ValueError("m must be positive")
+def mult_order(a: int, m: int, factors: Iterable[tuple[int, int]] | None = None) -> int:
+    """Least t >= 1 with a^t = 1 mod m, by reducing lambda(m), the unit group's
+    exponent. `factors`, if given, is m's prime factorization and saves
+    factoring m; its primes are trusted, only its product is checked."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    a %= m
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"gcd({a}, {m}) != 1, order undefined")
     if factors is None:
         factors = factorize(m)
     else:
         factors = tuple(factors)
         if math.prod(p**e for p, e in factors) != m:
             raise ValueError(f"factors {factors} do not multiply to {m}")
-    lam = 1
+    t = 1
     for p, e in factors:
-        if p == 2:
-            part = 2 ** max(e - 2, 0) if e >= 3 else 2 ** (e - 1)
-        else:
-            part = (p - 1) * p ** (e - 1)
-        lam = math.lcm(lam, part)
-    return lam
-
-
-def mult_order(a: int, m: int, factors: Iterable[tuple[int, int]] | None = None) -> int:
-    """Least t >= 1 with a^t = 1 mod m, via reduction of lambda(m); `factors`,
-    if given, is m's prime factorization and saves factoring m."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"gcd({a}, {m}) != 1, order undefined")
-    t = carmichael_lambda(m, factors)
+        t = math.lcm(t, 2 ** (e - 2) if p == 2 and e >= 3 else (p - 1) * p ** (e - 1))
     for q, _ in factorize(t):
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q

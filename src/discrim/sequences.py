@@ -15,6 +15,11 @@ POLYNOMIAL = "polynomial"
 
 DEFAULT_EXACT_CAP = 200_000
 
+# bits of the flagship's term at DEFAULT_EXACT_CAP, the longest exact term
+# that any walk of `exact_terms` yields; a faster-growing sequence is refused
+# there, so a walk costs at most what the flagship's walk to the cap costs
+EXACT_TERM_BITS = 316_991
+
 # a first-collision scan looks at most SCAN_TERM_CAP + 1 terms ahead and
 # raises CapExceeded past them: every answer up to SCAN_TERM_CAP stays exact,
 # and a scan that keeps a set (above MARK_BOUND, about 68 B a term) stays
@@ -110,17 +115,6 @@ def parse_spec(text: str) -> SequenceSpec:
     raise ValueError(f"unknown sequence kind {head!r}")
 
 
-def salajan_term_exact(j: int) -> int:
-    """Exact u_j = (3^j - 5(-1)^j)/4; refuses j > DEFAULT_EXACT_CAP to bound memory."""
-    if j < 1:
-        raise ValueError("index must be positive")
-    if j > DEFAULT_EXACT_CAP:
-        raise CapExceeded(f"exact term index {j} exceeds cap {DEFAULT_EXACT_CAP}")
-    sign = -1 if j % 2 else 1
-    num = 3**j - 5 * sign
-    return num // 4
-
-
 def salajan_term_mod(j: int, m: int) -> int:
     """u_j mod m in O(log j) time.
 
@@ -145,15 +139,17 @@ def _poly_eval(coeffs: tuple[int, ...], j: int) -> int:
 
 
 def term_exact(spec: SequenceSpec, j: int) -> int:
-    """Exact j-th term of any spec (test-oracle path, arbitrary precision)."""
+    """Exact j-th term of any spec (test-oracle path, arbitrary precision);
+    the flagship's is u_j = (3^j - 5(-1)^j)/4. Recurrences refuse
+    j > DEFAULT_EXACT_CAP to bound memory."""
     if j < 1:
         raise ValueError("index must be positive")
-    if spec.kind == SALAJAN:
-        return salajan_term_exact(j)
     if spec.kind == POLYNOMIAL:
         return _poly_eval(spec.coeffs, j)
     if j > DEFAULT_EXACT_CAP:
         raise CapExceeded(f"exact term index {j} exceeds cap {DEFAULT_EXACT_CAP}")
+    if spec.kind == SALAJAN:
+        return (3**j - 5 * (-1) ** j) // 4
     for t in exact_terms(spec, j):
         pass
     return t
@@ -161,14 +157,18 @@ def term_exact(spec: SequenceSpec, j: int) -> int:
 
 def exact_terms(spec: SequenceSpec, n: int):
     """Yield v_1, ..., v_n exactly: a recurrence is walked once, and the
-    terms of any other spec come one by one from `term_exact`."""
-    if spec.kind != LINEAR_RECURRENCE:
-        yield from (term_exact(spec, j) for j in range(1, n + 1))
-        return
-    c1, c2, x, y = spec.as_recurrence()
-    for _ in range(n):
-        yield x
-        x, y = y, c1 * y + c2 * x
+    terms of any other spec come one by one from `term_exact`. A term of
+    more than EXACT_TERM_BITS bits raises CapExceeded before it is yielded."""
+    if spec.kind == LINEAR_RECURRENCE:
+        c1, c2, x, y = spec.as_recurrence()
+    for j in range(1, n + 1):
+        if spec.kind == LINEAR_RECURRENCE:
+            t, x, y = x, y, c1 * y + c2 * x
+        else:
+            t = term_exact(spec, j)
+        if t.bit_length() > EXACT_TERM_BITS:
+            raise CapExceeded(f"exact term {j} has more than {EXACT_TERM_BITS} bits")
+        yield t
 
 
 def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:

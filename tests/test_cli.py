@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -81,6 +82,19 @@ def test_discriminate_polynomial_beyond_the_exact_cap_is_failure(capsys):
         capsys, "discriminate", "--seq", "poly:0,0,1", "--n", "200001", "--method", "brute"
     )
     assert (code, err) == (1, "failure: exact term index 200001 exceeds cap 200000\n")
+
+
+def test_discriminate_fast_growing_recurrence_is_refused_at_once(capsys):
+    # v_j grows by about 333 bits a step: the exact walk stops at term 957,
+    # the first longer than the flagship's term at the cap, instead of
+    # hashing 200000 ever longer terms
+    c = str(10**100)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "discriminate", "--seq", f"linrec:{c},{c},1,2", "--n", "200000", "--method", "brute"
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (1, "", "failure: exact term 957 has more than 316991 bits\n")
 
 
 def test_discriminate_cap_exhaustion_is_failure(capsys):
@@ -592,6 +606,31 @@ def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, where):
     code, out, err = run_cli(capsys, "table", "--max", "8", "--output", str(target))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot open --output {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("fset", "--max", "0"), 2),
+        (("discriminate", "--seq", "linrec:1,2,1,3", "--n", "500", "--method", "brute"), 1),
+    ],
+)
+def test_output_survives_a_failing_command(tmp_path, capsys, argv, code):
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"123456789")
+    assert run_cli(capsys, *argv, "--output", str(target))[:2] == (code, "")
+    assert target.read_bytes() == b"123456789"
+
+
+def test_output_leaves_no_tail_of_a_longer_file(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    target.write_text("x" * 1000)
+    assert run_cli(capsys, "table", "--max", "8", "--format", "csv", "--output", str(target))[0] == 0
+    assert target.read_text() == "start,end,value\n1,1,1\n2,2,2\n3,4,4\n5,8,8\n"
+
+
+def test_output_to_a_device_that_cannot_be_truncated(capsys):
+    assert run_cli(capsys, "table", "--max", "8", "--output", os.devnull) == (0, "", "")
 
 
 def test_missing_subcommand_is_parser_error():

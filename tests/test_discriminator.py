@@ -42,6 +42,7 @@ from discrim.periods import (
 )
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
+    EXACT_TERM_BITS,
     CapExceeded,
     SequenceNotAdmissible,
     exact_terms,
@@ -199,6 +200,15 @@ def test_admissibility_reports_a_repeat_before_the_exact_cap():
     message = f"^exact term index {DEFAULT_EXACT_CAP + 1} exceeds cap {DEFAULT_EXACT_CAP}$"
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(parse_spec("linrec:2,-1,1,2"), n)
+
+
+def test_admissibility_reports_a_repeat_before_an_oversized_term():
+    # (j - 1)(j - 2)·2^EXACT_TERM_BITS (+ j): term 3 is the first past the bound
+    c = 1 << EXACT_TERM_BITS
+    with pytest.raises(SequenceNotAdmissible, match="^terms 1 and 2 are both 0;"):
+        discriminator._check_admissible(polynomial(2 * c, -3 * c, c), 3)
+    with pytest.raises(CapExceeded, match=f"^exact term 3 has more than {EXACT_TERM_BITS} bits$"):
+        discriminator._check_admissible(polynomial(2 * c, 1 - 3 * c, c), 3)
 
 
 def test_brute_caps_and_validation():

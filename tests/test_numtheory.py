@@ -14,7 +14,6 @@ from discrim.numtheory import (
     U64_MAX,
     _pow_mod_u32,
     artin_constant,
-    carmichael_lambda,
     factorize,
     is_prime,
     iter_prime_blocks,
@@ -254,18 +253,12 @@ def test_pow_mod_u32_matches_builtin():
 # ------------------------------------------------------------------ unit group
 
 
-def test_lambda_matches_sympy_below_500():
-    for n in range(1, 501):
-        assert carmichael_lambda(n) == sympy.reduced_totient(n), n
-
-
-def test_lambda_anchors():
-    assert carmichael_lambda(1) == 1
-    assert carmichael_lambda(8) == 2
-    assert carmichael_lambda(16) == 4
-    assert carmichael_lambda(2) == 1
-    with pytest.raises(ValueError):
-        carmichael_lambda(0)
+def test_mult_order_matches_sympy_below_500():
+    for n in range(2, 501):
+        orders = [mult_order(a, n) for a in range(1, n) if math.gcd(a, n) == 1]
+        assert orders == [sympy.n_order(a, n) for a in range(1, n) if math.gcd(a, n) == 1], n
+        # the largest order is lambda(n), the exponent of the unit group
+        assert max(orders) == sympy.reduced_totient(n), n
 
 
 @pytest.mark.parametrize("a,m,order", [(3, 5, 4), (9, 20, 2), (2, 9, 6), (9, 1228, 17)])
@@ -282,13 +275,12 @@ def test_mult_order_errors():
     with pytest.raises(ValueError):
         mult_order(3, 20, ((2, 1), (5, 1)))   # a factorization of 10, not of 20
     with pytest.raises(ValueError):
-        carmichael_lambda(20, ((2, 2),))
+        mult_order(3, 20, ((2, 2),))
 
 
 def test_known_factorization_agrees_below_3000():
     for m in range(2, 3001):
         fac = factorize(m)
-        assert carmichael_lambda(m, fac) == carmichael_lambda(m), m
         for a in (2, 3, 9, m - 1):
             if math.gcd(a, m) == 1:
                 assert mult_order(a, m, fac) == mult_order(a, m), (a, m)
@@ -302,7 +294,7 @@ def test_mult_order_properties(m, a):
         a = 1
     t = mult_order(a, m)
     assert pow(a, t, m) == 1
-    assert carmichael_lambda(m) % t == 0
+    assert sympy.reduced_totient(m) % t == 0
     # minimality at the prime shavings of t
     for q, _ in factorize(t):
         assert pow(a, t // q, m) != 1

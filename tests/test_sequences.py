@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from discrim import sequences
 from discrim.sequences import (
     DEFAULT_EXACT_CAP,
+    EXACT_TERM_BITS,
     CapExceeded,
     SequenceSpec,
     distinct_prefix_length,
+    exact_terms,
     linear_recurrence,
     parse_spec,
     polynomial,
     salajan,
-    salajan_term_exact,
     salajan_term_mod,
     term_exact,
 )
@@ -39,7 +40,7 @@ ORACLE_400 = recurrence_oracle(400)
 def test_first_terms_match_recurrence():
     assert ORACLE_400[:9] == [2, 1, 8, 19, 62, 181, 548, 1639, 4922]
     for j in range(1, 401):
-        assert salajan_term_exact(j) == ORACLE_400[j - 1]
+        assert term_exact(salajan(), j) == ORACLE_400[j - 1]
 
 
 def test_closed_form_identity():
@@ -47,7 +48,7 @@ def test_closed_form_identity():
     for j in range(1, 200):
         num = 3**j - 5 * (-1) ** j
         assert num % 4 == 0
-        assert salajan_term_exact(j) == num // 4
+        assert term_exact(salajan(), j) == num // 4
 
 
 def test_term_exact_generic_kinds():
@@ -62,8 +63,6 @@ def test_term_exact_generic_kinds():
 
 def test_term_caps():
     with pytest.raises(CapExceeded):
-        salajan_term_exact(DEFAULT_EXACT_CAP + 1)
-    with pytest.raises(CapExceeded):
         term_exact(salajan(), DEFAULT_EXACT_CAP + 1)
     with pytest.raises(CapExceeded):
         term_exact(linear_recurrence(1, 1, 0, 1), DEFAULT_EXACT_CAP + 1)
@@ -71,9 +70,27 @@ def test_term_caps():
     assert term_exact(polynomial(0, 1), 10**6) == 10**6
 
 
+def test_exact_walk_refuses_a_term_past_the_flagships_at_the_cap():
+    # the bound is the flagship's own term at the cap, so the flagship and
+    # any recurrence with its terms (linrec:2,3,2,1) never reach it
+    assert term_exact(salajan(), DEFAULT_EXACT_CAP).bit_length() == EXACT_TERM_BITS
+    top = 1 << (EXACT_TERM_BITS - 1)
+    assert list(exact_terms(polynomial(top), 2)) == [top, top]
+    with pytest.raises(CapExceeded, match=f"^exact term 1 has more than {EXACT_TERM_BITS} bits$"):
+        next(exact_terms(polynomial(-2 * top), 1))
+    # v_j has about 333 bits per step: term 957 is the first past the bound
+    spec = parse_spec("linrec:" + ",".join([str(10**100)] * 2) + ",1,2")
+    walk = exact_terms(spec, 5000)
+    assert max(t.bit_length() for _, t in zip(range(956), walk)) <= EXACT_TERM_BITS
+    with pytest.raises(CapExceeded, match=f"^exact term 957 has more than {EXACT_TERM_BITS} bits$"):
+        next(walk)
+    with pytest.raises(CapExceeded, match="^exact term 957 "):
+        term_exact(spec, 1000)
+
+
 def test_term_index_validation():
     with pytest.raises(ValueError):
-        salajan_term_exact(0)
+        term_exact(salajan(), 0)
     with pytest.raises(ValueError):
         salajan_term_mod(0, 7)
     with pytest.raises(ValueError):
