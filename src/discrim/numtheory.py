@@ -2,9 +2,10 @@
 
 Everything here is deterministic. Primality uses a Miller-Rabin witness set
 that is exhaustive for 64-bit inputs, factoring splits off 2^t, reads a small
-odd part from a smallest-prime-factor table and factors a larger one by trial
-division plus Pollard rho with Brent cycling, and multiplicative orders are
-computed by reducing the Carmichael exponent rather than by iteration.
+odd part from a smallest-prime-factor table, takes the primes up to 4093 out
+of a larger one through one gcd with their product and splits what is left
+by Pollard rho with Brent cycling, and multiplicative orders are computed by
+reducing the Carmichael exponent rather than by iteration.
 """
 
 from __future__ import annotations
@@ -92,7 +93,10 @@ def _small_sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES: list[int] = _small_sieve(4096)
-# above this, trial division runs through every odd one of _SMALL_PRIMES
+# gcd(m, _SMALL_ODD_PRODUCT) is the product of the odd primes up to 4093 that
+# divide m, each once (about 5,810 bits)
+_SMALL_ODD_PRODUCT = math.prod(_SMALL_PRIMES[1:])
+# a number with no prime factor up to 4093 is 1 or prime up to this square
 _TRIAL_SQUARE = _SMALL_PRIMES[-1] ** 2
 
 
@@ -184,9 +188,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     twos = (n & -n).bit_length() - 1
     m = n >> twos
     out = [(2, twos)] if twos else []
+    if not _spf:
+        _spf = _sieve_spf()
     if m < SPF_ENTRIES:
-        if not _spf:
-            _spf = _sieve_spf()
         while m > 1:
             p = _spf[m] or m
             m //= p
@@ -196,28 +200,38 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             out.append((p, e))
         return tuple(out)
-    if m > _TRIAL_SQUARE and is_prime(m):
-        return (*out, (m, 1))
-    counts: dict[int, int] = {}
-    for p in itertools.islice(_SMALL_PRIMES, 1, None):   # m is odd
-        if p * p > m:
-            # no prime <= sqrt(m) divides m, so m is 1 or prime
-            if m > 1:
-                counts[m] = 1
-            break
+    # g is the product of the odd primes up to 4093 that divide m, each once;
+    # its least prime is read from the table once g fits in it, and found by a
+    # scan of _SMALL_PRIMES before that
+    g = math.gcd(m, _SMALL_ODD_PRODUCT)
+    i = 1
+    while g > 1:
+        if g < SPF_ENTRIES:
+            p = _spf[g] or g
+        else:
+            while g % _SMALL_PRIMES[i]:
+                i += 1
+            p = _SMALL_PRIMES[i]
+        m //= p
+        e = 1
         while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
             m //= p
-    else:   # every small prime tried, and m >= 4093^2 may still be composite
+            e += 1
+        out.append((p, e))
+        g //= p
+    if m > 1:
+        # no prime up to 4093 divides m, so any part of it up to 4093^2 is prime
+        counts: dict[int, int] = {}
         stack = [m]
         while stack:
             m = stack.pop()
-            if is_prime(m):
+            if m <= _TRIAL_SQUARE or is_prime(m):
                 counts[m] = counts.get(m, 0) + 1
-            elif m > 1:
+            else:
                 d = _pollard_brent(m)
                 stack += (d, m // d)
-    return (*out, *sorted(counts.items()))
+        out += sorted(counts.items())
+    return tuple(out)
 
 
 def padic_valuation(p: int, n: int) -> int:

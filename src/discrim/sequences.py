@@ -171,14 +171,23 @@ def exact_terms(spec: SequenceSpec, n: int):
         yield t
 
 
+def _poly_residues(coeffs: tuple[int, ...], m: int, steps: int):
+    """Yield p(1), ..., p(steps) mod m by Horner mod m, over the coefficients
+    reduced once, so that no term is ever evaluated exactly."""
+    top = [a % m for a in reversed(coeffs)]
+    for j in range(1, steps + 1):
+        acc = 0
+        for a in top:
+            acc = (acc * j + a) % m
+        yield acc
+
+
 def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:
     """Index of the first repeat mod m among the first `steps` terms, or
     `steps`; seen residues are marked in a bytearray(m)."""
     seen = bytearray(m)
     if spec.kind == POLYNOMIAL:
-        coeffs = spec.coeffs
-        for k in range(steps):
-            r = _poly_eval(coeffs, k + 1) % m
+        for k, r in enumerate(_poly_residues(spec.coeffs, m, steps)):
             if seen[r]:
                 return k
             seen[r] = 1
@@ -198,9 +207,7 @@ def _set_scan(spec: SequenceSpec, m: int, steps: int) -> int:
     seen = set()
     add = seen.add
     if spec.kind == POLYNOMIAL:
-        coeffs = spec.coeffs
-        for k in range(steps):
-            r = _poly_eval(coeffs, k + 1) % m
+        for k, r in enumerate(_poly_residues(spec.coeffs, m, steps)):
             if r in seen:
                 return k
             add(r)

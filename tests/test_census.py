@@ -55,11 +55,29 @@ def test_classify_anchors(p, pclass):
 
 
 def test_classify_ord3_above_the_trial_square():
-    # above 4093^2 factorize proves primality itself before any trial division
+    # above 4093^2 the part of p - 1 left after its primes up to 4093 are
+    # taken out is tested by Miller-Rabin, and split by rho if composite
     primes = list(sympy.primerange(10**9, 10**9 + 1000))
     assert len(primes) > 20
     for p in primes:
         assert classify_prime(p).ord3 == sympy.n_order(3, p), p
+
+
+def test_classify_matches_sympy_over_the_census_range():
+    # a seeded sample spread over [10^6, 10^9], the census workload's range,
+    # where p - 1 mostly has an odd part past the smallest-prime-factor table
+    rng = random.Random(27)
+    primes = [sympy.nextprime(rng.randrange(lo, 10 * lo)) for lo in (10**6, 10**7, 10**8)
+              for _ in range(100)]
+    seen = set()
+    for p in primes:
+        rec = classify_prime(p)
+        ord3 = sympy.n_order(3, p)
+        assert rec.ord3 == ord3, p
+        want = {(1, p - 1): "P1", (3, p - 1): "P3", (3, (p - 1) // 2): "P2"}
+        assert rec.pclass == want.get((p % 4, ord3), "none"), p
+        seen.add(rec.pclass)
+    assert seen == {"P1", "P2", "P3", "none"}
 
 
 def test_classify_rules():

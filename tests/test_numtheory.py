@@ -213,6 +213,47 @@ def test_factorize_trusts_trial_division_below_the_trial_square(monkeypatch):
     assert calls == []
 
 
+def test_small_odd_product_matches_sympy():
+    assert numtheory._SMALL_ODD_PRODUCT == math.prod(sympy.primerange(3, 4094))
+    assert numtheory._TRIAL_SQUARE == 4093**2
+
+
+def gcd_path_cases():
+    """Odd parts from 2^17 on that stress the one gcd with the small primes'
+    product, each also shifted by 2^t while it fits in 64 bits."""
+    q = sympy.nextprime(4093**2)          # the least prime past the trial square
+    top = sympy.prevprime(4093**2)        # the largest prime below it
+    seven = 3 * 5 * 7 * 11 * 13 * 17 * 19   # 4,849,845, past the table
+    odd = [
+        # the small part g is 2^17 or more
+        seven, seven * 23, seven * q, seven * 1000000007, seven * 4099 * 4111,
+        367 * 373, 367 * 373 * q, 4001 * 4003 * 4007 * 4013 * 4019,
+        3 * 4001 * 4003 * 4007 * 4013, 4079 * 4091 * 4093 * q,
+        # high powers of small primes next to a large cofactor
+        3**25 * q, 3**2 * 4091**3 * q, 3**20 * 4091**2, 3**20 * q, 5**13 * 4093 * 4099,
+        4091**5, 3**2 * 4093**5, 3**13 * 4099**2, 7**18 * 4099,
+        # the largest prime below 4093^2, alone and with small primes
+        top, 3 * top, 3**5 * 5**3 * top, 4091 * top, seven * top, top**2, top * q,
+        4093 * top, 3 * 4093 * top,
+    ]
+    assert all(m % 2 and 2**17 <= m <= U64_MAX for m in odd)
+    return [m << t for m in odd for t in (0, 1, 2, 17, 40, 63) if m << t <= U64_MAX]
+
+
+def test_factorize_gcd_path_matches_sympy(monkeypatch):
+    # only a part with no prime up to 4093 and past 4093^2 is ever tested
+    calls = []
+    real = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: calls.append(n) or real(n))
+    cases = gcd_path_cases()
+    assert len(cases) > 90
+    for n in cases:
+        fac = factorize(n)
+        assert list(fac) == sorted(fac) and dict(fac) == sympy.factorint(n), n
+    assert calls and all(c > 4093**2 and math.gcd(c, numtheory._SMALL_ODD_PRODUCT) == 1
+                         for c in calls)
+
+
 # ------------------------------------------------------------------ valuations
 
 

@@ -1,5 +1,6 @@
 """Sequence providers, checked against the raw recurrence as the oracle."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -279,6 +280,41 @@ def test_polynomial_prefix_length_matches_set_reference(coeffs, m, data):
     # any polynomial: a constant repeats at once, and a + b*j with b a unit
     # mod m runs all m terms
     check_against_set_reference(polynomial(*coeffs), m, data.draw(limits(m)))
+
+
+def test_degree_300_polynomial_matches_its_exact_terms():
+    # h((j - 50)^2) takes equal values at j = 49 and j = 51 whatever the
+    # modulus, so every scan repeats by its 51st term; h has random signed
+    # coefficients, so the degree-300 polynomial has signed ones of up to
+    # about 1,700 bits, which the scans reduce mod m once
+    rng = random.Random(300)
+    coeffs = [0]   # h((j - 50)^2) by Horner over h's coefficients, lowest first
+    for c in [rng.randint(-10**6, 10**6) for _ in range(151)]:
+        # coeffs * (j^2 - 100 j + 2500) + c
+        shifted = [2500 * a for a in coeffs] + [0, 0]
+        for i, a in enumerate(coeffs):
+            shifted[i + 1] -= 100 * a
+            shifted[i + 2] += a
+        shifted[0] += c
+        coeffs = shifted
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    assert len(coeffs) == 301 and min(coeffs) < 0 < max(coeffs)
+    spec = polynomial(*coeffs)
+    terms = [term_exact(spec, j) for j in range(1, 1011)]
+
+    def first_repeat(m, limit):
+        residues = [t % m for t in terms[:limit]]
+        return next((k for k in range(limit) if residues[k] in residues[:k]), limit)
+
+    # bytearray marks up to MARK_BOUND, a set past it
+    for m in (1, 2, 97, 1009, 2**16 + 1, sequences.MARK_BOUND):
+        for limit in (1, 40, min(m + 1, 1010)):
+            assert distinct_prefix_length(spec, m, limit) == first_repeat(m, limit), (m, limit)
+    for m in (sequences.MARK_BOUND + 1, 2**61 - 1, 10**40 + 121):
+        for limit in (1, 40, 60):
+            assert distinct_prefix_length(spec, m, limit) == first_repeat(m, limit), (m, limit)
+    assert first_repeat(10**40 + 121, 60) == 50
 
 
 @pytest.mark.parametrize(
