@@ -352,9 +352,5 @@ def run(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

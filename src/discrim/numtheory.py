@@ -1,11 +1,12 @@
 """Exact integer building blocks: primality, factoring, orders, valuations.
 
 Everything here is deterministic. Primality uses a Miller-Rabin witness set
-that is exhaustive for 64-bit inputs, factoring splits off 2^t, reads a small
-odd part from a smallest-prime-factor table, takes the primes up to 4093 out
-of a larger one through one gcd with their product and splits what is left
-by Pollard rho with Brent cycling, and multiplicative orders are computed by
-reducing the Carmichael exponent rather than by iteration.
+that is exhaustive for 64-bit inputs, factoring splits off 2^t, takes the
+primes up to 4093 out of a large odd part through one gcd with their product,
+reads an odd part from a smallest-prime-factor table as soon as it is below
+2^17 and splits a rest that stays larger by Pollard rho with Brent cycling,
+and multiplicative orders are computed by reducing the Carmichael exponent
+rather than by iteration.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-# odd numbers below this are factored from `_spf`: _spf[m] is the least prime
+# odd parts below this are factored from `_spf`: _spf[m] is the least prime
 # factor of an odd composite m and 0 for an odd prime (even entries are never
 # read). Every such factor is at most isqrt(2^17) = 362, so "H" holds it and
 # the table takes 256 KB; it is sieved on first use, in about 2 ms.
@@ -190,20 +191,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     out = [(2, twos)] if twos else []
     if not _spf:
         _spf = _sieve_spf()
-    if m < SPF_ENTRIES:
-        while m > 1:
-            p = _spf[m] or m
-            m //= p
-            e = 1
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
-    # g is the product of the odd primes up to 4093 that divide m, each once;
-    # its least prime is read from the table once g fits in it, and found by a
-    # scan of _SMALL_PRIMES before that
-    g = math.gcd(m, _SMALL_ODD_PRODUCT)
+    # g is m while m fits the table, and before that the product of the odd
+    # primes up to 4093 that divide m, each once; its least prime is read from
+    # the table once g fits in it, and found by a scan of _SMALL_PRIMES before
+    # that
+    g = m if m < SPF_ENTRIES else math.gcd(m, _SMALL_ODD_PRODUCT)
     i = 1
     while g > 1:
         if g < SPF_ENTRIES:
@@ -218,9 +210,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             m //= p
             e += 1
         out.append((p, e))
-        g //= p
+        # once what is left of m fits the table, the table reads all of it
+        g = m if m < SPF_ENTRIES else g // p
     if m > 1:
-        # no prime up to 4093 divides m, so any part of it up to 4093^2 is prime
+        # m is 2^17 or more and no prime up to 4093 divides it, so any part of
+        # it up to 4093^2 is prime
         counts: dict[int, int] = {}
         stack = [m]
         while stack:

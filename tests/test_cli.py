@@ -10,7 +10,7 @@ import time
 import pytest
 
 from discrim import census, charsum, cli, discriminator, periods, sequences
-from discrim.cli import build_parser, main
+from discrim.cli import build_parser, run
 from discrim.census import fset_member_interval
 from discrim.discriminator import table_ranges
 from discrim.numtheory import artin_constant
@@ -19,7 +19,7 @@ from discrim.verify import SUITES, CheckResult, run_suites
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -186,7 +186,8 @@ def test_factorize_matches_sympy_to_2_18():
 
 def test_factorize_matches_sympy_at_the_table_edge():
     # 2^k * m with an odd m on either side of the table's last entry: read
-    # from the table below it, trial-divided from it on
+    # from the table below it, and from it on passed through the gcd with the
+    # small primes' product until what is left fits the table
     assert numtheory.SPF_ENTRIES == 2**17
     for k in range(41):
         for m in range(2**17 - 99, 2**17 + 101, 2):
@@ -195,8 +196,9 @@ def test_factorize_matches_sympy_at_the_table_edge():
 
 
 def test_factorize_trusts_trial_division_below_the_trial_square(monkeypatch):
-    # below 4093^2 trial division stops at p*p > n, which proves the
-    # cofactor prime, so no Miller-Rabin test is needed
+    # below 4093^2 a part with no prime factor up to 4093 is prime, and an
+    # odd part below 2^17 is read from the table, so no Miller-Rabin test is
+    # needed
     calls = []
     real = numtheory.is_prime
 
@@ -220,7 +222,8 @@ def test_small_odd_product_matches_sympy():
 
 def gcd_path_cases():
     """Odd parts from 2^17 on that stress the one gcd with the small primes'
-    product, each also shifted by 2^t while it fits in 64 bits."""
+    product and the handover to the table, each also shifted by 2^t while it
+    fits in 64 bits."""
     q = sympy.nextprime(4093**2)          # the least prime past the trial square
     top = sympy.prevprime(4093**2)        # the largest prime below it
     seven = 3 * 5 * 7 * 11 * 13 * 17 * 19   # 4,849,845, past the table
@@ -235,6 +238,9 @@ def gcd_path_cases():
         # the largest prime below 4093^2, alone and with small primes
         top, 3 * top, 3**5 * 5**3 * top, 4091 * top, seven * top, top**2, top * q,
         4093 * top, 3 * 4093 * top,
+        # what is left of m falls below 2^17 partway, and the table reads the
+        # rest (2^17 - 1 is prime)
+        3 * 5 * 7 * 4099, 5 * 131071, 3**2 * 5 * 131071, 3**11 * 4099,
     ]
     assert all(m % 2 and 2**17 <= m <= U64_MAX for m in odd)
     return [m << t for m in odd for t in (0, 1, 2, 17, 40, 63) if m << t <= U64_MAX]
