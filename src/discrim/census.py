@@ -202,8 +202,10 @@ def _fset_pass(b_max: int):
     low bits, lo rounded down and hi up. When lo and hi have the same bit
     length L, bitlen(5^b) = L + s exactly; otherwise 5^b is computed whole
     and the bracket starts again from it. No value of log2(5) enters, so the
-    Weyl criterion stays an independent check.
+    Weyl criterion stays an independent check. b_max past FSET_B_CAP
+    raises CapExceeded before the first record.
     """
+    check_fset_bound(b_max)
     width = _BRACKET_BITS
     lo = hi = 1   # lo*2^s <= 5^(b-1) <= hi*2^s
     s = 0
@@ -242,7 +244,6 @@ def fset_scan_interval(b_max: int) -> list[FsetRecord]:
     """
     if b_max < 1:
         raise ValueError("b_max must be positive")
-    check_fset_bound(b_max)
     return [FsetRecord(b, member, None if member else k) for b, k, member in _fset_pass(b_max)]
 
 
@@ -296,6 +297,5 @@ def fset_count(x: int) -> tuple[int, float, float]:
     one exact pass cross-checked against the Weyl criterion at every b."""
     if x < 1:
         raise ValueError("x must be positive")
-    check_fset_bound(x)
     count = sum(_weyl_checked(b, member) for b, _, member in _fset_pass(x))
     return count, count / x, BETA

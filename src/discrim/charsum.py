@@ -2,7 +2,8 @@
 
 A = {(x, y) : 3g^x - g^y = 30 mod p} for a primitive root g mod p. The set
 has exactly p-2 elements, its maximal nontrivial character sum |A^| sits in
-[sqrt(p-2), sqrt(p)), and the standard orthogonality identity counts pairs
+[sqrt(p-2), sqrt(p)], where it equals sqrt(p) exactly (it is the modulus of
+a Jacobi sum), and the standard orthogonality identity counts pairs
 (b, b') with b + b' in A. These are desk-scale numeric verifications, not a
 production path, so the sizes are guarded.
 """

@@ -21,7 +21,6 @@ from .charsum import prime_lemma_bound
 from .numtheory import is_prime
 from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
-    DEFAULT_EXACT_CAP,
     SALAJAN,
     SCAN_TERM_CAP,
     CapExceeded,
@@ -78,27 +77,23 @@ def verify_discriminates(spec: SequenceSpec, n: int, m: int) -> bool:
 
 def _check_admissible(spec: SequenceSpec, n: int) -> None:
     """Raise SequenceNotAdmissible if two of v_1..v_n are equal. The exact
-    terms are walked once, up to DEFAULT_EXACT_CAP, so a repeat inside the
-    cap is reported first and a longer prefix, or a term of more than
-    EXACT_TERM_BITS bits, raises CapExceeded. Each term
-    is kept as a 16-byte digest, so memory does not grow with term size; a
-    repeated digest counts once the exact terms agree, so only a 128-bit
-    collision could hide a repeat."""
+    terms are walked once by `exact_terms`, whose CapExceeded past its caps
+    comes only after every earlier term, so a repeat among those is reported
+    first. Each term is kept as a 16-byte digest, so memory does not grow
+    with term size; a repeated digest counts once the exact terms agree, so
+    only a 128-bit collision could hide a repeat."""
     try:
         from _blake2 import blake2b   # what hashlib hands out, without loading OpenSSL
     except ImportError:
         from hashlib import blake2b
-    walk = min(n, DEFAULT_EXACT_CAP)
     seen: dict[bytes, int] = {}
-    for j, t in enumerate(exact_terms(spec, walk), start=1):
+    for j, t in enumerate(exact_terms(spec, n), start=1):
         raw = t.to_bytes(t.bit_length() // 8 + 1, "little", signed=True)
         i = seen.setdefault(blake2b(raw, digest_size=16).digest(), j)
         if i != j and term_exact(spec, i) == t:
             raise SequenceNotAdmissible(
                 f"terms {i} and {j} are both {t}; no modulus can separate them"
             )
-    if walk < n:
-        raise CapExceeded(f"exact term index {walk + 1} exceeds cap {DEFAULT_EXACT_CAP}")
 
 
 # Exact first-collision lengths iota(m), one array of unsigned 4-byte ints per
@@ -110,6 +105,14 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 # first-collision scan, so the array holds at most 2^22 + 1 entries (16 MB).
 _IOTA_MEMO: dict[SequenceSpec, array] = {}
 
+# the most terms the fresh scans of one sweep may read, counted as they are
+# recorded in the memo (a memo hit reads none): `verify --nmax 65536` reads
+# 189,328,104 (18 s on 2 cores), and a bare `discriminate --n 2000000` stops
+# after about 26 s, where it would run for about 18 minutes. It is not the
+# CLI's SPAN_TERM_BUDGET, a worst case checked before any work: the sweep's
+# worst case, about 1.5*n^2 terms, would refuse `--nmax 65536` outright
+SWEEP_TERM_BUDGET = 1 << 28
+
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
     """[D(lo), ..., D(hi)] by brute force over moduli up to
@@ -117,7 +120,8 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     flagship sequence, 4*hi otherwise). m separates the first n <= hi terms
     iff iota(m) >= n, and D is nondecreasing, so one m that only moves up
     from lo serves every n. iota(m) is read from the memo, or else scanned
-    in full (limit m, since iota(m) <= m) and recorded.
+    in full (limit m, since iota(m) <= m) and recorded; once the recorded
+    lengths of one call pass SWEEP_TERM_BUDGET, the sweep raises CapExceeded.
     """
     if search_cap is None:
         search_cap = 2 * hi if spec.kind == SALAJAN else 4 * hi
@@ -131,7 +135,7 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
         memo = _IOTA_MEMO[spec] = array("I")
 
     values = []
-    m, k = lo - 1, 0
+    m, k, spent = lo - 1, 0, 0
     for n in range(lo, hi + 1):
         while k < n:
             m += 1
@@ -139,9 +143,12 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
                 raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
             if m >= len(memo):
                 memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
-            if not memo[m]:
-                memo[m] = distinct_prefix_length(spec, m, m)
             k = memo[m]
+            if not k:
+                k = memo[m] = distinct_prefix_length(spec, m, m)
+                spent += k
+                if spent > SWEEP_TERM_BUDGET:
+                    raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
         values.append(m)
     return values
 
@@ -177,12 +184,10 @@ def discriminator_table(spec: SequenceSpec, n_max: int) -> list[int]:
 
 def _closed_powers(n: int) -> tuple[int, int]:
     """(2^e, 5^f) with e least such that 2^e >= n and f least such that
-    4*5^f >= 5n; repeated multiplication instead of logarithms because
-    boundaries like n = 4*5^k + 1 sit exactly where floating point rounds the
-    wrong way."""
-    pow2 = 1
-    while pow2 < n:
-        pow2 <<= 1
+    4*5^f >= 5n; bit lengths and repeated multiplication instead of
+    logarithms because boundaries like n = 4*5^k + 1 sit exactly where
+    floating point rounds the wrong way."""
+    pow2 = 1 << (n - 1).bit_length()
     pow5 = 1
     while 4 * pow5 < 5 * n:
         pow5 *= 5
@@ -258,9 +263,8 @@ def _attach_big_prime_report(d: int, witness: dict) -> None:
     # prime discriminating that many terms must exceed floor(n/4)^(4/3)
     if d > BIG_PRIME_REPORT_FLOOR and is_prime(d):
         min_n = (d + 1) // 2
-        if min_n >= 4:
-            witness["prime_min_n"] = min_n
-            witness["prime_floor_bound"] = prime_lemma_bound(min_n)
+        witness["prime_min_n"] = min_n
+        witness["prime_floor_bound"] = prime_lemma_bound(min_n)
 
 
 def nonvalue_screen(d: int) -> NonValueCertificate:

@@ -91,18 +91,18 @@ def period_brute(spec: SequenceSpec, d: int) -> PeriodInfo:
             period = i * (i + 1) // 2 - j
             break
         babies[x * d + y] = i
-    if not 0 < period < cap:
+    # the pointers meet at pre_period, or pre_period + period passes the cap
+    pre_period = 1
+    if lead and 0 < period < cap:
+        x, y = _matrix_power_apply(c1, c2, period, d, x0, y0)
+        a, b = x0, y0
+        while (a != x or b != y) and pre_period + period <= cap:
+            pre_period += 1
+            a, b = b, (c1 * b + c2 * a) % d
+            x, y = y, (c1 * y + c2 * x) % d
+    if not 0 < period < cap or pre_period + period > cap:
         raise CapExceeded(f"no repeated state within {cap} steps mod {d}")
-    if not lead:
-        return PeriodInfo(d, 1, period)
-    x, y = _matrix_power_apply(c1, c2, period, d, x0, y0)
-    a, b = x0, y0
-    for pre_period in range(1, cap - period + 1):
-        if a == x and b == y:
-            return PeriodInfo(d, pre_period, period)
-        a, b = b, (c1 * b + c2 * a) % d
-        x, y = y, (c1 * y + c2 * x) % d
-    raise CapExceeded(f"no repeated state within {cap} steps mod {d}")
+    return PeriodInfo(d, pre_period, period)
 
 
 def _matrix_power_apply(c1: int, c2: int, n: int, d: int, x: int, y: int) -> tuple[int, int]:

@@ -157,11 +157,15 @@ def term_exact(spec: SequenceSpec, j: int) -> int:
 
 def exact_terms(spec: SequenceSpec, n: int):
     """Yield v_1, ..., v_n exactly: a recurrence is walked once, and the
-    terms of any other spec come one by one from `term_exact`. A term of
-    more than EXACT_TERM_BITS bits raises CapExceeded before it is yielded."""
+    terms of any other spec come one by one from `term_exact`. Term
+    DEFAULT_EXACT_CAP + 1, or a term of more than EXACT_TERM_BITS bits,
+    raises CapExceeded when it is asked for, so every term before it is
+    yielded first."""
     if spec.kind == LINEAR_RECURRENCE:
         c1, c2, x, y = spec.as_recurrence()
     for j in range(1, n + 1):
+        if j > DEFAULT_EXACT_CAP:
+            raise CapExceeded(f"exact term index {j} exceeds cap {DEFAULT_EXACT_CAP}")
         if spec.kind == LINEAR_RECURRENCE:
             t, x, y = x, y, c1 * y + c2 * x
         else:

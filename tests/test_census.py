@@ -289,6 +289,9 @@ def test_fset_passes_refuse_b_past_the_cap():
     for scan in (fset_scan_interval, census.fset_scan_checked, fset_count):
         with pytest.raises(CapExceeded, match="F-set bound 262145 exceeds cap 262144"):
             scan(census.FSET_B_CAP + 1)
+    # the pass that they share refuses before its first record
+    with pytest.raises(CapExceeded, match="F-set bound 262145 exceeds cap 262144"):
+        next(census._fset_pass(census.FSET_B_CAP + 1))
 
 
 @pytest.mark.parametrize("width", [1, 4, 8, 16])

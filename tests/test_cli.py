@@ -114,6 +114,19 @@ def test_discriminate_past_the_memo_limit_fails_at_once(capsys, method):
         1, "", "failure: no modulus <= 4194304 separates the first 1000000000000 terms\n")
 
 
+@pytest.mark.parametrize("seq,n,budget", [("salajan", 200, 2627), ("poly:0,0,1", 100, 3752)])
+def test_discriminate_past_the_sweep_budget_is_failure(capsys, monkeypatch, seq, n, budget):
+    # the scans from n up to D(n) read one term more than the budget:
+    # iota(m) for 200 <= m <= 256 and for the squares' 100 <= m <= 202
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", budget)
+    code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
+    assert (code, out, err) == (1, "", f"failure: sweep scans read more than {budget} terms by n = {n}\n")
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", budget + 1)
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
+    assert code == 0 and not err
+
+
 def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         discriminator,

@@ -202,6 +202,20 @@ def test_admissibility_reports_a_repeat_before_the_exact_cap():
         discriminator_brute(parse_spec("linrec:2,-1,1,2"), n)
 
 
+def test_admissibility_takes_its_cap_from_the_exact_walk(monkeypatch):
+    # the walk's own cap reaches the admissibility check; a repeat inside it
+    # is still reported first, even at the last term before it
+    monkeypatch.setattr(sequences, "DEFAULT_EXACT_CAP", 50)
+    with pytest.raises(SequenceNotAdmissible, match="^terms 1 and 2 are both 3;"):
+        discriminator._check_admissible(parse_spec("linrec:1,0,3,3"), 60)
+    with pytest.raises(SequenceNotAdmissible, match="^terms 1 and 50 are both 0;"):
+        discriminator._check_admissible(polynomial(0, 0, 50, -51, 1), 60)   # (j - 1)(j - 50)j^2
+    discriminator._check_admissible(polynomial(0, 1), 50)
+    for spec in (parse_spec("linrec:2,-1,1,2"), polynomial(0, 1)):
+        with pytest.raises(CapExceeded, match="^exact term index 51 exceeds cap 50$"):
+            discriminator._check_admissible(spec, 51)
+
+
 def test_admissibility_reports_a_repeat_before_an_oversized_term():
     # (j - 1)(j - 2)·2^EXACT_TERM_BITS (+ j): term 3 is the first past the bound
     c = 1 << EXACT_TERM_BITS
@@ -318,6 +332,36 @@ def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
     with pytest.raises(CapExceeded, match="no modulus <= 20 separates the first 21 terms"):
         discriminator_brute(SEQ, 21)
     assert len(memo) <= 21
+
+
+def test_sweep_refuses_past_its_term_budget(monkeypatch):
+    # on an empty memo the scans behind D(1..200) record iota(m) for every
+    # m <= D(200) = 256, 7189 terms in all, the last of them while n = 129
+    closed = [salajan_discriminator_closed(n).value for n in range(1, 201)]
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 7188)
+    with pytest.raises(CapExceeded, match="^sweep scans read more than 7188 terms by n = 129$"):
+        discriminator_table(SEQ, 200)
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 7189)
+    assert discriminator_table(SEQ, 200) == closed
+    # memo hits read nothing
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 0)
+    assert discriminator_table(SEQ, 200) == closed
+    assert discriminator_brute(SEQ, 17).value == 25
+    # each call counts only its own scans: 2050 terms up to D(100) = 125,
+    # then 5139 more
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 5139)
+    assert discriminator_table(SEQ, 100) == closed[:100]
+    assert discriminator_table(SEQ, 200) == closed
+    # a generic spec counts the same way
+    squares = polynomial(0, 0, 1)
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 100)
+    with pytest.raises(CapExceeded, match="^sweep scans read more than 100 terms by n = "):
+        discriminator_table(squares, 30)
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 1 << 28)
+    assert discriminator_table(squares, 30) == [naive_discriminator(squares, n) for n in range(1, 31)]
 
 
 def test_table_and_brute_run_out_of_cap_at_the_same_n():

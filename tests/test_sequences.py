@@ -71,6 +71,17 @@ def test_term_caps():
     assert term_exact(polynomial(0, 1), 10**6) == 10**6
 
 
+def test_exact_walk_refuses_the_term_past_the_cap(monkeypatch):
+    # every spec stops at term cap + 1, once the terms before it are out
+    monkeypatch.setattr(sequences, "DEFAULT_EXACT_CAP", 50)
+    for spec in (linear_recurrence(1, 1, 0, 1), polynomial(0, 0, 1)):
+        terms = []
+        with pytest.raises(CapExceeded, match="^exact term index 51 exceeds cap 50$"):
+            terms.extend(exact_terms(spec, 60))
+        assert terms == [term_exact(spec, j) for j in range(1, 51)]
+        assert len(list(exact_terms(spec, 50))) == 50
+
+
 def test_exact_walk_refuses_a_term_past_the_flagships_at_the_cap():
     # the bound is the flagship's own term at the cap, so the flagship and
     # any recurrence with its terms (linrec:2,3,2,1) never reach it
