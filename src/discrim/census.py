@@ -20,7 +20,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .numtheory import (
-    PRIME_LIMIT_CAP,
     _pow_mod_u32,
     is_prime,
     iter_prime_blocks,
@@ -153,14 +152,13 @@ def census_scan(x: int) -> DensityReport:
     """Classify every prime 3 < p <= x and tally densities against predictions.
 
     One sieve segment at a time goes through the batch classifier; x from
-    2^32 up, beyond its exact range, raises CapExceeded before any work.
+    2^32 up, beyond its exact range, is refused by `iter_prime_blocks` before
+    any work.
     """
     import numpy as np
 
     if x < 5:
         raise ValueError("scan limit must be >= 5")
-    if x >= PRIME_LIMIT_CAP:
-        raise CapExceeded(f"census bound {x} exceeds cap {PRIME_LIMIT_CAP - 1}")
     tally = np.zeros(len(_CLASSES), dtype=np.int64)
     pi_x = 0
     for block in iter_prime_blocks(x):

@@ -19,7 +19,9 @@ if TYPE_CHECKING:
 from .numtheory import is_prime, mult_order, smallest_primitive_root
 
 MAX_DIRECT_PRIME = 500     # O(p^3) enumeration guard
-MAX_DFT_ORDER = 4096       # (p-1) x (p-1) grid guard for the DFT path
+# the (p-1) x (p-1) grid guard of the DFT path; `build_A` checks it before its
+# O(p) tables, which would take about 8 GB at p near 10^9
+MAX_DFT_ORDER = 4096
 
 
 class CharSumReport(NamedTuple):
@@ -46,9 +48,11 @@ def build_A(p: int, g: int | None = None) -> set[tuple[int, int]]:
 
     For each x there is exactly one residue 3g^x - 30, which is a power of g
     unless it is 0; indexing a discrete-log table turns it into the unique y.
+    A group order p - 1 past MAX_DFT_ORDER is refused before the tables.
     """
     g = _resolve_root(p, g)
     n = p - 1
+    _check_dft_order(n)
     dlog = [0] * p
     cur = 1
     for x in range(n):
@@ -164,11 +168,9 @@ def bplusb_bound_check(p: int, pairs_b, g: int | None = None) -> bool:
     rejection, not a False. A False return from the size bound itself flags a
     bug, the inequality being a theorem.
     """
-    g = _resolve_root(p, g)
+    a = build_A(p, g)   # first: it refuses an order past the DFT guard
     n = p - 1
-    _check_dft_order(n)   # before A, whose O(p) build is the cost for large p
     b = _check_pairs(pairs_b, n)
-    a = build_A(p, g)
     blist = list(b)
     for x1, y1 in blist:
         for x2, y2 in blist:
@@ -193,7 +195,6 @@ def char_sum_report(p: int, g: int | None = None) -> CharSumReport:
     """Bundle the standard verifications for one prime into a report."""
     g = _resolve_root(p, g)
     n = p - 1
-    _check_dft_order(n)   # before A, whose O(p) build is the cost for large p
     a = build_A(p, g)
     ahat = max_nontrivial_char_sum(a, n)
     _, _, residual = pair_count_identity_check(a, a, n)

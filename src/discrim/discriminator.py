@@ -21,6 +21,7 @@ from .charsum import prime_lemma_bound
 from .numtheory import is_prime
 from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
+    POLYNOMIAL,
     SALAJAN,
     SCAN_TERM_CAP,
     CapExceeded,
@@ -106,26 +107,31 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 _IOTA_MEMO: dict[SequenceSpec, array] = {}
 
 # the most terms the fresh scans of one sweep may read, counted as they are
-# recorded in the memo (a memo hit reads none): `verify --nmax 65536` reads
-# 189,328,104 (18 s on 2 cores), and a bare `discriminate --n 2000000` stops
-# after about 26 s, where it would run for about 18 minutes. It is not the
-# CLI's SPAN_TERM_BUDGET, a worst case checked before any work: the sweep's
-# worst case, about 1.5*n^2 terms, would refuse `--nmax 65536` outright
+# recorded in the memo (a memo hit reads none); each term of a k-coefficient
+# polynomial counts k times, one per Horner step, since a scan term of
+# poly:1,2,...,301 costs about 60 times one of poly:0,0,1. `verify --nmax
+# 65536` reads 189,328,104 (18 s on 2 cores), and a bare `discriminate --n
+# 2000000` stops after about 26 s, where it would run for about 18 minutes.
+# It is not the CLI's SPAN_TERM_BUDGET, a worst case checked before any work:
+# the sweep's worst case, about 1.5*n^2 terms, would refuse `--nmax 65536`
+# outright
 SWEEP_TERM_BUDGET = 1 << 28
 
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
     """[D(lo), ..., D(hi)] by brute force over moduli up to
-    min(search_cap, SCAN_TERM_CAP) (search_cap None: 2*hi for the
-    flagship sequence, 4*hi otherwise). m separates the first n <= hi terms
-    iff iota(m) >= n, and D is nondecreasing, so one m that only moves up
-    from lo serves every n. iota(m) is read from the memo, or else scanned
-    in full (limit m, since iota(m) <= m) and recorded; once the recorded
-    lengths of one call pass SWEEP_TERM_BUDGET, the sweep raises CapExceeded.
+    min(search_cap, SCAN_TERM_CAP) (search_cap None: 4*hi). m separates the
+    first n <= hi terms iff iota(m) >= n, and D is nondecreasing, so one m
+    that only moves up from lo serves every n. iota(m) is read from the memo,
+    or else scanned in full (limit m, since iota(m) <= m) and recorded; once
+    the recorded lengths of one call, a polynomial's times its coefficient
+    count, pass SWEEP_TERM_BUDGET, the sweep raises CapExceeded. The default
+    cap takes no account of the closed form, whose D(n) < 2n for the
+    flagship: the sweep stops at the first modulus that separates the terms,
+    so a cap above 2n changes no correct answer.
     """
-    if search_cap is None:
-        search_cap = 2 * hi if spec.kind == SALAJAN else 4 * hi
-    cap = min(search_cap, SCAN_TERM_CAP)
+    cap = min(4 * hi if search_cap is None else search_cap, SCAN_TERM_CAP)
+    weight = len(spec.coeffs) if spec.kind == POLYNOMIAL else 1
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
     memo = _IOTA_MEMO.get(spec)
@@ -146,7 +152,7 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
             k = memo[m]
             if not k:
                 k = memo[m] = distinct_prefix_length(spec, m, m)
-                spent += k
+                spent += k * weight
                 if spent > SWEEP_TERM_BUDGET:
                     raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
         values.append(m)
@@ -161,11 +167,11 @@ def discriminator_brute(
     Candidates start at m = n (pigeonhole). Each one is settled by the memo
     of first-collision lengths that every brute-force D(n) shares, or else by
     one scan that aborts on the first collision and adds its length to the
-    memo; the oracles that check D(n) never read it. The default cap is
-    2n for the flagship sequence (a proven ceiling) and 4n otherwise; raise
-    it for sequences whose discriminator grows faster. No cap reaches past
-    SCAN_TERM_CAP = 2^22: a D(n) above it would take more than 2^21
-    scans, so the sweep raises CapExceeded instead of trying a larger m.
+    memo; the oracles that check D(n) never read it. The default cap is 4n
+    for every sequence; raise it for sequences whose discriminator grows
+    faster. No cap reaches past SCAN_TERM_CAP = 2^22: a D(n) above it would
+    take more than 2^21 scans, so the sweep raises CapExceeded instead of
+    trying a larger m.
     """
     if n < 1:
         raise ValueError("n must be positive")

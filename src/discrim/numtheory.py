@@ -48,7 +48,8 @@ _SIEVE_BLOCK = 1 << 18
 # prime walks stop below this: the census batch classifier's uint64
 # arithmetic is exact only for p < 2^32, and a walk sieves every base prime up
 # to sqrt(limit) into one list before its first segment (a 1 GB mask at
-# 10^18); `census_scan` and `artin_constant` refuse limits from here on
+# 10^18); `iter_prime_blocks` refuses limits from here on, so every walk over
+# it (the census, the Artin product, `primes_up_to`) does
 PRIME_LIMIT_CAP = 1 << 32
 
 
@@ -102,9 +103,13 @@ _TRIAL_SQUARE = _SMALL_PRIMES[-1] ** 2
 
 
 def iter_prime_blocks(limit: int, block: int = _SIEVE_BLOCK):
-    """Yield int64 arrays of primes <= limit, segmented for cache friendliness."""
+    """Yield int64 arrays of primes <= limit, segmented for cache friendliness.
+    A limit from PRIME_LIMIT_CAP = 2^32 up raises CapExceeded before the base
+    sieve, on the first request for a block."""
     import numpy as np
 
+    if limit >= PRIME_LIMIT_CAP:
+        raise CapExceeded(f"prime limit {limit} exceeds cap {PRIME_LIMIT_CAP - 1}")
     if limit < 2:
         return
     base = _small_sieve(math.isqrt(limit))
@@ -323,13 +328,11 @@ def artin_constant(prime_limit: int) -> float:
     The log terms of every sieve segment go into one exactly rounded
     `math.fsum`, so the value does not depend on the segment size; monotone
     nonincreasing in prime_limit. A prime_limit from PRIME_LIMIT_CAP = 2^32
-    up raises CapExceeded before any work.
+    up raises the prime walk's CapExceeded before any work.
     """
     import numpy as np
 
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    if prime_limit >= PRIME_LIMIT_CAP:
-        raise CapExceeded(f"prime limit {prime_limit} exceeds cap {PRIME_LIMIT_CAP - 1}")
     logs = (np.log1p(-1.0 / (p * (p - 1.0))).tolist() for p in iter_prime_blocks(prime_limit))
     return math.exp(math.fsum(itertools.chain.from_iterable(logs)))

@@ -73,7 +73,8 @@ EXPECTED_TABLE = [
 ]
 
 # theorem1's brute-force table takes about 17 s and 30 MB at 2^16; past that
-# a --nmax typo would run for hours
+# the sweep's term budget would refuse a --nmax typo only after about 25 s,
+# where this bound refuses it at once, with exit 2
 THEOREM1_MAX_N = 1 << 16
 
 # reference prime-class listings up to 300
@@ -484,13 +485,18 @@ SUITES = {
 
 def run_suites(names, n_max: int | None = None):
     """Run the named suites ('all' for everything); returns (ok, results).
-    Every suite checks a fixed size; n_max, when given, is theorem1's range."""
+    Every suite checks a fixed size; n_max, when given, is theorem1's range.
+    An unknown name, or an n_max with theorem1 not among the names, is
+    refused before any suite runs."""
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-        fn = SUITES[name]
-        results.append(fn(n_max) if name == "theorem1" and n_max is not None else fn())
+    if n_max is not None and "theorem1" not in names:
+        raise ValueError("n_max applies only to the theorem1 suite")
+    results = [
+        SUITES[name](n_max) if name == "theorem1" and n_max is not None else SUITES[name]()
+        for name in names
+    ]
     return all(r.passed for r in results), results

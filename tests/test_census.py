@@ -210,11 +210,11 @@ def test_census_scan_10_6_counts():
 
 def test_census_scan_stops_at_the_batch_range(monkeypatch):
     # x below the batch classifier's exact range is counted as before; from
-    # it on the scan refuses before any work
+    # it on the prime walk refuses the scan before any work
     want = census_scan(49_999)
-    monkeypatch.setattr(census, "PRIME_LIMIT_CAP", 50_000)
+    monkeypatch.setattr(numtheory, "PRIME_LIMIT_CAP", 50_000)
     assert census_scan(49_999) == want
-    with pytest.raises(CapExceeded, match=r"^census bound 50000 exceeds cap 49999$"):
+    with pytest.raises(CapExceeded, match=r"^prime limit 50000 exceeds cap 49999$"):
         census_scan(50_000)
 
 

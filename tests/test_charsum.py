@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -247,15 +248,25 @@ def test_bplusb_rejects_intersecting_sums():
             bplusb_bound_check(7, b)
 
 
-def test_bplusb_checks_the_dft_guard_before_building_a(monkeypatch):
-    from discrim import charsum
+def test_bplusb_checks_the_dft_guard_before_building_a():
+    # build_A refuses the order before its tables, and the check builds A
+    # before it reads B, so the guard error comes first even for a bad B
+    for b in ({(0, 0)}, set(), {(-1, 3)}):
+        with pytest.raises(ValueError, match="^group order 4098 exceeds DFT guard 4096$"):
+            bplusb_bound_check(4099, b)
 
-    def refuse(*args):
-        raise AssertionError("build_A ran")
 
-    monkeypatch.setattr(charsum, "build_A", refuse)
-    with pytest.raises(ValueError, match="exceeds DFT guard"):
-        bplusb_bound_check(4099, {(0, 0)})
+def test_build_A_refuses_past_the_dft_guard_before_its_tables():
+    # at p = 1000003 the discrete-log list alone would take 8 MB
+    assert len(build_A(4093)) == 4091   # order 4092, inside the guard
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^group order 1000002 exceeds DFT guard 4096$"):
+            build_A(1_000_003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------ the prime bound

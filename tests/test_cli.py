@@ -114,10 +114,14 @@ def test_discriminate_past_the_memo_limit_fails_at_once(capsys, method):
         1, "", "failure: no modulus <= 4194304 separates the first 1000000000000 terms\n")
 
 
-@pytest.mark.parametrize("seq,n,budget", [("salajan", 200, 2627), ("poly:0,0,1", 100, 3752)])
+@pytest.mark.parametrize("seq,n,budget", [
+    ("salajan", 200, 2627), ("poly:0,0,1", 100, 11258), ("poly:0,0,0,0,1", 100, 11704)])
 def test_discriminate_past_the_sweep_budget_is_failure(capsys, monkeypatch, seq, n, budget):
-    # the scans from n up to D(n) read one term more than the budget:
-    # iota(m) for 200 <= m <= 256 and for the squares' 100 <= m <= 202
+    # the scans from n up to D(n) read one term more than the budget, a
+    # polynomial's terms counted once per coefficient: iota(m) for
+    # 200 <= m <= 256 sums to 2628, for the squares' 100 <= m <= 202 to
+    # 3753 (3 * 3753 = 11259) and for the fourth powers' 100 <= m <= 206 to
+    # 2341 (5 * 2341 = 11705)
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", budget)
     code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
     assert (code, out, err) == (1, "", f"failure: sweep scans read more than {budget} terms by n = {n}\n")
@@ -418,7 +422,7 @@ def test_screen_rejects_d_below_2(capsys):
 def test_census_past_the_batch_range_exits_1_at_once(capsys):
     start = time.perf_counter()
     assert run_cli(capsys, "census", "--x", "4294967296") == (
-        1, "", "failure: census bound 4294967296 exceeds cap 4294967295\n")
+        1, "", "failure: prime limit 4294967296 exceeds cap 4294967295\n")
     assert time.perf_counter() - start < 0.5
 
 
@@ -597,6 +601,17 @@ def test_theorem1_range_is_passed_through_and_validated(capsys, monkeypatch):
             run_suites(["theorem1"], n_max=bad)
         code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--nmax", str(bad))
         assert (code, out) == (2, "") and message in err
+
+
+def test_nmax_without_theorem1_is_refused_before_any_suite(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "table", lambda: ran.append("table"))
+    for suites in (["table"], ["table", "note"]):
+        with pytest.raises(ValueError, match="^n_max applies only to the theorem1 suite$"):
+            run_suites(suites, n_max=8)
+    assert run_cli(capsys, "verify", "--suite", "table", "--nmax", "-3") == (
+        2, "", "error: n_max applies only to the theorem1 suite\n")
+    assert ran == []
 
 
 # ------------------------------------------------------------------ output plumbing

@@ -354,13 +354,15 @@ def test_sweep_refuses_past_its_term_budget(monkeypatch):
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 5139)
     assert discriminator_table(SEQ, 100) == closed[:100]
     assert discriminator_table(SEQ, 200) == closed
-    # a generic spec counts the same way
+    # a polynomial's terms count once per coefficient, one per Horner step:
+    # the squares' scans behind D(1..30) read 599 terms, counted 3 * 599
     squares = polynomial(0, 0, 1)
     monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 100)
-    with pytest.raises(CapExceeded, match="^sweep scans read more than 100 terms by n = "):
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 3 * 599 - 1)
+    with pytest.raises(CapExceeded, match="^sweep scans read more than 1796 terms by n = "):
         discriminator_table(squares, 30)
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 1 << 28)
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 3 * 599)
     assert discriminator_table(squares, 30) == [naive_discriminator(squares, n) for n in range(1, 31)]
 
 
@@ -433,7 +435,7 @@ def test_oracles_never_read_the_memo():
     before = oracles()
     # every modulus poisoned: its "first collision" comes right after term 1
     discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201)
-    with pytest.raises(CapExceeded, match="no modulus <= 34 separates the first 17 terms"):
+    with pytest.raises(CapExceeded, match="no modulus <= 68 separates the first 17 terms"):
         discriminator_brute(SEQ, 17)   # the sweep does read the poisoned entries
     assert oracles() == before
 

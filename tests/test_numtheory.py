@@ -426,16 +426,22 @@ def test_artin_constant_is_one_exactly_rounded_sum(x):
 
 def test_artin_constant_refuses_the_cap_before_any_work(monkeypatch):
     # the base sieve is the first work a prime walk does: from 2^32 on it is
-    # never reached, and below 2^32 it is
+    # never reached, and below 2^32 it is; the walk itself refuses, so every
+    # caller over it does, the Artin product, `primes_up_to` and the
+    # iota = rho scan included
+    from discrim.periods import iota_equals_rho_scan
+
     def refuse(limit):
         raise AssertionError(f"sieved up to {limit}")
 
     monkeypatch.setattr(numtheory, "_small_sieve", refuse)
-    for limit in (numtheory.PRIME_LIMIT_CAP, 10**18):
-        with pytest.raises(CapExceeded, match=rf"^prime limit {limit} exceeds cap 4294967295$"):
-            artin_constant(limit)
-    with pytest.raises(AssertionError, match=r"^sieved up to 65535$"):
-        artin_constant(numtheory.PRIME_LIMIT_CAP - 1)
+    walks = (artin_constant, primes_up_to, lambda x: list(iter_prime_blocks(x)), iota_equals_rho_scan)
+    for walk in walks:
+        for limit in (numtheory.PRIME_LIMIT_CAP, 10**18):
+            with pytest.raises(CapExceeded, match=rf"^prime limit {limit} exceeds cap 4294967295$"):
+                walk(limit)
+        with pytest.raises(AssertionError, match=r"^sieved up to 65535$"):
+            walk(numtheory.PRIME_LIMIT_CAP - 1)
 
 
 def test_artin_constant_monotone_nonincreasing():
