@@ -43,14 +43,17 @@ def _resolve_root(p: int, g: int | None) -> int:
     return g
 
 
-def build_A(p: int, g: int | None = None) -> set[tuple[int, int]]:
+def build_A(p: int, g: int | None = None, *, _root_proven: bool = False) -> set[tuple[int, int]]:
     """The pair set {(x, y) in Z_{p-1}^2 : 3g^x - g^y = 30 mod p}, in O(p).
 
     For each x there is exactly one residue 3g^x - 30, which is a power of g
     unless it is 0; indexing a discrete-log table turns it into the unique y.
     A group order p - 1 past MAX_DFT_ORDER is refused before the tables.
+    `char_sum_report` passes `_root_proven` with the root it has resolved,
+    so that root is not proved primitive a second time.
     """
-    g = _resolve_root(p, g)
+    if not _root_proven:
+        g = _resolve_root(p, g)
     n = p - 1
     _check_dft_order(n)
     dlog = [0] * p
@@ -195,7 +198,7 @@ def char_sum_report(p: int, g: int | None = None) -> CharSumReport:
     """Bundle the standard verifications for one prime into a report."""
     g = _resolve_root(p, g)
     n = p - 1
-    a = build_A(p, g)
+    a = build_A(p, g, _root_proven=True)
     ahat = max_nontrivial_char_sum(a, n)
     _, _, residual = pair_count_identity_check(a, a, n)
     return CharSumReport(

@@ -97,14 +97,19 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
             )
 
 
-# Exact first-collision lengths iota(m), one array of unsigned 4-byte ints per
-# sequence spec, indexed by m; 0 means not known yet. Only `_least_moduli`
-# reads or fills it, so every brute-force D(n) shares it, while the oracles
-# that check those answers (`incongruence_index`, `period_brute`,
-# `verify_discriminates`, `recheck_certificate`) scan afresh and never see
-# it. The sweep tries no modulus above SCAN_TERM_CAP = 2^22, the longest
-# first-collision scan, so the array holds at most 2^22 + 1 entries (16 MB).
-_IOTA_MEMO: dict[SequenceSpec, array] = {}
+# The brute-force sweep's facts, one pair of arrays of unsigned 4-byte ints per
+# sequence spec; 0 means not known yet. The first is indexed by m and holds the
+# exact first-collision length iota(m). The second is indexed by n and holds
+# D(n): D is nondecreasing and m = D(n) separates the first iota(m) terms, so
+# D(n') = m for every n <= n' <= iota(m), and the sweep records that whole run
+# once it proves D(n) = m. Only `_least_moduli` reads or fills them, so every
+# brute-force D(n) shares them, while the oracles that check those answers
+# (`incongruence_index`, `period_brute`, `verify_discriminates`,
+# `recheck_certificate`) scan afresh and never see them, and the closed form
+# never enters them. The sweep tries no modulus above SCAN_TERM_CAP = 2^22,
+# the longest first-collision scan, and iota(m) <= m, so each array holds at
+# most 2^22 + 1 entries (16 MB), 32 MB a spec.
+_IOTA_MEMO: dict[SequenceSpec, tuple[array, array]] = {}
 
 # the most terms the fresh scans of one sweep may read, counted as they are
 # recorded in the memo (a memo hit reads none); each term of a k-coefficient
@@ -122,39 +127,54 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     """[D(lo), ..., D(hi)] by brute force over moduli up to
     min(search_cap, SCAN_TERM_CAP) (search_cap None: 4*hi). m separates the
     first n <= hi terms iff iota(m) >= n, and D is nondecreasing, so one m
-    that only moves up from lo serves every n. iota(m) is read from the memo,
-    or else scanned in full (limit m, since iota(m) <= m) and recorded; once
-    the recorded lengths of one call, a polynomial's times its coefficient
-    count, pass SWEEP_TERM_BUDGET, the sweep raises CapExceeded. The default
-    cap takes no account of the closed form, whose D(n) < 2n for the
-    flagship: the sweep stops at the first modulus that separates the terms,
-    so a cap above 2n changes no correct answer.
+    that only moves up from lo serves every n. An n whose D(n) an earlier
+    sweep proved is answered from the memo's runs, with no term read; a value
+    past the cap raises the same CapExceeded as the walk would. Otherwise m
+    walks up, iota(m) is read from the memo, or else scanned in full (limit m,
+    since iota(m) <= m) and recorded, and the value it reaches is recorded for
+    every n up to its iota; once the recorded lengths of one call, a
+    polynomial's times its coefficient count, pass SWEEP_TERM_BUDGET, the
+    sweep raises CapExceeded. The default cap takes no account of the closed
+    form, whose D(n) < 2n for the flagship: the sweep stops at the first
+    modulus that separates the terms, so a cap above 2n changes no correct
+    answer.
     """
+    from array import array   # an extension module; `import discrim.cli` stays without it
+
     cap = min(4 * hi if search_cap is None else search_cap, SCAN_TERM_CAP)
     weight = len(spec.coeffs) if spec.kind == POLYNOMIAL else 1
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
-    memo = _IOTA_MEMO.get(spec)
-    if memo is None:
-        from array import array   # an extension module; `import discrim.cli` stays without it
-
-        memo = _IOTA_MEMO[spec] = array("I")
+    entry = _IOTA_MEMO.get(spec)
+    if entry is None:
+        entry = _IOTA_MEMO[spec] = array("I"), array("I")
+    memo, runs = entry
 
     values = []
     m, k, spent = lo - 1, 0, 0
     for n in range(lo, hi + 1):
-        while k < n:
-            m += 1
-            if m > cap:
-                raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
-            if m >= len(memo):
-                memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
-            k = memo[m]
-            if not k:
-                k = memo[m] = distinct_prefix_length(spec, m, m)
-                spent += k * weight
-                if spent > SWEEP_TERM_BUDGET:
-                    raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
+        if k < n:
+            if n < len(runs) and runs[n]:
+                m = runs[n]
+                if m > cap:
+                    raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
+                k = memo[m]
+            else:
+                while k < n:
+                    m += 1
+                    if m > cap:
+                        raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
+                    if m >= len(memo):
+                        memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
+                    k = memo[m]
+                    if not k:
+                        k = memo[m] = distinct_prefix_length(spec, m, m)
+                        spent += k * weight
+                        if spent > SWEEP_TERM_BUDGET:
+                            raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
+                if k >= len(runs):
+                    runs.frombytes(bytes(runs.itemsize * (k + 1 - len(runs))))
+                runs[n:k + 1] = array("I", (m,)) * (k + 1 - n)
         values.append(m)
     return values
 
@@ -164,11 +184,14 @@ def discriminator_brute(
 ) -> DiscriminatorRecord:
     """Least m with v_1..v_n pairwise distinct mod m, by increasing-m scan.
 
-    Candidates start at m = n (pigeonhole). Each one is settled by the memo
-    of first-collision lengths that every brute-force D(n) shares, or else by
-    one scan that aborts on the first collision and adds its length to the
-    memo; the oracles that check D(n) never read it. The default cap is 4n
-    for every sequence; raise it for sequences whose discriminator grows
+    Candidates start at m = n (pigeonhole). An n in a run that an earlier
+    sweep proved, D(n0) = m with n0 <= n <= iota(m), is answered from the
+    memo that every brute-force D(n) shares, with no candidate tried.
+    Otherwise each candidate is settled by the memo's first-collision
+    lengths, or else by one scan that aborts on the first collision and adds
+    its length to the memo, and the value found is recorded for its whole
+    run; the oracles that check D(n) never read the memo. The default cap is
+    4n for every sequence; raise it for sequences whose discriminator grows
     faster. No cap reaches past SCAN_TERM_CAP = 2^22: a D(n) above it would
     take more than 2^21 scans, so the sweep raises CapExceeded instead of
     trying a larger m.

@@ -291,3 +291,23 @@ def test_char_sum_report_bundles_everything():
     assert report.sqrt_p == pytest.approx(math.sqrt(7))
     assert report.max_nontrivial_sum == pytest.approx(math.sqrt(7), abs=1e-9)
     assert report.identity_residual < 1e-9
+
+
+def test_char_sum_report_proves_its_root_once(monkeypatch):
+    # the report resolves g once and builds A from it: the smallest root is
+    # found without mult_order, and a given g is checked by one call
+    from discrim import charsum
+
+    calls = []
+    order = charsum.mult_order
+
+    def counting(a, m):
+        calls.append((a, m))
+        return order(a, m)
+
+    monkeypatch.setattr(charsum, "mult_order", counting)
+    assert char_sum_report(61) == char_sum_report(61, 2)
+    assert calls == [(2, 61)]
+    calls.clear()
+    assert build_A(61, 2) == build_A(61)
+    assert calls == [(2, 61)]   # build_A still checks a caller's g

@@ -290,6 +290,68 @@ def test_table_generic_sequences_and_validation():
         discriminator_table(SEQ, 0)
 
 
+def _is_odd_prime(m):
+    """Trial division: the oracles below share no prime test with the engine."""
+    if m < 3 or m % 2 == 0:
+        return False
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_squares_table_matches_arnold_benkoski_mccabe():
+    # Arnold, Benkoski and McCabe (Amer. Math. Monthly, 1985): for v_j = j^2,
+    # D(n) is the least m >= 2n that is p or 2p for an odd prime p, except at
+    # n = 1, 2 and 4
+    def least_p_or_2p(n):
+        m = 2 * n
+        while not (_is_odd_prime(m) or m % 2 == 0 and _is_odd_prime(m // 2)):
+            m += 1
+        return m
+
+    table = discriminator_table(polynomial(0, 0, 1), 2000)
+    assert (table[0], table[1], table[3]) == (1, 2, 9)
+    assert (least_p_or_2p(1), least_p_or_2p(2), least_p_or_2p(4)) == (3, 5, 10)
+    for n in range(1, 2001):
+        if n not in (1, 2, 4):
+            assert table[n - 1] == least_p_or_2p(n), n
+
+
+def _family(q):
+    """v_j = (q^j - (q+2)(-1)^j)/4 for q = 3 mod 4; q = 3 gives the flagship's terms."""
+    return linear_recurrence(q - 1, q, (q + 1) // 2, (q * q - q - 2) // 4)
+
+
+def _family_closed(q, n):
+    """min(2^e, p^f) for p = q + 2, e least with 2^e >= n and f least with
+    (p-1)*p^(f-1) >= n."""
+    p = q + 2
+    pf = p
+    while (p - 1) * (pf // p) < n:
+        pf *= p
+    return min(1 << (n - 1).bit_length(), pf)
+
+
+@pytest.mark.parametrize("q", [11, 27])
+def test_family_tables_match_min_of_powers(q):
+    # the family of the paper's sequence (Browkin's discriminator conjecture)
+    # where q + 2 is prime
+    assert [term_exact(_family(3), j) for j in range(1, 9)] == [term_exact(SEQ, j) for j in range(1, 9)]
+    table = discriminator_table(_family(q), 2000)
+    assert table == [_family_closed(q, n) for n in range(1, 2001)]
+
+
+def test_family_q107_leaves_min_of_powers_at_65():
+    # a negative anchor: for q = 107 (p = 109) the formula first fails at
+    # n = 65, so an oracle or sweep that agrees too readily is caught
+    assert discriminator_table(_family(107), 64) == [_family_closed(107, n) for n in range(1, 65)]
+    assert discriminator_brute(_family(107), 65).value == 128
+    assert _family_closed(107, 65) == 109
+
+
 def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
     scanned = []
     scan = discriminator.distinct_prefix_length
@@ -315,12 +377,44 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
     assert scanned == list(range(17, 26))
 
 
+def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
+    # D(1036) = 2048 separates iota(2048) = 2048 terms, so D(n) = 2048 for
+    # every n from 1036 to 2048: with the first-collision lengths between
+    # them forgotten, each of those n is still answered with no scan
+    assert discriminator_brute(SEQ, 1036).value == 2048
+    memo, runs = discriminator._IOTA_MEMO[SEQ]
+    memo[1037:2048] = array("I", [0]) * 1011
+    scanned = []
+    scan = discriminator.distinct_prefix_length
+
+    def counting(spec, m, limit):
+        scanned.append(m)
+        return scan(spec, m, limit)
+
+    monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 0)   # a hit reads no terms
+    for n in range(1036, 2049):
+        assert discriminator_brute(SEQ, n).value == 2048, n
+        assert salajan_discriminator_checked(n).value == 2048, n
+    # a proven value past the call's cap raises the walk's own text, which
+    # the walk on an empty memo gives too
+    message = "^no modulus <= 2047 separates the first 1500 terms$"
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(SEQ, 1500, search_cap=2047)
+    assert scanned == []
+    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 1 << 28)
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(SEQ, 1500, search_cap=2047)
+    assert scanned == list(range(1500, 2048))
+
+
 def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
     # the sweep tries no modulus past the memo's limit, whatever its cap
     monkeypatch.setattr(discriminator, "SCAN_TERM_CAP", 20)
     assert discriminator_table(SEQ, 16) == [salajan_discriminator_closed(n).value for n in range(1, 17)]
-    memo = discriminator._IOTA_MEMO[SEQ]
-    assert len(memo) <= 21
+    memo, runs = discriminator._IOTA_MEMO[SEQ]
+    assert len(memo) <= 21 and len(runs) <= 21
     assert list(memo[1:]) == [incongruence_index(SEQ, m) for m in range(1, len(memo))]
     message = "no modulus <= 20 separates the first 17 terms"
     with pytest.raises(CapExceeded, match=message):
@@ -331,7 +425,7 @@ def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
     # a sweep that starts past the limit tries nothing
     with pytest.raises(CapExceeded, match="no modulus <= 20 separates the first 21 terms"):
         discriminator_brute(SEQ, 21)
-    assert len(memo) <= 21
+    assert len(memo) <= 21 and len(runs) <= 21
 
 
 def test_sweep_refuses_past_its_term_budget(monkeypatch):
@@ -412,10 +506,16 @@ def test_shared_memo_gives_the_fresh_memo_results(specs, calls):
         shared = _brute_outcome(specs[which], *call)
         with mock.patch.object(discriminator, "_IOTA_MEMO", {}):
             assert shared == _brute_outcome(specs[which], *call), (which, call)
-    # every entry the memo holds is the exact first-collision length
-    for spec, memo in discriminator._IOTA_MEMO.items():
+    # every entry the memo holds is the exact first-collision length, and
+    # every run entry the D(n) a fresh memo gives (with the run's value as the
+    # cap, since a call with a larger cap may have proved it)
+    for spec, (memo, runs) in discriminator._IOTA_MEMO.items():
         for m, iota in enumerate(memo):
             assert iota == 0 or iota == incongruence_index(spec, m), (spec, m)
+        for n, value in enumerate(runs):
+            if value:
+                with mock.patch.object(discriminator, "_IOTA_MEMO", {}):
+                    assert value == discriminator_brute(spec, n, value).value, (spec, n)
 
 
 def test_oracles_never_read_the_memo():
@@ -434,9 +534,14 @@ def test_oracles_never_read_the_memo():
 
     before = oracles()
     # every modulus poisoned: its "first collision" comes right after term 1
-    discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201)
+    discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201), array("I", [0] * 1201)
     with pytest.raises(CapExceeded, match="no modulus <= 68 separates the first 17 terms"):
         discriminator_brute(SEQ, 17)   # the sweep does read the poisoned entries
+    assert oracles() == before
+    # every n poisoned too: its D(n) is past any cap
+    discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201), array("I", [10**9] * 1201)
+    with pytest.raises(CapExceeded, match="no modulus <= 68 separates the first 17 terms"):
+        discriminator_brute(SEQ, 17)
     assert oracles() == before
 
 
