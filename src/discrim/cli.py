@@ -169,6 +169,8 @@ def _cmd_discriminate(args, out) -> int:
     method = args.method or ("both" if spec.kind == SALAJAN else "brute")
     if spec.kind != SALAJAN and method != "brute":
         raise ValueError("closed form exists only for the salajan sequence; use --method brute")
+    if method == "closed" and args.cap is not None:
+        raise ValueError("--cap applies only to --method brute or both")
     if method == "closed":
         rec = salajan_discriminator_closed(args.n)
     elif method == "brute":

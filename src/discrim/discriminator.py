@@ -21,6 +21,8 @@ from .charsum import prime_lemma_bound
 from .numtheory import is_prime
 from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
+    DEFAULT_EXACT_CAP,
+    EXACT_TERM_BITS,
     POLYNOMIAL,
     SALAJAN,
     SCAN_TERM_CAP,
@@ -97,84 +99,86 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
             )
 
 
-# The brute-force sweep's facts, one pair of arrays of unsigned 4-byte ints per
-# sequence spec; 0 means not known yet. The first is indexed by m and holds the
-# exact first-collision length iota(m). The second is indexed by n and holds
-# D(n): D is nondecreasing and m = D(n) separates the first iota(m) terms, so
-# D(n') = m for every n <= n' <= iota(m), and the sweep records that whole run
-# once it proves D(n) = m. Only `_least_moduli` reads or fills them, so every
-# brute-force D(n) shares them, while the oracles that check those answers
-# (`incongruence_index`, `period_brute`, `verify_discriminates`,
-# `recheck_certificate`) scan afresh and never see them, and the closed form
-# never enters them. The sweep tries no modulus above SCAN_TERM_CAP = 2^22,
-# the longest first-collision scan, and iota(m) <= m, so each array holds at
-# most 2^22 + 1 entries (16 MB), 32 MB a spec.
-_IOTA_MEMO: dict[SequenceSpec, tuple[array, array]] = {}
+def _terms_within_caps(spec: SequenceSpec, n: int) -> bool:
+    """True if a size bound shows that `exact_terms` yields v_1..v_n with no
+    CapExceeded: |v_j| <= (|c1| + |c2|)^(j-2) * max(|v1|, |v2|) for a
+    recurrence, |p(j)| <= (|a0| + |a1| + ...) * j^deg for a polynomial."""
+    if spec.kind == POLYNOMIAL:
+        bits = sum(map(abs, spec.coeffs)).bit_length() + (len(spec.coeffs) - 1) * n.bit_length()
+    else:
+        c1, c2, v1, v2 = spec.as_recurrence()
+        bits = max(abs(v1), abs(v2)).bit_length() + max(n - 2, 0) * (abs(c1) + abs(c2)).bit_length()
+    return n <= DEFAULT_EXACT_CAP and bits <= EXACT_TERM_BITS
 
-# the most terms the fresh scans of one sweep may read, counted as they are
-# recorded in the memo (a memo hit reads none); each term of a k-coefficient
-# polynomial counts k times, one per Horner step, since a scan term of
-# poly:1,2,...,301 costs about 60 times one of poly:0,0,1. `verify --nmax
-# 65536` reads 189,328,104 (18 s on 2 cores), and a bare `discriminate --n
-# 2000000` stops after about 26 s, where it would run for about 18 minutes.
-# It is not the CLI's SPAN_TERM_BUDGET, a worst case checked before any work:
-# the sweep's worst case, about 1.5*n^2 terms, would refuse `--nmax 65536`
-# outright
+
+# The brute-force sweep's one store: per sequence spec, an array of unsigned
+# 4-byte ints indexed by n that holds D(n) where a sweep proved it, 0 where
+# not yet. D is nondecreasing and m = D(n) separates the first iota(m) terms,
+# so D(n') = m for every n <= n' <= iota(m), and the sweep records that whole
+# run once it proves D(n) = m. Every run so ends at its iota, so the largest
+# D proven below an unproven n failed n, and a walk for n starts above it.
+# Only `_least_moduli` reads or fills it, so every brute-force D(n) shares
+# it, while the oracles that check those answers (`incongruence_index`,
+# `period_brute`, `verify_discriminates`, `recheck_certificate`) scan afresh
+# and never see it, and the closed form never enters it. The sweep tries no
+# modulus above SCAN_TERM_CAP = 2^22, the longest first-collision scan, and
+# iota(m) <= m, so a spec's array holds at most 2^22 + 1 entries (16 MB).
+_PROVEN_RUNS: dict[SequenceSpec, array] = {}
+
+# the most terms the scans of one sweep may read, counted as each scan ends
+# (a proven D(n) reads none); each term of a k-coefficient polynomial counts
+# k times, one per Horner step, since a scan term of poly:1,2,...,301 costs
+# about 60 times one of poly:0,0,1. `verify --nmax 65536` reads 189,328,104
+# (18 s on 2 cores), and a bare `discriminate --n 2000000` stops after about
+# 26 s, where it would run for about 18 minutes. It is not the CLI's
+# SPAN_TERM_BUDGET, a worst case checked before any work: the sweep's worst
+# case, about 1.5*n^2 terms, would refuse `--nmax 65536` outright
 SWEEP_TERM_BUDGET = 1 << 28
 
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
     """[D(lo), ..., D(hi)] by brute force over moduli up to
-    min(search_cap, SCAN_TERM_CAP) (search_cap None: 4*hi). m separates the
-    first n <= hi terms iff iota(m) >= n, and D is nondecreasing, so one m
-    that only moves up from lo serves every n. An n whose D(n) an earlier
-    sweep proved is answered from the memo's runs, with no term read; a value
-    past the cap raises the same CapExceeded as the walk would. Otherwise m
-    walks up, iota(m) is read from the memo, or else scanned in full (limit m,
-    since iota(m) <= m) and recorded, and the value it reaches is recorded for
-    every n up to its iota; once the recorded lengths of one call, a
-    polynomial's times its coefficient count, pass SWEEP_TERM_BUDGET, the
-    sweep raises CapExceeded. The default cap takes no account of the closed
-    form, whose D(n) < 2n for the flagship: the sweep stops at the first
-    modulus that separates the terms, so a cap above 2n changes no correct
-    answer.
+    min(search_cap, SCAN_TERM_CAP) (search_cap None: 4*hi). An n that the
+    store covers is read from it, and one past the cap raises the walk's own
+    CapExceeded; otherwise m walks up, one scan to the first collision each
+    (limit m, since iota(m) <= m), until iota(m) >= n. The walk raises
+    CapExceeded once the scanned lengths of one call, a polynomial's times
+    its coefficient count, pass SWEEP_TERM_BUDGET. A generic spec's first hi
+    terms are checked for a repeat unless the store proves D(hi) within
+    their exact caps. The default cap ignores the closed form, whose D(n) <
+    2n for the flagship: the sweep stops at the first modulus that separates
+    the terms, so a cap above 2n changes no correct answer.
     """
     from array import array   # an extension module; `import discrim.cli` stays without it
 
     cap = min(4 * hi if search_cap is None else search_cap, SCAN_TERM_CAP)
     weight = len(spec.coeffs) if spec.kind == POLYNOMIAL else 1
-    if spec.kind != SALAJAN:
+    runs = _PROVEN_RUNS.get(spec)
+    if runs is None:
+        runs = _PROVEN_RUNS[spec] = array("I")
+    if spec.kind != SALAJAN and not (hi < len(runs) and runs[hi] and _terms_within_caps(spec, hi)):
         _check_admissible(spec, hi)
-    entry = _IOTA_MEMO.get(spec)
-    if entry is None:
-        entry = _IOTA_MEMO[spec] = array("I"), array("I")
-    memo, runs = entry
 
-    values = []
-    m, k, spent = lo - 1, 0, 0
+    values, spent = [], 0
+    m = lo - 1 if lo < len(runs) and runs[lo] else max(max(runs[:lo], default=0), lo - 1)
     for n in range(lo, hi + 1):
-        if k < n:
-            if n < len(runs) and runs[n]:
-                m = runs[n]
+        if n < len(runs) and runs[n]:
+            m = runs[n]
+            if m > cap:
+                raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
+        else:
+            k = 0
+            while k < n:
+                m += 1
                 if m > cap:
                     raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
-                k = memo[m]
-            else:
-                while k < n:
-                    m += 1
-                    if m > cap:
-                        raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
-                    if m >= len(memo):
-                        memo.frombytes(bytes(memo.itemsize * (m + 1 - len(memo))))
-                    k = memo[m]
-                    if not k:
-                        k = memo[m] = distinct_prefix_length(spec, m, m)
-                        spent += k * weight
-                        if spent > SWEEP_TERM_BUDGET:
-                            raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
-                if k >= len(runs):
-                    runs.frombytes(bytes(runs.itemsize * (k + 1 - len(runs))))
-                runs[n:k + 1] = array("I", (m,)) * (k + 1 - n)
+                k = distinct_prefix_length(spec, m, m)
+                spent += k * weight
+                if spent > SWEEP_TERM_BUDGET:
+                    raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
+            if k >= len(runs):
+                runs.frombytes(bytes(runs.itemsize * (k + 1 - len(runs))))
+            runs[n:k + 1] = array("I", (m,)) * (k + 1 - n)
         values.append(m)
     return values
 
@@ -182,20 +186,13 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
 def discriminator_brute(
     spec: SequenceSpec, n: int, search_cap: int | None = None
 ) -> DiscriminatorRecord:
-    """Least m with v_1..v_n pairwise distinct mod m, by increasing-m scan.
-
-    Candidates start at m = n (pigeonhole). An n in a run that an earlier
-    sweep proved, D(n0) = m with n0 <= n <= iota(m), is answered from the
-    memo that every brute-force D(n) shares, with no candidate tried.
-    Otherwise each candidate is settled by the memo's first-collision
-    lengths, or else by one scan that aborts on the first collision and adds
-    its length to the memo, and the value found is recorded for its whole
-    run; the oracles that check D(n) never read the memo. The default cap is
-    4n for every sequence; raise it for sequences whose discriminator grows
+    """Least m with v_1..v_n pairwise distinct mod m, by the increasing-m
+    sweep that every brute-force D(n) shares, from m = n (pigeonhole) or
+    above the largest D proven below n; a D(n) that an earlier sweep proved
+    is read from its store, with no candidate tried. The default cap is 4n
+    for every sequence; raise it for sequences whose discriminator grows
     faster. No cap reaches past SCAN_TERM_CAP = 2^22: a D(n) above it would
-    take more than 2^21 scans, so the sweep raises CapExceeded instead of
-    trying a larger m.
-    """
+    take more than 2^21 scans, so the sweep raises CapExceeded instead."""
     if n < 1:
         raise ValueError("n must be positive")
     if search_cap is not None and search_cap < n:

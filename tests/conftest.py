@@ -6,11 +6,10 @@ from discrim import discriminator, numtheory, periods
 
 
 @pytest.fixture(autouse=True)
-def empty_iota_memo(monkeypatch):
-    """Each test starts with an empty brute-force memo, both its
-    first-collision lengths iota(m) and its proven runs of D(n), so no result
-    depends on which tests ran before it."""
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+def empty_proven_runs(monkeypatch):
+    """Each test starts with an empty brute-force store, with no proven run of
+    D(n), so no result depends on which tests ran before it."""
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
 
 
 @pytest.fixture(autouse=True)

@@ -63,6 +63,17 @@ def test_discriminate_rejects_closed_for_generic(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_discriminate_refuses_a_cap_with_the_closed_form(capsys, monkeypatch):
+    # the closed form tries no modulus, so a cap there is a usage error, as
+    # the same cap is for the brute-force methods
+    monkeypatch.setattr(cli, "salajan_discriminator_closed", None)
+    assert run_cli(capsys, "discriminate", "--n", "5", "--method", "closed", "--cap", "3") == (
+        2, "", "error: --cap applies only to --method brute or both\n")
+    for method in ("brute", "both"):
+        assert run_cli(capsys, "discriminate", "--n", "5", "--method", method, "--cap", "3") == (
+            2, "", "error: search_cap must be at least n\n")
+
+
 def test_discriminate_constant_sequence_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "discriminate", "--seq", "poly:5", "--n", "3")
     assert code == 2 and "no modulus" in err
@@ -126,7 +137,7 @@ def test_discriminate_past_the_sweep_budget_is_failure(capsys, monkeypatch, seq,
     code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
     assert (code, out, err) == (1, "", f"failure: sweep scans read more than {budget} terms by n = {n}\n")
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", budget + 1)
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
     assert code == 0 and not err
 

@@ -242,8 +242,8 @@ def test_table_matches_brute_at_boundaries_and_a_sample():
     edges = {n for row in EXPECTED_TABLE for n in row[:2] if n <= 4096}
     sample = random.Random(20261018).sample(range(1, 4097), 40)
     for n in sorted(edges | set(sample)):
-        # each brute call on an empty memo, so it never reads the table's scans
-        discriminator._IOTA_MEMO.clear()
+        # each brute call on an empty store, so it never reads the table's runs
+        discriminator._PROVEN_RUNS.clear()
         assert table[n - 1] == discriminator_brute(SEQ, n).value, n
 
 
@@ -364,14 +364,14 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
     table = discriminator_table(SEQ, 512)
     assert table[-1] == salajan_discriminator_closed(512).value == 512
     assert scanned == list(range(1, 513))    # each modulus once, none above D(512)
-    # the memo now holds iota(m) for every m <= 512, each scan having run to
-    # its first collision, iota(512) = 512 included
+    # the store now proves D(n) for every n <= 512, iota(512) = 512 ending
+    # the last run
     scanned.clear()
     assert discriminator_brute(SEQ, 17).value == 25
     assert discriminator_table(SEQ, 512) == table
     assert scanned == []
-    # on an empty memo: from n up to D(n), nothing else
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    # on an empty store: from n up to D(n), nothing else
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     scanned.clear()
     assert discriminator_brute(SEQ, 17).value == 25
     assert scanned == list(range(17, 26))
@@ -379,11 +379,8 @@ def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
 
 def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
     # D(1036) = 2048 separates iota(2048) = 2048 terms, so D(n) = 2048 for
-    # every n from 1036 to 2048: with the first-collision lengths between
-    # them forgotten, each of those n is still answered with no scan
+    # every n from 1036 to 2048, and each of those n is answered with no scan
     assert discriminator_brute(SEQ, 1036).value == 2048
-    memo, runs = discriminator._IOTA_MEMO[SEQ]
-    memo[1037:2048] = array("I", [0]) * 1011
     scanned = []
     scan = discriminator.distinct_prefix_length
 
@@ -397,65 +394,122 @@ def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
         assert discriminator_brute(SEQ, n).value == 2048, n
         assert salajan_discriminator_checked(n).value == 2048, n
     # a proven value past the call's cap raises the walk's own text, which
-    # the walk on an empty memo gives too
+    # the walk on an empty store gives too
     message = "^no modulus <= 2047 separates the first 1500 terms$"
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(SEQ, 1500, search_cap=2047)
     assert scanned == []
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 1 << 28)
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(SEQ, 1500, search_cap=2047)
     assert scanned == list(range(1500, 2048))
 
 
+def test_walk_starts_above_the_largest_value_proven_below_n(monkeypatch):
+    # D(2064) = 3125 separates iota(3125) = 2500 terms, so 3125 fails every
+    # n > 2500 and the walk for 2512 starts at 3126, as an ascending sweep does
+    scanned = []
+    scan = discriminator.distinct_prefix_length
+
+    def counting(spec, m, limit):
+        scanned.append(m)
+        return scan(spec, m, limit)
+
+    monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
+    assert discriminator_brute(SEQ, 2064).value == 3125
+    assert scanned == list(range(2064, 3126))
+    scanned.clear()
+    assert discriminator_brute(SEQ, 2512).value == 4096
+    assert scanned == list(range(3126, 4097))
+
+
+def test_warm_generic_query_reads_no_exact_term(monkeypatch):
+    # a proven D(hi) shows that the first hi terms are pairwise distinct, so a
+    # warm query skips the admissibility walk, while a cold one still makes it
+    specs = [parse_spec("poly:0,0,1"), parse_spec("linrec:2,3,2,1")]
+    values = [discriminator_brute(spec, 1000).value for spec in specs]
+    walked, scanned = [], []
+    walk, scan = discriminator.exact_terms, discriminator.distinct_prefix_length
+
+    def counting_walk(spec, n):
+        walked.append(spec)
+        return walk(spec, n)
+
+    def counting_scan(spec, m, limit):
+        scanned.append(m)
+        return scan(spec, m, limit)
+
+    monkeypatch.setattr(discriminator, "exact_terms", counting_walk)
+    monkeypatch.setattr(discriminator, "distinct_prefix_length", counting_scan)
+    assert [discriminator_brute(spec, 1000).value for spec in specs] == values
+    assert walked == scanned == []
+    repeat = parse_spec("linrec:1,0,3,3")
+    with pytest.raises(SequenceNotAdmissible, match="^terms 1 and 2 are both 3;"):
+        discriminator_brute(repeat, 5)
+    assert walked == [repeat] and scanned == []
+
+
+def test_warm_query_past_the_exact_caps_is_refused_as_a_cold_one():
+    # K * u_j has the flagship's D(n) for K = 7^112000, so D(1100) = 2048
+    # proves every n up to 2048, yet term 1622 passes EXACT_TERM_BITS: a
+    # query inside the run past it still walks the terms, and is refused
+    spec = linear_recurrence(2, 3, 2 * 7**112000, 7**112000)
+    message = f"^exact term 1622 has more than {EXACT_TERM_BITS} bits$"
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(spec, 1700)
+    assert discriminator_brute(spec, 1100).value == discriminator_brute(spec, 1621).value == 2048
+    with pytest.raises(CapExceeded, match=message):
+        discriminator_brute(spec, 1700)
+
+
 def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
-    # the sweep tries no modulus past the memo's limit, whatever its cap
+    # the sweep tries no modulus past the store's limit, whatever its cap
     monkeypatch.setattr(discriminator, "SCAN_TERM_CAP", 20)
-    assert discriminator_table(SEQ, 16) == [salajan_discriminator_closed(n).value for n in range(1, 17)]
-    memo, runs = discriminator._IOTA_MEMO[SEQ]
-    assert len(memo) <= 21 and len(runs) <= 21
-    assert list(memo[1:]) == [incongruence_index(SEQ, m) for m in range(1, len(memo))]
+    closed = [salajan_discriminator_closed(n).value for n in range(1, 17)]
+    assert discriminator_table(SEQ, 16) == closed
+    runs = discriminator._PROVEN_RUNS[SEQ]
+    assert len(runs) <= 21 and list(runs[1:17]) == closed
     message = "no modulus <= 20 separates the first 17 terms"
     with pytest.raises(CapExceeded, match=message):
         discriminator_table(SEQ, 17)            # D(17) = 25
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(SEQ, 17, search_cap=30)
-    assert len(memo) <= 21
+    assert len(runs) <= 21
     # a sweep that starts past the limit tries nothing
     with pytest.raises(CapExceeded, match="no modulus <= 20 separates the first 21 terms"):
         discriminator_brute(SEQ, 21)
-    assert len(memo) <= 21 and len(runs) <= 21
+    assert len(runs) <= 21
 
 
 def test_sweep_refuses_past_its_term_budget(monkeypatch):
-    # on an empty memo the scans behind D(1..200) record iota(m) for every
+    # on an empty store the scans behind D(1..200) read iota(m) for every
     # m <= D(200) = 256, 7189 terms in all, the last of them while n = 129
     closed = [salajan_discriminator_closed(n).value for n in range(1, 201)]
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 7188)
     with pytest.raises(CapExceeded, match="^sweep scans read more than 7188 terms by n = 129$"):
         discriminator_table(SEQ, 200)
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 7189)
     assert discriminator_table(SEQ, 200) == closed
-    # memo hits read nothing
+    # proven values read nothing
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 0)
     assert discriminator_table(SEQ, 200) == closed
     assert discriminator_brute(SEQ, 17).value == 25
     # each call counts only its own scans: 2050 terms up to D(100) = 125,
     # then 5139 more
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 5139)
     assert discriminator_table(SEQ, 100) == closed[:100]
     assert discriminator_table(SEQ, 200) == closed
     # a polynomial's terms count once per coefficient, one per Horner step:
     # the squares' scans behind D(1..30) read 599 terms, counted 3 * 599
     squares = polynomial(0, 0, 1)
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 3 * 599 - 1)
     with pytest.raises(CapExceeded, match="^sweep scans read more than 1796 terms by n = "):
         discriminator_table(squares, 30)
-    monkeypatch.setattr(discriminator, "_IOTA_MEMO", {})
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 3 * 599)
     assert discriminator_table(squares, 30) == [naive_discriminator(squares, n) for n in range(1, 31)]
 
@@ -498,23 +552,20 @@ brute_calls = st.tuples(
        st.lists(brute_calls, min_size=1, max_size=6))
 def test_shared_memo_gives_the_fresh_memo_results(specs, calls):
     # the calls in drawn order, then with n going up, then going down: every
-    # call is repeated, two specs share the memo, tables and single n are
+    # call is repeated, two specs share the store, tables and single n are
     # mixed, and caps are often tight
-    discriminator._IOTA_MEMO.clear()
+    discriminator._PROVEN_RUNS.clear()
     by_n = sorted(calls, key=lambda call: call[2])
     for which, *call in calls + by_n + by_n[::-1]:
         shared = _brute_outcome(specs[which], *call)
-        with mock.patch.object(discriminator, "_IOTA_MEMO", {}):
+        with mock.patch.object(discriminator, "_PROVEN_RUNS", {}):
             assert shared == _brute_outcome(specs[which], *call), (which, call)
-    # every entry the memo holds is the exact first-collision length, and
-    # every run entry the D(n) a fresh memo gives (with the run's value as the
-    # cap, since a call with a larger cap may have proved it)
-    for spec, (memo, runs) in discriminator._IOTA_MEMO.items():
-        for m, iota in enumerate(memo):
-            assert iota == 0 or iota == incongruence_index(spec, m), (spec, m)
+    # every run entry is the D(n) a fresh store gives (with the run's value as
+    # the cap, since a call with a larger cap may have proved it)
+    for spec, runs in discriminator._PROVEN_RUNS.items():
         for n, value in enumerate(runs):
             if value:
-                with mock.patch.object(discriminator, "_IOTA_MEMO", {}):
+                with mock.patch.object(discriminator, "_PROVEN_RUNS", {}):
                     assert value == discriminator_brute(spec, n, value).value, (spec, n)
 
 
@@ -533,13 +584,12 @@ def test_oracles_never_read_the_memo():
         )
 
     before = oracles()
-    # every modulus poisoned: its "first collision" comes right after term 1
-    discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201), array("I", [0] * 1201)
-    with pytest.raises(CapExceeded, match="no modulus <= 68 separates the first 17 terms"):
-        discriminator_brute(SEQ, 17)   # the sweep does read the poisoned entries
+    # every n poisoned: its "D(n)" is 1
+    discriminator._PROVEN_RUNS[SEQ] = array("I", [1] * 1201)
+    assert discriminator_brute(SEQ, 17).value == 1   # the sweep does read the poisoned entries
     assert oracles() == before
-    # every n poisoned too: its D(n) is past any cap
-    discriminator._IOTA_MEMO[SEQ] = array("I", [1] * 1201), array("I", [10**9] * 1201)
+    # every n poisoned past any cap
+    discriminator._PROVEN_RUNS[SEQ] = array("I", [10**9] * 1201)
     with pytest.raises(CapExceeded, match="no modulus <= 68 separates the first 17 terms"):
         discriminator_brute(SEQ, 17)
     assert oracles() == before

@@ -80,11 +80,11 @@ def test_equal_specs_share_one_memo_entry():
     assert first == second and first is not second
     discriminator.discriminator_brute(first, 6)
     discriminator.discriminator_brute(second, 7)
-    assert list(discriminator._IOTA_MEMO) == [first]
+    assert list(discriminator._PROVEN_RUNS) == [first]
 
 
 def test_the_flagship_spec_differs_from_its_recurrence():
     assert sequences.salajan() != sequences.linear_recurrence(2, 3, 2, 1)
     discriminator.discriminator_brute(sequences.salajan(), 20)
     discriminator.discriminator_brute(sequences.linear_recurrence(2, 3, 2, 1), 20)
-    assert len(discriminator._IOTA_MEMO) == 2
+    assert len(discriminator._PROVEN_RUNS) == 2
