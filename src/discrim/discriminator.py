@@ -7,7 +7,7 @@ and f the least where 5^f >= 5n/4; the brute-force engine exists to verify
 that claim independently. The non-value screens (a factor 3, a period of at
 most d/2, an incongruence index of at most d/2) certify which integers never
 occur as D(n), and `recheck_certificate` checks each certificate against the
-recurrence alone, with none of the screens' code. In the same way
+sequence's definition alone, with none of the screens' code. In the same way
 `collision_certificate` proposes the collision pairs behind D(n) = v on a
 range of n, and `recheck_collision_certificate` alone decides the claim.
 """
@@ -334,8 +334,10 @@ def _first_collision(d: int, limit: int) -> tuple[int, int]:
 
 
 def recheck_certificate(cert: NonValueCertificate) -> bool:
-    """Check a certificate's claim from its witness fields and the recurrence
-    alone, sharing no code with the screen that made it. A malformed
+    """Check a certificate's claim from its witness fields and the
+    sequence's definition alone, sharing no code with the screen that made
+    it: a period rho by one power 3^rho mod 4d, an index iota by a plain
+    walk of the recurrence over u_1..u_{iota+1}. A malformed
     certificate (d < 2, a witness that is not a dict, a witness field missing
     or not an int) fails. The witness fields `prime_min_n` and
     `prime_floor_bound` are report-only: `discrim screen` prints them, and
@@ -349,16 +351,16 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
         return d % 3 == 0
     if cert.reason == REASON_PERIOD:
         # two consecutive terms fix all later ones, so matching u_1, u_2 makes
-        # rho a period from index 1 (any period <= d/2 forces a repeat)
+        # rho a period from index 1 (any period <= d/2 forces a repeat). With
+        # 4u_j = 3^j - 5(-1)^j exact and t = 3^rho mod 4d, u_{1+rho} = u_1 and
+        # u_{2+rho} = u_2 mod d read 3t + 5(-1)^rho = 8 and 9t - 5(-1)^rho = 4
+        # mod 4d, since 4u_1 = 8 and 4u_2 = 4
         rho = w.get("rho")
-        return (
-            type(rho) is int
-            and d % 3 != 0
-            and 1 <= rho
-            and 2 * rho <= d
-            and salajan_term_mod(1 + rho, d) == salajan_term_mod(1, d)
-            and salajan_term_mod(2 + rho, d) == salajan_term_mod(2, d)
-        )
+        if not (type(rho) is int and d % 3 != 0 and 1 <= rho and 2 * rho <= d):
+            return False
+        four_d, sign = 4 * d, -5 if rho % 2 else 5
+        t = pow(3, rho, four_d)
+        return (3 * t + sign - 8) % four_d == 0 and (9 * t - sign - 4) % four_d == 0
     if cert.reason == REASON_IOTA:
         iota = w.get("iota")
         # the walk stops at iota + 1 terms, so a forged index costs no more;

@@ -188,13 +188,32 @@ def _poly_residues(coeffs: tuple[int, ...], m: int, steps: int):
 
 def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:
     """Index of the first repeat mod m among the first `steps` terms, or
-    `steps`; seen residues are marked in a bytearray(m)."""
+    `steps`; seen residues are marked in a bytearray(m).
+
+    The flagship walks its odd- and even-indexed terms as two first-order
+    streams, two terms a step: 4u_{j+2} = 9 * 4u_j + 40(-1)^j by the
+    definition, so u_{j+2} = 9u_j - 10 from u_1 = 2 and u_{j+2} = 9u_j + 10
+    from u_2 = 1. Any other recurrence takes the generic second-order loop,
+    which the tests hold the stride to."""
     seen = bytearray(m)
     if spec.kind == POLYNOMIAL:
         for k, r in enumerate(_poly_residues(spec.coeffs, m, steps)):
             if seen[r]:
                 return k
             seen[r] = 1
+    elif spec.kind == SALAJAN:
+        odd, even = 2 % m, 1 % m
+        for k in range(0, steps - 1, 2):
+            if seen[odd]:
+                return k
+            seen[odd] = 1
+            if seen[even]:
+                return k + 1
+            seen[even] = 1
+            odd = (9 * odd - 10) % m
+            even = (9 * even + 10) % m
+        if steps % 2 and seen[odd]:
+            return steps - 1
     else:
         c1, c2, x, y = spec.as_recurrence()
         x, y = x % m, y % m
@@ -231,7 +250,8 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
 
     Streams residues, marking each one seen (in a bytearray(m) for
     m <= MARK_BOUND, else in a set), and stops at the first repeat or at
-    `limit`, whichever comes first. This is the shared engine behind the
+    `limit`, whichever comes first; the flagship's bytearray scan steps two
+    terms at a time (see `_mark_scan`). This is the shared engine behind the
     single-modulus discriminator check and the incongruence index. A scan that
     sees no repeat in SCAN_TERM_CAP + 1 terms, short of `limit`, raises
     CapExceeded.

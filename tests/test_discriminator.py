@@ -50,6 +50,7 @@ from discrim.sequences import (
     parse_spec,
     polynomial,
     salajan,
+    salajan_term_mod,
     term_exact,
 )
 from discrim.verify import EXPECTED_TABLE
@@ -835,6 +836,7 @@ def test_recheck_rejects_tampered_witnesses():
         NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {}),
         NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": "6"}),
         NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6.0}),
+        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": True}),
         NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": "3"}),
         NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": None}),
         NonValueCertificate("13", VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}),
@@ -883,6 +885,18 @@ def test_recheck_accepts_exactly_the_periods_up_to_half_of_d():
         for rho in range(d // 2 + 2):
             cert = NonValueCertificate(d, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": rho})
             assert recheck_certificate(cert) == (rho >= 1 and rho % period == 0 and 2 * rho <= d), (d, rho)
+
+
+def test_recheck_period_power_matches_the_term_form():
+    # the one power of 3 mod 4d decides exactly what u_{1+rho} = u_1 and
+    # u_{2+rho} = u_2 mod d decide, for every rho the check reaches
+    for d in range(2, 700):
+        for rho in range(1, d // 2 + 1):
+            cert = NonValueCertificate(d, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": rho})
+            want = (d % 3 != 0
+                    and salajan_term_mod(1 + rho, d) == salajan_term_mod(1, d)
+                    and salajan_term_mod(2 + rho, d) == salajan_term_mod(2, d))
+            assert recheck_certificate(cert) == want, (d, rho)
 
 
 def test_recheck_needs_no_screen_engine(monkeypatch):

@@ -384,6 +384,27 @@ def test_both_storages_match_the_set_reference(monkeypatch):
             distinct_prefix_length(spec, m, m)
 
 
+def _stride_matches_generic_loops(m, steps):
+    # the flagship's two-stream stride against the set loop and against the
+    # generic recurrence loop of the same bytearray scan
+    k = sequences._mark_scan(salajan(), m, steps)
+    assert k == sequences._set_scan(salajan(), m, steps), (m, steps)
+    assert k == sequences._mark_scan(linear_recurrence(2, 3, 2, 1), m, steps), (m, steps)
+
+
+def test_flagship_stride_matches_the_generic_loops():
+    # odd and even step counts, so the stride's last single term is met too
+    for m in range(1, 5001):
+        for steps in {1, 2, 3, m // 2, m // 2 + 1, m, m + 1}:
+            _stride_matches_generic_loops(m, steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=1 << 22), st.integers(min_value=1, max_value=4096))
+def test_flagship_stride_matches_the_generic_loops_at_large_moduli(m, steps):
+    _stride_matches_generic_loops(m, steps)
+
+
 def test_scan_memory_does_not_grow_per_term():
     # a full scan of 2^16 terms takes one byte a residue, not a set entry a term
     m = 1 << 16
