@@ -14,6 +14,7 @@ range of n, and `recheck_collision_certificate` alone decides the claim.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, NamedTuple
 
 from .census import fset_member_interval
@@ -23,6 +24,7 @@ from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
     DEFAULT_EXACT_CAP,
     EXACT_TERM_BITS,
+    MARK_BOUND,
     POLYNOMIAL,
     SALAJAN,
     SCAN_TERM_CAP,
@@ -322,7 +324,8 @@ def nonvalue_screen(d: int) -> NonValueCertificate:
 def _first_collision(d: int, limit: int) -> tuple[int, int]:
     """Indices i < j of the first u_j that equals an earlier term u_i mod d,
     by a plain walk of the recurrence over u_1..u_limit; (0, limit + 1) when
-    those terms hold no repeat. There are d residues, so j <= d + 1."""
+    those terms hold no repeat. There are d residues, so j <= d + 1. Only
+    `collision_certificate` walks it; `recheck_certificate` has its own walk."""
     c1, c2, x, y = salajan().as_recurrence()
     x, y = x % d, y % d
     first: dict[int, int] = {}
@@ -333,15 +336,36 @@ def _first_collision(d: int, limit: int) -> tuple[int, int]:
     return 0, limit + 1
 
 
+def _repeats_first_at(d: int, j: int) -> bool:
+    """True iff u_1..u_{j-1} are pairwise distinct mod d and u_j equals one
+    of them, by the recurrence u_n = 2u_{n-1} + 3u_{n-2} from u_1 = 2,
+    u_2 = 1, two terms a turn. Residues seen are marked in a bytearray(d)
+    for d <= MARK_BOUND, else kept in a dict, so memory stays O(j) at a huge
+    d; either way the walk reads u_1..u_j and no further."""
+    seen = bytearray(d) if d <= MARK_BOUND else defaultdict(int)
+    x, y = 2 % d, 1 % d
+    for k in range(1, j, 2):   # x = u_k, y = u_{k+1}
+        if seen[x]:
+            return False
+        seen[x] = 1
+        if seen[y]:
+            return k + 1 == j
+        seen[y] = 1
+        x = (2 * y + 3 * x) % d
+        y = (2 * x + 3 * y) % d
+    return j % 2 == 1 and seen[x] == 1   # an odd j leaves u_j in x
+
+
 def recheck_certificate(cert: NonValueCertificate) -> bool:
     """Check a certificate's claim from its witness fields and the
     sequence's definition alone, sharing no code with the screen that made
-    it: a period rho by one power 3^rho mod 4d, an index iota by a plain
-    walk of the recurrence over u_1..u_{iota+1}. A malformed
-    certificate (d < 2, a witness that is not a dict, a witness field missing
-    or not an int) fails. The witness fields `prime_min_n` and
-    `prime_floor_bound` are report-only: `discrim screen` prints them, and
-    this check never reads them."""
+    it: a period rho by one power 3^rho mod 4d, an index iota by its own
+    walk of the recurrence over u_1..u_{iota+1} (`_repeats_first_at`),
+    which must end on their first repeat. A malformed certificate (d < 2,
+    a witness that is not a dict, a witness field missing or not an int)
+    fails. The witness fields `prime_min_n` and `prime_floor_bound` are
+    report-only: `discrim screen` prints them, and this check never reads
+    them."""
     d, w = cert.d, cert.witness
     if cert.verdict == VERDICT_UNDECIDED:
         return True   # no claim to falsify
@@ -369,7 +393,7 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
             type(iota) is int
             and 2 * iota <= d
             and iota <= SCAN_TERM_CAP
-            and _first_collision(d, iota + 1)[1] == iota + 1
+            and _repeats_first_at(d, iota + 1)
         )
     return False
 

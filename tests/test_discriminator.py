@@ -2,7 +2,9 @@
 
 import random
 import time
+import tracemalloc
 from array import array
+from collections import defaultdict
 from unittest import mock
 
 import pytest
@@ -807,43 +809,39 @@ def test_screen_complete_below_10_5_and_period_survivors_are_prime_powers():
             assert p > 3 and 2 * sympy.n_order(9, d) == sympy.totient(d), d
 
 
+# claims the recheck must reject: false witnesses, true witnesses that exceed
+# d/2 (rho(5) = 4, iota(32) = 32 prove nothing), an unknown reason, and
+# malformed certificates, which fail instead of raising
+_REJECTED_CLAIMS = [
+    NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 4}),
+    NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 3}),
+    NonValueCertificate(5, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 4}),
+    NonValueCertificate(32, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 32}),
+    NonValueCertificate(9, VERDICT_NON_VALUE, "made_up", {}),
+    NonValueCertificate(0, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 0}),
+    NonValueCertificate(1, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 0}),
+    NonValueCertificate(-4, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 1}),
+    NonValueCertificate(0, VERDICT_NON_VALUE, REASON_DIV3, {"d_mod_3": 0}),
+    NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {}),
+    NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {}),
+    NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": "6"}),
+    NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6.0}),
+    NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": True}),
+    NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": "3"}),
+    NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": None}),
+    NonValueCertificate("13", VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}),
+]
+
+
 def test_recheck_rejects_tampered_witnesses():
-    cert = nonvalue_screen(13)
-    tampered = NonValueCertificate(cert.d, cert.verdict, cert.reason, {"rho": 4})
-    assert not recheck_certificate(tampered)
-
-    iota_cert = nonvalue_screen(7)
-    bumped = NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 3})
-    assert recheck_certificate(iota_cert) and not recheck_certificate(bumped)
-
-    # true witnesses that exceed d/2 prove nothing: rho(5) = 4, iota(32) = 32
-    long_period = NonValueCertificate(5, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 4})
-    long_index = NonValueCertificate(32, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 32})
-    assert not recheck_certificate(long_period) and not recheck_certificate(long_index)
-
+    # the first two claims tamper with the screen's own witnesses rho(13) = 6
+    # and iota(7) = 2
+    assert [nonvalue_screen(d).witness for d in (13, 7)] == [{"rho": 6}, {"iota": 2}]
+    assert recheck_certificate(nonvalue_screen(13)) and recheck_certificate(nonvalue_screen(7))
     undecided = nonvalue_screen(32)
     assert recheck_certificate(undecided)       # no claim made, nothing to refute
-    nonsense = NonValueCertificate(9, VERDICT_NON_VALUE, "made_up", {})
-    assert not recheck_certificate(nonsense)
-
-    # malformed certificates fail instead of raising
-    malformed = [
-        NonValueCertificate(0, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 0}),
-        NonValueCertificate(1, VERDICT_NON_VALUE, REASON_IOTA, {"iota": 0}),
-        NonValueCertificate(-4, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 1}),
-        NonValueCertificate(0, VERDICT_NON_VALUE, REASON_DIV3, {"d_mod_3": 0}),
-        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {}),
-        NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {}),
-        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": "6"}),
-        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6.0}),
-        NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": True}),
-        NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": "3"}),
-        NonValueCertificate(7, VERDICT_NON_VALUE, REASON_IOTA, {"iota": None}),
-        NonValueCertificate("13", VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}),
-    ]
-    for cert in malformed:
+    for cert in _REJECTED_CLAIMS:
         assert recheck_certificate(cert) is False, cert
-    assert recheck_certificate(NonValueCertificate(13, VERDICT_NON_VALUE, REASON_PERIOD, {"rho": 6}))
 
 
 @pytest.mark.parametrize("witness", [None, [("rho", 6)], "rho", 6])
@@ -914,6 +912,23 @@ def test_recheck_needs_no_screen_engine(monkeypatch):
     assert all(recheck_certificate(cert) for cert in certs)
 
 
+def test_recheck_walks_neither_the_screen_nor_the_collision_search(monkeypatch):
+    certs = [nonvalue_screen(d) for d in range(2, 601)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recheck called into another walk")
+
+    names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
+             "_mark_scan", "_set_scan", "mult_order", "factorize", "_PRIME_POWER_ORDERS",
+             "_first_collision")
+    for module in (census, charsum, discriminator, numtheory, periods, sequences):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert all(recheck_certificate(cert) for cert in certs)
+    assert not any(recheck_certificate(cert) for cert in _REJECTED_CLAIMS)
+
+
 # ------------------------------------------------------------------ collision certificates
 
 
@@ -982,13 +997,17 @@ def test_collision_checker_rejects_exactly_the_false_tampers():
         assert not recheck_collision_certificate(bad, array("I"), array("I"))
 
 
-def _first_collision_reference(m):
+def _first_collision_reference(m, terms=None):
+    """The first colliding pair mod m from exact terms, among the first
+    `terms` of them (None: m + 1, which must hold one)."""
     seen = {}
-    for j, t in enumerate(exact_terms(SEQ, m + 1), start=1):
+    for j, t in enumerate(exact_terms(SEQ, m + 1 if terms is None else terms), start=1):
         i = seen.setdefault(t % m, j)
         if i != j:
             return i, j
-    raise AssertionError("m + 1 terms hold a repeat mod m")
+    if terms is None:
+        raise AssertionError("m + 1 terms hold a repeat mod m")
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -1000,6 +1019,58 @@ def test_walked_pair_is_the_first_collision(m):
     assert discriminator._first_collision(m, j - 1) == (0, j)
 
 
+def _count_dict_storage(monkeypatch) -> list:
+    """A list that grows by one each time `_repeats_first_at` keeps a dict."""
+    made = []
+    monkeypatch.setattr(discriminator, "defaultdict", lambda kind: made.append(kind) or defaultdict(kind))
+    return made
+
+
+def test_repeat_walk_matches_the_reference_on_both_storages(monkeypatch):
+    made = _count_dict_storage(monkeypatch)
+    walk = discriminator._repeats_first_at
+    for d in range(2, 2000):
+        _, first = _first_collision_reference(d)
+        for j in range(1, min(d + 2, 300) + 1):
+            assert walk(d, j) is (j == first), (d, j)
+    assert made == []
+    # the dict path, forced: every j while d < 300, then j at both ends and
+    # around the first repeat (a full grid there would take twice as long)
+    monkeypatch.setattr(discriminator, "MARK_BOUND", 1)
+    calls = 0
+    for d in range(2, 2000):
+        _, first = _first_collision_reference(d)
+        top = min(d + 2, 300)
+        js = range(1, top + 1) if d < 300 else {1, 2, 3, first - 1, first, first + 1, top}
+        for j in js:
+            assert walk(d, j) is (j == first), (d, j)
+            calls += 1
+    assert len(made) == calls
+
+
+def test_repeat_walk_keeps_a_bytearray_up_to_the_mark_bound(monkeypatch):
+    made = _count_dict_storage(monkeypatch)
+    monkeypatch.setattr(discriminator, "MARK_BOUND", 600)
+    for d in (599, 600, 601, 602):
+        before = len(made)
+        _, first = _first_collision_reference(d)
+        assert discriminator._repeats_first_at(d, first) and not discriminator._repeats_first_at(d, first + 1)
+        assert len(made) - before == (2 if d > 600 else 0), d
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.integers(min_value=2, max_value=2**25), st.integers(min_value=2**24 - 2, max_value=2**25)),
+       st.integers(min_value=-2, max_value=3000))
+def test_repeat_walk_matches_exact_terms_to_2_25(d, j):
+    # past 2^24 the walk keeps a dict; most d first repeat past 3000 terms,
+    # so the claim at the true index is checked too whenever it lies within
+    pair = _first_collision_reference(d, 3000)
+    first = pair[1] if pair else None
+    assert discriminator._repeats_first_at(d, j) is (j == first)
+    if first is not None:
+        assert discriminator._repeats_first_at(d, first)
+
+
 def test_collision_search_walks_no_further_than_the_row_start():
     # u_1..u_3 = 2, 1, 0 stay distinct mod 4, so a pair j <= 3 exists only mod 3
     first, second = collision_certificate(3, 5)
@@ -1007,18 +1078,35 @@ def test_collision_search_walks_no_further_than_the_row_start():
     assert not recheck_collision_certificate((3, 3, 5), first, second)
 
 
+def _rejected_in_bounds(cert, peak_bytes):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        accepted = recheck_certificate(cert)
+        took = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return accepted is False and took < 0.5 and peak < peak_bytes
+
+
 def test_forged_iota_certificate_is_rejected_at_once():
-    # u_1..u_6 are distinct mod 2^40 and its first repeat lies far past them,
-    # so the walk stops at iota + 1 = 6 terms; an iota past the scan cap,
-    # which no screen reports, is rejected without a walk
-    start = time.perf_counter()
-    for iota in (5, 2**23):
-        forged = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
-        assert recheck_certificate(forged) is False
-    assert time.perf_counter() - start < 0.5
-    for iota in (-3, -1, 0, 1):
-        cert = NonValueCertificate(2**40, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
-        assert recheck_certificate(cert) is False, iota
+    # iota(2^a) = 2^a, so each iota below is false at both d; the walk stops
+    # at iota + 1 terms, and 2^23, past the scan cap that no screen reaches,
+    # is rejected with no walk. The bytearray(2^24) is the largest a walk
+    # allocates, and a dict walk mod 2^40 holds at most iota + 1 residues
+    for d, peak_bytes in ((2**24, 20 << 20), (2**40, 1 << 20)):
+        for iota in (-3, -1, 0, 1, 2, 5, 4095, 2**23):
+            cert = NonValueCertificate(d, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
+            assert _rejected_in_bounds(cert, peak_bytes), (d, iota)
+
+
+def test_true_index_certificate_above_the_mark_bound_is_accepted():
+    cert = next(c for c in map(nonvalue_screen, range(2**24 + 1, 2**24 + 400)) if c.reason == REASON_IOTA)
+    assert cert.d > sequences.MARK_BOUND and cert.witness["iota"] < 2**15
+    assert recheck_certificate(cert)
+    for iota in (cert.witness["iota"] - 1, cert.witness["iota"] + 1):
+        assert not recheck_certificate(cert._replace(witness={**cert.witness, "iota": iota}))
 
 
 def test_collision_checker_needs_no_search_engine(monkeypatch):
