@@ -22,8 +22,6 @@ from .charsum import prime_lemma_bound
 from .numtheory import is_prime
 from .periods import incongruence_index, salajan_period_formula
 from .sequences import (
-    DEFAULT_EXACT_CAP,
-    EXACT_TERM_BITS,
     MARK_BOUND,
     POLYNOMIAL,
     SALAJAN,
@@ -101,18 +99,6 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
             )
 
 
-def _terms_within_caps(spec: SequenceSpec, n: int) -> bool:
-    """True if a size bound shows that `exact_terms` yields v_1..v_n with no
-    CapExceeded: |v_j| <= (|c1| + |c2|)^(j-2) * max(|v1|, |v2|) for a
-    recurrence, |p(j)| <= (|a0| + |a1| + ...) * j^deg for a polynomial."""
-    if spec.kind == POLYNOMIAL:
-        bits = sum(map(abs, spec.coeffs)).bit_length() + (len(spec.coeffs) - 1) * n.bit_length()
-    else:
-        c1, c2, v1, v2 = spec.as_recurrence()
-        bits = max(abs(v1), abs(v2)).bit_length() + max(n - 2, 0) * (abs(c1) + abs(c2)).bit_length()
-    return n <= DEFAULT_EXACT_CAP and bits <= EXACT_TERM_BITS
-
-
 # The brute-force sweep's one store: per sequence spec, an array of unsigned
 # 4-byte ints indexed by n that holds D(n) where a sweep proved it, 0 where
 # not yet. D is nondecreasing and m = D(n) separates the first iota(m) terms,
@@ -145,21 +131,21 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     CapExceeded; otherwise m walks up, one scan to the first collision each
     (limit m, since iota(m) <= m), until iota(m) >= n. The walk raises
     CapExceeded once the scanned lengths of one call, a polynomial's times
-    its coefficient count, pass SWEEP_TERM_BUDGET. A generic spec's first hi
-    terms are checked for a repeat unless the store proves D(hi) within
-    their exact caps. The default cap ignores the closed form, whose D(n) <
-    2n for the flagship: the sweep stops at the first modulus that separates
-    the terms, so a cap above 2n changes no correct answer.
+    its coefficient count, pass SWEEP_TERM_BUDGET. Every query on a generic
+    spec, warm or cold, first walks its first hi exact terms for a repeat,
+    before the store is read. The default cap ignores the closed form, whose
+    D(n) < 2n for the flagship: the sweep stops at the first modulus that
+    separates the terms, so a cap above 2n changes no correct answer.
     """
     from array import array   # an extension module; `import discrim.cli` stays without it
 
+    if spec.kind != SALAJAN:
+        _check_admissible(spec, hi)
     cap = min(4 * hi if search_cap is None else search_cap, SCAN_TERM_CAP)
     weight = len(spec.coeffs) if spec.kind == POLYNOMIAL else 1
     runs = _PROVEN_RUNS.get(spec)
     if runs is None:
         runs = _PROVEN_RUNS[spec] = array("I")
-    if spec.kind != SALAJAN and not (hi < len(runs) and runs[hi] and _terms_within_caps(spec, hi)):
-        _check_admissible(spec, hi)
 
     values, spent = [], 0
     m = lo - 1 if lo < len(runs) and runs[lo] else max(max(runs[:lo], default=0), lo - 1)

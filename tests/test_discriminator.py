@@ -427,9 +427,9 @@ def test_walk_starts_above_the_largest_value_proven_below_n(monkeypatch):
     assert scanned == list(range(3126, 4097))
 
 
-def test_warm_generic_query_reads_no_exact_term(monkeypatch):
-    # a proven D(hi) shows that the first hi terms are pairwise distinct, so a
-    # warm query skips the admissibility walk, while a cold one still makes it
+def test_warm_generic_query_walks_its_exact_terms_again(monkeypatch):
+    # a warm query walks the first n exact terms as a cold one does, so it
+    # refuses what a cold one refuses, and then reads D(n) from the store
     specs = [parse_spec("poly:0,0,1"), parse_spec("linrec:2,3,2,1")]
     values = [discriminator_brute(spec, 1000).value for spec in specs]
     walked, scanned = [], []
@@ -446,7 +446,8 @@ def test_warm_generic_query_reads_no_exact_term(monkeypatch):
     monkeypatch.setattr(discriminator, "exact_terms", counting_walk)
     monkeypatch.setattr(discriminator, "distinct_prefix_length", counting_scan)
     assert [discriminator_brute(spec, 1000).value for spec in specs] == values
-    assert walked == scanned == []
+    assert walked == specs and scanned == []
+    walked.clear()
     repeat = parse_spec("linrec:1,0,3,3")
     with pytest.raises(SequenceNotAdmissible, match="^terms 1 and 2 are both 3;"):
         discriminator_brute(repeat, 5)

@@ -1,8 +1,10 @@
 """The import-light runtime: the package and the CLI load neither numpy nor
 mpmath, commands that never reach a numpy kernel stay free of it however
-long their first-collision scans run, and the constants that used to come
-from those libraries are checked against them."""
+long their first-collision scans run, no module imports a name it never
+uses, and the constants that used to come from those libraries are checked
+against them."""
 
+import ast
 import json
 import os
 import subprocess
@@ -41,6 +43,47 @@ def run_checked(body: str) -> tuple[str, list[str]]:
 
 def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
     assert run_checked("import discrim, discrim.cli")[0] == ""
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names that an import binds and the module never reads; a name read
+    only in an annotation, quoted or not, counts as read."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        note = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read.update(n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (ROOT / "src" / "discrim").glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_module_imports_a_name_it_never_uses(path):
+    # __init__ imports names only to re-export them
+    source = (ROOT / "src" / "discrim" / path).read_text()
+    assert _unused_imports(ast.parse(source)) == []
+
+
+def test_unused_import_check_sees_annotations_and_unused_names():
+    source = ("from __future__ import annotations\n"
+              "from typing import TYPE_CHECKING\n"
+              "import os.path\n"
+              "from .sequences import EXACT_TERM_BITS, MARK_BOUND as BOUND, SequenceSpec\n"
+              "if TYPE_CHECKING:\n"
+              "    from array import array\n"
+              "def f(spec: SequenceSpec) -> 'array':\n"
+              "    return os.path.sep\n")
+    assert _unused_imports(ast.parse(source)) == ["BOUND (line 4)", "EXACT_TERM_BITS (line 4)"]
 
 
 def test_importing_the_cli_builds_no_dataclasses():
