@@ -16,6 +16,7 @@ import os
 import stat
 import sys
 
+from . import discriminator
 from .census import (
     census_scan,
     check_fset_bound,
@@ -72,21 +73,15 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
             )
 
 
-# the most terms the scans of one `iota --range` or `screen --range` may
-# look at, each m counted at its bound min(m, SCAN_TERM_CAP + 1)
-SPAN_TERM_BUDGET = 1 << 26
-
-
-def _scan_bound_sum(hi: int) -> int:
-    """The sum of min(m, SCAN_TERM_CAP + 1) over 1 <= m <= hi."""
-    k = min(hi, SCAN_TERM_CAP + 1)
-    return k * (k + 1) // 2 + (hi - k) * (SCAN_TERM_CAP + 1)
+# the most integers one `iota --range` or `screen --range` may hold: every row waits for `_emit`
+SPAN_ROWS = 1 << 18
 
 
 def _span_targets(span: str, least: int, what: str) -> range:
     """The integers n >= least of the span LO:HI; ValueError when the span is
-    malformed or holds none, naming them as `what`, and CapExceeded when
-    their scans may look at more than SPAN_TERM_BUDGET terms."""
+    malformed or holds none, naming them as `what`, and CapExceeded when it
+    holds more than SPAN_ROWS of them or one above SCAN_TERM_CAP, the largest
+    modulus the sweep tries: the term budget misses what a row costs besides its terms."""
     lo, sep, hi = span.partition(":")
     if not sep:
         raise ValueError("range must look like lo:hi")
@@ -99,10 +94,17 @@ def _span_targets(span: str, least: int, what: str) -> range:
     targets = range(max(lo_i, least), hi_i + 1)
     if not targets:
         raise ValueError(f"range {span} holds no {what}")
-    terms = _scan_bound_sum(targets[-1]) - _scan_bound_sum(targets[0] - 1)
-    if terms > SPAN_TERM_BUDGET:
-        raise CapExceeded(f"range {span} may scan {terms} terms, more than {SPAN_TERM_BUDGET}")
+    if hi_i - targets[0] >= SPAN_ROWS:
+        raise CapExceeded(f"range {span} holds more than {SPAN_ROWS} integers")
+    if hi_i > SCAN_TERM_CAP:
+        raise CapExceeded(f"range {span} reaches past {SCAN_TERM_CAP}, the largest modulus scanned")
     return targets
+
+
+def _check_spent(spent: int, span: str, name: str, n: int) -> None:
+    """Raise CapExceeded at n once the scans of `span` have read more than SWEEP_TERM_BUDGET terms."""
+    if spent > discriminator.SWEEP_TERM_BUDGET:
+        raise CapExceeded(f"range {span} scans read more than {discriminator.SWEEP_TERM_BUDGET} terms by {name} = {n}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,17 +215,22 @@ def _cmd_period(args, out) -> int:
 
 def _cmd_iota(args, out) -> int:
     targets = _span_targets(args.span, 1, "modulus m >= 1") if args.span else [args.m]
-    seq = salajan()
-    rows = [{"m": m, "iota": incongruence_index(seq, m)} for m in targets]
+    seq, rows, spent = salajan(), [], 0
+    for m in targets:
+        iota = incongruence_index(seq, m)
+        _check_spent(spent := spent + iota, args.span, "m", m)
+        rows.append({"m": m, "iota": iota})
     _emit(rows, args.format, out)
     return 0
 
 
 def _cmd_screen(args, out) -> int:
     targets = _span_targets(args.span, 2, "d >= 2") if args.span else [args.d]
-    rows = []
+    rows, spent = [], 0
     for d in targets:
         cert = nonvalue_screen(d)
+        # the 3 | d and period screens decide without a scan
+        _check_spent(spent := spent + cert.witness.get("iota", 0), args.span, "d", d)
         witness = json.dumps(cert.witness, sort_keys=True)
         if not recheck_certificate(cert):
             raise MethodsDisagree(

@@ -118,9 +118,9 @@ _PROVEN_RUNS: dict[SequenceSpec, array] = {}
 # k times, one per Horner step, since a scan term of poly:1,2,...,301 costs
 # about 60 times one of poly:0,0,1. `verify --nmax 65536` reads 189,328,104
 # (18 s on 2 cores), and a bare `discriminate --n 2000000` stops after about
-# 26 s, where it would run for about 18 minutes. It is not the CLI's
-# SPAN_TERM_BUDGET, a worst case checked before any work: the sweep's worst
-# case, about 1.5*n^2 terms, would refuse `--nmax 65536` outright
+# 26 s, where it would run for about 18 minutes. `iota --range` and `screen
+# --range` count their scans against it too. A worst case checked before any
+# work, about 1.5*n^2 terms a sweep, would refuse `--nmax 65536` outright
 SWEEP_TERM_BUDGET = 1 << 28
 
 

@@ -350,21 +350,45 @@ def test_bad_range_is_usage_error(capsys):
 
 
 def test_over_budget_span_exits_1_at_once(capsys):
-    # a span's scans are bounded by sum(min(m, 2^22 + 1)); 1:11584 stays
-    # within 2^26 terms and 1:11585 does not
-    start = time.perf_counter()
-    assert run_cli(capsys, "iota", "--range", "1:1000000000") == (
-        1, "", "failure: range 1:1000000000 may scan 4185508904880640 terms, more than 67108864\n")
-    assert time.perf_counter() - start < 0.5
-    assert cli._scan_bound_sum(11584) <= cli.SPAN_TERM_BUDGET < cli._scan_bound_sum(11585)
-    code, out, err = run_cli(capsys, "screen", "--range", "2:11585")
-    assert (code, out) == (1, "") and err.startswith("failure: range 2:11585 may scan ")
-    # past the scan cap each modulus counts 2^22 + 1 terms, so 16 of them
-    # overrun 2^26 by 16
-    cap = sequences.SCAN_TERM_CAP + 1
-    assert cli._scan_bound_sum(cap + 7) == cap * (cap + 1) // 2 + 7 * cap
-    assert run_cli(capsys, "iota", "--range", "8388608:8388623") == (
-        1, "", "failure: range 8388608:8388623 may scan 67108880 terms, more than 67108864\n")
+    # a span holds at most 2^18 integers, none above 2^22, the largest
+    # modulus the sweep tries; both are checked before any work
+    for argv, err in [
+        (("iota", "--range", "1:1000000000"), "range 1:1000000000 holds more than 262144 integers"),
+        (("screen", "--range", "4194305:4194306"),
+         "range 4194305:4194306 reaches past 4194304, the largest modulus scanned"),
+        (("iota", "--range", "4194304:4194305"),
+         "range 4194304:4194305 reaches past 4194304, the largest modulus scanned"),
+    ]:
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv) == (1, "", f"failure: {err}\n")
+        assert time.perf_counter() - start < 0.5
+    # its screens read 123,613 terms, where a worst-case estimate of
+    # min(d, 2^22 + 1) terms each came to 67,111,904
+    code, out, err = run_cli(capsys, "screen", "--range", "2:11585", "--format", "csv")
+    assert code == 0 and not err
+    assert len(parse_csv(out)) == 11584
+
+
+@pytest.mark.parametrize("argv,at,terms", [
+    (("iota", "--range", "1:50"), "m = 50", 426),
+    (("screen", "--range", "2:89"), "d = 89", 310),
+])
+def test_span_past_the_sweep_budget_is_failure(capsys, monkeypatch, argv, at, terms):
+    # the span's scans read `terms` terms, the last row's scan among them:
+    # iota(m) for each m, and for each d the iota in its witness, which the
+    # 3 | d and period screens leave out
+    lo, hi = map(int, argv[2].split(":"))
+    seq, targets = sequences.salajan(), range(lo, hi + 1)
+    if argv[0] == "iota":
+        assert sum(periods.incongruence_index(seq, m) for m in targets) == terms
+    else:
+        assert sum(discriminator.nonvalue_screen(d).witness.get("iota", 0) for d in targets) == terms
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", terms - 1)
+    assert run_cli(capsys, *argv) == (
+        1, "", f"failure: range {argv[2]} scans read more than {terms - 1} terms by {at}\n")
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", terms)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +403,46 @@ def test_empty_request_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+BIG = "1" * 4301   # one digit more than Python turns into an int by default
+
+
+@pytest.mark.parametrize("argv", [
+    ("iota", "--range", "0:0"),
+    ("screen", "--range=-5:0", "--format", "csv"),
+    ("iota", "--range", "9:2", "--format", "json"),
+    ("screen", "--range", "a:b"),
+    ("iota", "--range", "5", "--format", "csv"),
+    ("screen", "--range", "5", "--format", "json"),
+    ("iota", "--range", "1:1", "--format", "json"),
+    ("screen", "--range", "1:1"),
+    ("iota", "--range", "4194300:4194301", "--format", "csv"),
+    ("screen", "--range", "4194300:4194301", "--format", "json"),
+    ("iota", "--range", "4194305:4194305"),
+    ("screen", "--range", "4194305:4194305", "--format", "csv"),
+    ("iota", "--range", "1:262145", "--format", "json"),
+    ("screen", "--range", "2:262146"),
+    ("iota", "--range", f"1:{BIG}"),
+    ("iota", "--range", f"1:{BIG[1:]}"),
+    ("screen", "--range", f"{BIG}:{BIG}", "--format", "csv"),
+    ("iota", "--range=-5:0", "--format", "json"),
+    ("screen", "--range", "0:0", "--format", "json"),
+    ("iota", "--range", "2:3000", "--format", "csv"),
+    ("screen", "--range", "2:3000"),
+], ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} chars>" for a in argv))
+def test_range_smoke(capsys, argv):
+    # each span ends in an answer or a bounded error, printing rows only on
+    # success and never a traceback
+    start = time.perf_counter()
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:   # argparse's own usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code in (0, 1, 2) and "Traceback" not in captured.err
+    assert bool(captured.out) == (code == 0) and bool(captured.err) == (code != 0)
 
 
 # ------------------------------------------------------------------ screen
@@ -403,6 +467,24 @@ def test_screen_range_verdicts(capsys):
     assert by_d[7]["reason"] == "iota_screen"
     for r in rows:
         json.loads(r["witness"])                  # witness is always valid JSON
+
+
+def test_every_span_row_is_its_single_query(capsys):
+    # counting the terms of a span changes none of its rows
+    code, out, err = run_cli(capsys, "screen", "--range", "2:3000", "--format", "json")
+    assert code == 0 and not err
+    expected = []
+    for d in range(2, 3001):
+        cert = discriminator.nonvalue_screen(d)
+        assert discriminator.recheck_certificate(cert)
+        expected.append({"d": d, "verdict": cert.verdict, "reason": cert.reason or "",
+                         "witness": json.dumps(cert.witness, sort_keys=True)})
+    assert [json.loads(line) for line in out.splitlines()] == expected
+    code, out, err = run_cli(capsys, "iota", "--range", "1:2000", "--format", "json")
+    assert code == 0 and not err
+    seq = sequences.salajan()
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"m": m, "iota": periods.incongruence_index(seq, m)} for m in range(1, 2001)]
 
 
 def test_screen_certificate_failing_its_recheck_fails_the_cli_and_its_suite(capsys, monkeypatch):
@@ -652,12 +734,23 @@ def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, where):
     [
         (("fset", "--max", "0"), 2),
         (("discriminate", "--seq", "linrec:1,2,1,3", "--n", "500", "--method", "brute"), 1),
+        (("iota", "--range", "1:262145"), 1),   # one row too many, refused before any scan
     ],
 )
 def test_output_survives_a_failing_command(tmp_path, capsys, argv, code):
     target = tmp_path / "keep.csv"
     target.write_bytes(b"123456789")
     assert run_cli(capsys, *argv, "--output", str(target))[:2] == (code, "")
+    assert target.read_bytes() == b"123456789"
+
+
+def test_range_refused_partway_leaves_the_output_file(tmp_path, capsys, monkeypatch):
+    # the term budget refuses 2:89 at d = 89, after 87 rows were made
+    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 309)
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"123456789")
+    assert run_cli(capsys, "screen", "--range", "2:89", "--format", "csv", "--output", str(target)) == (
+        1, "", "failure: range 2:89 scans read more than 309 terms by d = 89\n")
     assert target.read_bytes() == b"123456789"
 
 
