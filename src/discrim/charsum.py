@@ -33,27 +33,20 @@ class CharSumReport(NamedTuple):
     identity_residual: float
 
 
-def _resolve_root(p: int, g: int | None) -> int:
-    if p <= 5 or not is_prime(p):
-        raise ValueError("p must be a prime > 5 (30 degenerates mod 2, 3, 5)")
-    if g is None:
-        return smallest_primitive_root(p)
-    if math.gcd(g, p) != 1 or mult_order(g, p) != p - 1:
-        raise ValueError(f"{g} is not a primitive root mod {p}")
-    return g
-
-
-def build_A(p: int, g: int | None = None, *, _root_proven: bool = False) -> set[tuple[int, int]]:
-    """The pair set {(x, y) in Z_{p-1}^2 : 3g^x - g^y = 30 mod p}, in O(p).
+def build_A(p: int, g: int | None = None) -> set[tuple[int, int]]:
+    """The pair set {(x, y) in Z_{p-1}^2 : 3g^x - g^y = 30 mod p}, in O(p),
+    for g or, when none is given, the smallest primitive root mod p.
 
     For each x there is exactly one residue 3g^x - 30, which is a power of g
     unless it is 0; indexing a discrete-log table turns it into the unique y.
     A group order p - 1 past MAX_DFT_ORDER is refused before the tables.
-    `char_sum_report` passes `_root_proven` with the root it has resolved,
-    so that root is not proved primitive a second time.
     """
-    if not _root_proven:
-        g = _resolve_root(p, g)
+    if p <= 5 or not is_prime(p):
+        raise ValueError("p must be a prime > 5 (30 degenerates mod 2, 3, 5)")
+    if g is None:
+        g = smallest_primitive_root(p)
+    elif math.gcd(g, p) != 1 or mult_order(g, p) != p - 1:
+        raise ValueError(f"{g} is not a primitive root mod {p}")
     n = p - 1
     _check_dft_order(n)
     dlog = [0] * p
@@ -196,14 +189,13 @@ def prime_lemma_bound(n: int) -> float:
 
 def char_sum_report(p: int, g: int | None = None) -> CharSumReport:
     """Bundle the standard verifications for one prime into a report."""
-    g = _resolve_root(p, g)
+    a = build_A(p, g)
     n = p - 1
-    a = build_A(p, g, _root_proven=True)
     ahat = max_nontrivial_char_sum(a, n)
     _, _, residual = pair_count_identity_check(a, a, n)
     return CharSumReport(
         p=p,
-        g=g,
+        g=smallest_primitive_root(p) if g is None else g,
         setA_size=len(a),
         max_nontrivial_sum=ahat,
         sqrt_p=math.sqrt(p),

@@ -14,8 +14,9 @@ range of n, and `recheck_collision_certificate` alone decides the claim.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
@@ -34,11 +35,9 @@ from .sequences import (
     exact_terms,
     salajan,
     salajan_term_mod,
+    scan_term_limit,
     term_exact,
 )
-
-if TYPE_CHECKING:
-    from array import array
 
 METHOD_CLOSED = "closed_form"
 METHOD_BRUTE = "brute_force"
@@ -137,8 +136,6 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     D(n) < 2n for the flagship: the sweep stops at the first modulus that
     separates the terms, so a cap above 2n changes no correct answer.
     """
-    from array import array   # an extension module; `import discrim.cli` stays without it
-
     if spec.kind != SALAJAN:
         _check_admissible(spec, hi)
     cap = min(4 * hi if search_cap is None else search_cap, SCAN_TERM_CAP)
@@ -374,11 +371,12 @@ def recheck_certificate(cert: NonValueCertificate) -> bool:
     if cert.reason == REASON_IOTA:
         iota = w.get("iota")
         # the walk stops at iota + 1 terms, so a forged index costs no more;
-        # no screen reports an iota past SCAN_TERM_CAP, so none is walked
+        # a scan that reaches scan_term_limit(d) terms raises instead, so no
+        # screen reports an iota at or past it, and none is walked
         return (
             type(iota) is int
             and 2 * iota <= d
-            and iota <= SCAN_TERM_CAP
+            and iota < scan_term_limit(d)
             and _repeats_first_at(d, iota + 1)
         )
     return False
@@ -392,8 +390,6 @@ def collision_certificate(start: int, value: int) -> tuple[array, array]:
     that fits below start, else the first collision of a plain walk over
     u_1..u_start, or (0, start + 1) if there is none. It claims nothing:
     `recheck_collision_certificate` decides."""
-    from array import array
-
     first, second = array("I"), array("I")
     for m in range(start, value):
         info = salajan_period_formula(m)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -176,8 +177,6 @@ _spf: Sequence[int] = ()
 
 
 def _sieve_spf() -> Sequence[int]:
-    from array import array   # an extension module; `import discrim.cli` stays without it
-
     spf = array("H", [0]) * SPF_ENTRIES
     # largest prime first, so each composite ends with its least one
     for p in reversed([p for p in _SMALL_PRIMES[1:] if p * p < SPF_ENTRIES]):

@@ -20,11 +20,21 @@ DEFAULT_EXACT_CAP = 200_000
 # there, so a walk costs at most what the flagship's walk to the cap costs
 EXACT_TERM_BITS = 316_991
 
-# a first-collision scan looks at most SCAN_TERM_CAP + 1 terms ahead and
-# raises CapExceeded past them: every answer up to SCAN_TERM_CAP stays exact,
-# and a scan that keeps a set (above MARK_BOUND, about 68 B a term) stays
-# near 290 MB
+# a first-collision scan mod m looks at most scan_term_limit(m) terms ahead
+# and raises CapExceeded past them: SCAN_TERM_CAP + 1 below 2^64, so every
+# answer up to SCAN_TERM_CAP stays exact. A walk keeps at most
+# (SCAN_TERM_CAP + 1) * 64 bits of residues, since a residue's int grows with
+# its modulus (36 B below 2^64, 468 B at 1,001 digits). A set scan (above
+# MARK_BOUND, about 68 B a term) peaks near 333 MB at m = 2^64 and at 57 MB
+# mod 10^1000 + 7, where 2^22 + 1 terms took 2.07 GB
 SCAN_TERM_CAP = 1 << 22
+
+
+def scan_term_limit(m: int) -> int:
+    """The most terms a walk mod m reads: SCAN_TERM_CAP + 1 for m < 2^64,
+    fewer in proportion to the bits of a larger m."""
+    return (SCAN_TERM_CAP + 1) * 64 // max(m.bit_length(), 64)
+
 
 # a scan mod m <= MARK_BOUND marks residues in a bytearray(m), one byte each.
 # CPython zero-fills every byte of it up front (bytearray(2**26) took 37 ms
@@ -253,14 +263,14 @@ def distinct_prefix_length(spec: SequenceSpec, m: int, limit: int) -> int:
     `limit`, whichever comes first; the flagship's bytearray scan steps two
     terms at a time (see `_mark_scan`). This is the shared engine behind the
     single-modulus discriminator check and the incongruence index. A scan that
-    sees no repeat in SCAN_TERM_CAP + 1 terms, short of `limit`, raises
-    CapExceeded.
+    sees no repeat in `scan_term_limit(m)` terms (SCAN_TERM_CAP + 1 below
+    2^64), short of `limit`, raises CapExceeded.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     if limit < 1:
         raise ValueError("limit must be positive")
-    steps = min(limit, SCAN_TERM_CAP + 1)
+    steps = min(limit, scan_term_limit(m))
     k = _mark_scan(spec, m, steps) if m <= MARK_BOUND else _set_scan(spec, m, steps)
     if k == steps and steps < limit:
         raise CapExceeded(f"no repeated residue within {steps} terms mod {m}")

@@ -336,6 +336,25 @@ def test_iota_past_the_scan_cap_exits_1(capsys, monkeypatch):
         1, "", "failure: no repeated residue within 65 terms mod 128\n")
 
 
+def test_iota_of_a_4300_digit_modulus_fails_inside_1_gb():
+    # a scan of 2^22 + 1 residues of 4,300 digits would need about 8 GB
+    import resource
+    import subprocess
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    m = 10**4299 + 7
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "discrim.cli", "iota", "--m", str(m)], capture_output=True,
+        text=True, timeout=60, preexec_fn=limit, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"failure: no repeated residue within 18796 terms mod {m}\n"
+
+
 def test_iota_flags_are_mutually_exclusive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["iota", "--m", "5", "--range", "1:4"])
@@ -768,3 +787,23 @@ def test_output_to_a_device_that_cannot_be_truncated(capsys):
 def test_missing_subcommand_is_parser_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_output_digest_covers_every_subcommand():
+    # the list is imported, not run: each argv names a subcommand and parses
+    import argparse
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "output_digest.py")
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in tool.ARGVS} == set(commands)
+    for argv in tool.ARGVS:
+        parser.parse_args(argv)
+    assert {argv[argv.index("--format") + 1] for argv in tool.ARGVS if "--format" in argv} == {
+        "human", "json", "csv"}
+    assert {("--g" in argv) for argv in tool.ARGVS if argv[0] == "charsum"} == {True, False}

@@ -1102,6 +1102,16 @@ def test_forged_iota_certificate_is_rejected_at_once():
             assert _rejected_in_bounds(cert, peak_bytes), (d, iota)
 
 
+def test_forged_iota_past_the_scan_bits_is_rejected_at_once():
+    # a walk of 2^21 + 1 residues of 1,001 digits held about 1 GB; a walk
+    # mod this d keeps at most 80,805 of them, so 2^21 is not walked
+    d = 10**1000 + 7
+    assert sequences.scan_term_limit(d) == 80805
+    for iota in (80805, 2**21):
+        cert = NonValueCertificate(d, VERDICT_NON_VALUE, REASON_IOTA, {"iota": iota})
+        assert _rejected_in_bounds(cert, 1 << 20), iota
+
+
 def test_true_index_certificate_above_the_mark_bound_is_accepted():
     cert = next(c for c in map(nonvalue_screen, range(2**24 + 1, 2**24 + 400)) if c.reason == REASON_IOTA)
     assert cert.d > sequences.MARK_BOUND and cert.witness["iota"] < 2**15

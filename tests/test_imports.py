@@ -86,6 +86,51 @@ def test_unused_import_check_sees_annotations_and_unused_names():
     assert _unused_imports(ast.parse(source)) == ["BOUND (line 4)", "EXACT_TERM_BITS (line 4)"]
 
 
+LAZY_MODULES = {"numpy", "_blake2", "hashlib"}
+
+
+def _function_local_imports(node: ast.AST, func: str | None = None) -> list[str]:
+    """'function: module' for each import inside a function body, named by
+    the innermost function, that loads a module other than LAZY_MODULES."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = ["." * node.level + (node.module or "")]
+    else:
+        names = []
+    found = [f"{func}: {name}" for name in names
+             if func is not None and name.partition(".")[0] not in LAZY_MODULES]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    for child in ast.iter_child_nodes(node):
+        found += _function_local_imports(child, func)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (ROOT / "src" / "discrim").glob("*.py")))
+def test_functions_import_only_what_loads_lazily(path):
+    # numpy stays out of `import discrim.cli`, and blake2b is taken from
+    # _blake2 so that hashlib does not load OpenSSL; any other module is
+    # imported once, at the top
+    source = (ROOT / "src" / "discrim" / path).read_text()
+    assert _function_local_imports(ast.parse(source)) == []
+
+
+def test_function_local_import_check_sees_nested_and_relative_imports():
+    source = ("from array import array\n"
+              "def f():\n"
+              "    import numpy as np\n"
+              "    from array import array\n"
+              "    try:\n"
+              "        from _blake2 import blake2b\n"
+              "    except ImportError:\n"
+              "        from hashlib import blake2b\n"
+              "    def g():\n"
+              "        from . import census\n"
+              "        import os.path, numpy.fft\n")
+    assert _function_local_imports(ast.parse(source)) == ["f: array", "g: .", "g: os.path"]
+
+
 def test_importing_the_cli_builds_no_dataclasses():
     # compared with the modules loaded before the import, so a site hook
     # that loads either one first cannot fail the test

@@ -368,6 +368,19 @@ def test_scans_stop_past_the_term_cap(monkeypatch):
             distinct_prefix_length(spec, m, m)
 
 
+def test_scans_past_64_bits_keep_no_more_residue_bits(monkeypatch):
+    # (2^22 + 1) * 64 bits of residues, in terms of 3322 bits each
+    m = 10**1000 + 7
+    with pytest.raises(CapExceeded, match=f"^no repeated residue within 80805 terms mod {m}$"):
+        distinct_prefix_length(salajan(), m, m)
+    monkeypatch.setattr(sequences, "SCAN_TERM_CAP", 64)
+    counting = linear_recurrence(2, -1, 0, 1)   # 0, 1, 2, ...: never repeats
+    for m, steps in ((2**64 - 1, 65), (2**64, 64), (2**128, 32)):
+        with pytest.raises(CapExceeded, match=f"^no repeated residue within {steps} terms mod {m}$"):
+            distinct_prefix_length(counting, m, m)
+        assert distinct_prefix_length(counting, m, steps) == steps
+
+
 def test_both_storages_match_the_set_reference(monkeypatch):
     # with the bound at 1000, moduli up to 1000 are marked in a bytearray and
     # the rest kept in a set

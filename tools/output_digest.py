@@ -1,0 +1,74 @@
+"""Digest what `discrim` prints for a fixed list of argvs, to check that a
+change leaves every output byte-identical.
+
+Each argv runs in its own `python -m discrim.cli` child, with this
+checkout's `src` on PYTHONPATH. For each one the script prints 16 hex digits
+of the sha256 of (exit code, stdout, stderr), then the argv. Run it in two
+checkouts and diff the results:
+
+    python tools/output_digest.py > after.txt
+
+It takes no options and finishes in a few seconds.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+FORMATS = ("human", "json", "csv")
+
+ARGVS = [
+    *(["verify", "--suite", "all", "--format", f] for f in FORMATS),
+    ["discriminate", "--n", "1567", "--method", "both", "--format", "human"],
+    ["discriminate", "--n", "123456", "--method", "closed", "--format", "json"],
+    ["discriminate", "--seq", "poly:0,0,1", "--n", "108", "--method", "brute", "--format", "csv"],
+    ["discriminate", "--seq", "linrec:2,3,2,1", "--n", "1000", "--method", "brute", "--format", "json"],
+    ["discriminate", "--seq", "linrec:1,2,1,3", "--n", "500", "--method", "brute"],
+    ["table", "--max", "16500", "--format", "csv"],
+    ["table", "--max", "3125", "--format", "human"],
+    ["period", "--d", "5119", "--format", "json"],
+    ["period", "--seq", "linrec:1,1,0,1", "--d", "1000", "--method", "brute", "--format", "human"],
+    ["iota", "--m", "1048576", "--format", "csv"],
+    ["iota", "--range", "2361:2410", "--format", "json"],
+    ["iota", "--m", str(2**64)],
+    ["iota", "--m", str(10**1000 + 7)],
+    ["screen", "--range", "10000:10099", "--format", "csv"],
+    ["screen", "--d", "4099", "--format", "human"],
+    ["screen", "--range", "9:2"],
+    ["census", "--x", "40000", "--format", "json"],
+    ["fset", "--max", "40", "--format", "csv"],
+    ["fset", "--max", "12", "--method", "weyl", "--format", "human"],
+    ["charsum", "--p", "101", "--format", "json"],
+    ["charsum", "--p", "61", "--g", "2", "--format", "csv"],
+    ["charsum", "--p", "9"],
+    ["charsum", "--p", "13", "--g", "3"],
+    ["charsum", "--p", "4099"],
+    ["artin", "--prime-limit", "100000", "--format", "json"],
+    ["artin", "--prime-limit", "1000", "--format", "csv"],
+]
+
+
+def digest(argv: list[str]) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "discrim.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    blob = json.dumps([proc.returncode, proc.stdout.hex(), proc.stderr.hex()])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def main() -> None:
+    if len(sys.argv) > 1:
+        sys.exit("usage: python tools/output_digest.py (it takes no options)")
+    for argv in ARGVS:
+        print(digest(argv), " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()
