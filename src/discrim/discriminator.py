@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .census import fset_member_interval
 from .charsum import prime_lemma_bound
 from .numtheory import is_prime
-from .periods import incongruence_index, salajan_period_formula
+from .periods import _row_periods, incongruence_index, salajan_period_formula
 from .sequences import (
     MARK_BOUND,
     POLYNOMIAL,
@@ -34,7 +34,6 @@ from .sequences import (
     distinct_prefix_length,
     exact_terms,
     salajan,
-    salajan_term_mod,
     scan_term_limit,
     term_exact,
 )
@@ -306,16 +305,22 @@ def nonvalue_screen(d: int) -> NonValueCertificate:
 
 def _first_collision(d: int, limit: int) -> tuple[int, int]:
     """Indices i < j of the first u_j that equals an earlier term u_i mod d,
-    by a plain walk of the recurrence over u_1..u_limit; (0, limit + 1) when
-    those terms hold no repeat. There are d residues, so j <= d + 1. Only
-    `collision_certificate` walks it; `recheck_certificate` has its own walk."""
-    c1, c2, x, y = salajan().as_recurrence()
-    x, y = x % d, y % d
+    over u_1..u_limit; (0, limit + 1) when those terms hold no repeat. There
+    are d residues, so j <= d + 1. The walk steps the odd- and even-indexed
+    terms as two streams, u_{j+2} = 9u_j - 10 for odd j and 9u_j + 10 for
+    even j. Only `collision_certificate` walks it; `recheck_certificate` has
+    its own walk."""
     first: dict[int, int] = {}
-    for j in range(1, limit + 1):
+    x, y = 2 % d, 1 % d
+    for j in range(1, limit, 2):   # x = u_j, y = u_{j+1}
         if (i := first.setdefault(x, j)) != j:
             return i, j
-        x, y = y, (c1 * y + c2 * x) % d
+        if (i := first.setdefault(y, j + 1)) != j + 1:
+            return i, j + 1
+        x = (9 * x - 10) % d
+        y = (9 * y + 10) % d
+    if limit % 2 and (i := first.setdefault(x, limit)) != limit:   # x = u_limit
+        return i, limit
     return 0, limit + 1
 
 
@@ -386,28 +391,30 @@ def collision_certificate(start: int, value: int) -> tuple[array, array]:
     """Propose the pairs of a collision certificate for the moduli m in
     [start, value): arrays `first` and `second` with u_i = u_j mod m for
     (i, j) = (first[m - start], second[m - start]) and i < j <= start. The
-    pair is (pre-period, pre-period + period) from the period formula when
-    that fits below start, else the first collision of a plain walk over
-    u_1..u_start, or (0, start + 1) if there is none. It claims nothing:
-    `recheck_collision_certificate` decides."""
+    pair is (pre-period, pre-period + period) from the period formula, taken
+    for the whole row by `_row_periods`, when that fits below start, else the
+    first collision of a walk over u_1..u_start, or (0, start + 1) if there
+    is none. It claims nothing: `recheck_collision_certificate` decides."""
     first, second = array("I"), array("I")
-    for m in range(start, value):
-        info = salajan_period_formula(m)
-        i, j = info.pre_period, info.pre_period + info.period
-        if j > start:
-            i, j = _first_collision(m, start)
-        first.append(i)
-        second.append(j)
+    m = start
+    for pre, period in _row_periods(start, value):
+        for i, j in zip(pre.tolist(), (pre + period).tolist()):
+            if j > start:
+                i, j = _first_collision(m, start)
+            first.append(i)
+            second.append(j)
+            m += 1
     return first, second
 
 
 def recheck_collision_certificate(row: tuple[int, int, int], first: array, second: array) -> bool:
     """True iff the pairs prove D(n) = v for every n in the row (a, b, v),
-    from `salajan_term_mod` and `verify_discriminates` alone, sharing no code
-    with the search that made them. v separates the first b terms, so
-    D(n) <= v; a modulus below n fails by pigeonhole, and each m in [a, v)
-    has its pair i < j <= a <= n with u_i = u_j mod m, so D(n) >= v. The
-    moduli are listed here from the row, never read from the pairs."""
+    from powers of 3 and `verify_discriminates` alone, sharing no code with
+    the search that made them. v separates the first b terms, so D(n) <= v;
+    a modulus below n fails by pigeonhole, and each m in [a, v) has its pair
+    i < j <= a <= n with u_i = u_j mod m, so D(n) >= v. The moduli are
+    listed here from the row, never read from the pairs. A row field or a
+    pair entry that is not an int fails."""
     a, b, v = row
     if not all(type(x) is int for x in row) or not 1 <= a <= b <= v:
         return False
@@ -415,6 +422,12 @@ def recheck_collision_certificate(row: tuple[int, int, int], first: array, secon
     if not len(first) == len(second) == len(moduli):
         return False
     for m, i, j in zip(moduli, first, second):
-        if not 1 <= i < j <= a or salajan_term_mod(i, m) != salajan_term_mod(j, m):
+        # u_i = u_j mod m iff 4u_i = 4u_j mod 4m, and 4u_i - 4u_j =
+        # 3^i - 3^j + 10 for odd i and even j, -10 for even i and odd j, and
+        # 3^i - 3^j when i and j have the same parity
+        if type(i) is not int or type(j) is not int or not 1 <= i < j <= a:
+            return False
+        four_m = 4 * m
+        if (pow(3, i, four_m) - pow(3, j, four_m) + 10 * ((i & 1) - (j & 1))) % four_m:
             return False
     return verify_discriminates(salajan(), b, v)

@@ -90,8 +90,11 @@ class SequenceSpec(_SpecFields):
         raise ValueError("polynomial sequences have no recurrence form")
 
 
+_SALAJAN_SPEC = SequenceSpec(SALAJAN)
+
+
 def salajan() -> SequenceSpec:
-    return SequenceSpec(SALAJAN)
+    return _SALAJAN_SPEC
 
 
 def linear_recurrence(c1: int, c2: int, v1: int, v2: int) -> SequenceSpec:

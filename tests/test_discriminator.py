@@ -998,6 +998,45 @@ def test_collision_checker_rejects_exactly_the_false_tampers():
         assert not recheck_collision_certificate(bad, array("I"), array("I"))
 
 
+def test_collision_checker_rejects_bad_pairs_on_the_largest_rows():
+    # the three largest rows of the table; at the first, middle and last
+    # modulus each pair is bent so that it breaks j <= a, i < j, or the
+    # collision itself: (i + 1, j) never collides, since a walked pair is the
+    # first repeat and a formula pair (pre-period, pre-period + period) would
+    # need a period of 1, where every period is even
+    rows = EXPECTED_TABLE[-3:]
+    assert rows == [(8193, 12500, 15625), (12501, 16384, 16384), (16385, 32768, 32768)]
+    certs = [collision_certificate(a, v) for a, _, v in rows]
+    took = 0.0
+    for (a, b, v), (first, second) in zip(rows, certs):
+        for k in (0, (v - a) // 2, v - a - 1):
+            i, j = first[k], second[k]
+            for ti, tj in ((i, a + 1), (j, i), (i, i), (i + 1, j)):
+                f, g = array("I", first), array("I", second)
+                f[k], g[k] = ti, tj
+                start = time.perf_counter()
+                assert not recheck_collision_certificate((a, b, v), f, g), ((a, b, v), k, ti, tj)
+                took += time.perf_counter() - start
+    assert took < 1.0
+
+
+def test_collision_checker_rejects_entries_that_are_not_ints():
+    row = (257, 512, 512)
+    first, second = collision_certificate(257, 512)
+    assert recheck_collision_certificate(row, list(first), list(second))
+    one = list(first).index(1)   # True there is the same number as the entry
+    bad = [([float(x) for x in first], second), (first, [float(x) for x in second])]
+    for k in (0, one, len(first) - 1):
+        for entry in (float(first[k]), True, None, -first[k]):
+            bad.append((first[:k].tolist() + [entry] + first[k + 1:].tolist(), second))
+        for entry in (float(second[k]), None, -second[k]):
+            bad.append((first, second[:k].tolist() + [entry] + second[k + 1:].tolist()))
+    for f, g in bad:
+        assert recheck_collision_certificate(row, f, g) is False
+    for bad_row in ((257, True, 512), (257, 512, None), (257, 512, -512), (257.0, 512, 512)):
+        assert recheck_collision_certificate(bad_row, first, second) is False
+
+
 def _first_collision_reference(m, terms=None):
     """The first colliding pair mod m from exact terms, among the first
     `terms` of them (None: m + 1, which must hold one)."""
@@ -1126,7 +1165,7 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the checker called into the search's engines")
 
-    names = ("salajan_period_formula", "incongruence_index", "mult_order", "factorize",
+    names = ("salajan_period_formula", "_row_periods", "incongruence_index", "mult_order", "factorize",
              "_PRIME_POWER_ORDERS", "_first_collision", "discriminator_brute", "_least_moduli")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
@@ -1137,7 +1176,9 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
 
 def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
     # a smallest-prime-factor table that makes every delta a power of 2, and
-    # order 7 for every power of 2: the formula then gives period 14 throughout
+    # order 7 for every power of 2: the formula then gives period 14 throughout.
+    # The row pass sieves delta itself, so the order 1 recorded for every odd
+    # number below the rows' values gives it period 14 throughout too
     from discrim import verify
 
     ds = range(2, 601)
@@ -1154,8 +1195,10 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
     honest = verify.check_theorem1(64)
     with monkeypatch.context() as mp:
         mp.setattr(numtheory, "_spf", array("H", [2]) * numtheory.SPF_ENTRIES)
-        mp.setattr(periods, "_PRIME_POWER_ORDERS", {2**e: 7 for e in range(1, 64)})
+        mp.setattr(periods, "_PRIME_POWER_ORDERS",
+                   {**{2**e: 7 for e in range(1, 64)}, **{q: 1 for q in range(3, rows[-1][2], 2)}})
         assert salajan_period_formula(5) == periods.PeriodInfo(5, 1, 14)   # truly 4
+        assert all((period == 14).all() for _, period in periods._row_periods(2, rows[-1][2]))
         bad_certs = [nonvalue_screen(d) for d in ds]
         bad_pairs = [collision_certificate(a, v) for a, _, v in rows]
         poisoned = oracles(certs + bad_certs, pairs + bad_pairs)

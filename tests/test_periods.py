@@ -90,6 +90,55 @@ def test_order_memo_records_only_powers_below_its_bound():
     assert powers and big not in powers and max(powers) < periods.ORDER_MEMO_BOUND
 
 
+def _row_pass(lo, hi):
+    """The row pass over [lo, hi) as (pre_period, period) pairs, with the
+    length of each block it yields."""
+    pairs, lengths = [], []
+    for pre, period in periods._row_periods(lo, hi):
+        lengths.append(len(pre))
+        pairs += zip(pre.tolist(), period.tolist())
+    return pairs, lengths
+
+
+def test_row_pass_equals_the_formula_to_2e5():
+    block = periods._ROW_BLOCK
+    pairs, lengths = _row_pass(2, 200_001)
+    assert lengths == [block] * (199_999 // block) + [199_999 % block]
+    assert pairs == [salajan_period_formula(d)[1:] for d in range(2, 200_001)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (numtheory.SPF_ENTRIES - 500, numtheory.SPF_ENTRIES + 500),
+    (periods.ORDER_MEMO_BOUND - 500, periods.ORDER_MEMO_BOUND + 500),
+    (2**21 - 7, 2**21 - 7 + 2 * periods._ROW_BLOCK + 3),   # three blocks, the last of 3 moduli
+    (2**22 - 300, 2**22 + 1),
+    (2**40 - 100, 2**40 + 100),
+    (2, 3), (7, 7), (3**12, 3**12 + 1),
+])
+def test_row_pass_equals_the_formula_across_its_edges(lo, hi):
+    pairs, lengths = _row_pass(lo, hi)
+    assert sum(lengths) == hi - lo and all(0 < k <= periods._ROW_BLOCK for k in lengths)
+    assert pairs == [salajan_period_formula(d)[1:] for d in range(lo, hi)]
+    assert max(periods._PRIME_POWER_ORDERS, default=0) < periods.ORDER_MEMO_BOUND
+
+
+def test_row_pass_equals_the_formula_on_powers_of_3_times_delta():
+    # the moduli around d = 3^k * delta for k = 1..25 (3^25 < 2^40) and
+    # delta = 1, 2 and 2^9 - 1
+    for k in range(1, 26):
+        for delta in (1, 2, 2**9 - 1):
+            d = 3**k * delta
+            pairs, _ = _row_pass(d - 1, d + 3)
+            assert pairs == [salajan_period_formula(c)[1:] for c in range(d - 1, d + 3)], d
+            assert pairs[1][0] == k
+
+
+def test_row_pass_refuses_a_modulus_below_2():
+    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+        next(periods._row_periods(1, 5))
+    assert list(periods._row_periods(1, 1)) == list(periods._row_periods(9, 4)) == []
+
+
 def test_formula_equals_the_order_mod_4_delta_to_30000():
     assert all(salajan_period_formula(d) == formula_reference(d) for d in range(2, 30001))
     # every delta here lies inside the one smallest-prime-factor table

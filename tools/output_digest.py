@@ -24,6 +24,9 @@ FORMATS = ("human", "json", "csv")
 
 ARGVS = [
     *(["verify", "--suite", "all", "--format", f] for f in FORMATS),
+    # `all` certifies only the rows above its n_max of 4096; this certifies
+    # every row from (65, 100, 125) up
+    ["verify", "--suite", "theorem1", "--nmax", "64", "--format", "json"],
     ["discriminate", "--n", "1567", "--method", "both", "--format", "human"],
     ["discriminate", "--n", "123456", "--method", "closed", "--format", "json"],
     ["discriminate", "--seq", "poly:0,0,1", "--n", "108", "--method", "brute", "--format", "csv"],
