@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
+from collections.abc import Sized
 from typing import NamedTuple
 
 from .census import fset_member_interval
@@ -413,10 +414,13 @@ def recheck_collision_certificate(row: tuple[int, int, int], first: array, secon
     the search that made them. v separates the first b terms, so D(n) <= v;
     a modulus below n fails by pigeonhole, and each m in [a, v) has its pair
     i < j <= a <= n with u_i = u_j mod m, so D(n) >= v. The moduli are
-    listed here from the row, never read from the pairs. A row field or a
-    pair entry that is not an int fails."""
+    listed here from the row, never read from the pairs. A row that is not
+    three ints, a pair array with no length and a pair entry that is not an
+    int each fail."""
+    if not (isinstance(row, (tuple, list)) and len(row) == 3 and all(type(x) is int for x in row)):
+        return False
     a, b, v = row
-    if not all(type(x) is int for x in row) or not 1 <= a <= b <= v:
+    if not 1 <= a <= b <= v or not isinstance(first, Sized) or not isinstance(second, Sized):
         return False
     moduli = range(a, v)
     if not len(first) == len(second) == len(moduli):

@@ -164,63 +164,47 @@ def _prime_power_order(q: int, e: int) -> int:
 def _row_periods(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The period formula for every d in [lo, hi): int64 arrays
     (pre_period, period), one pair per block of at most _ROW_BLOCK moduli,
-    in order, each equal to `salajan_period_formula` at every d. Each block
-    is one sieve, `_block_periods`, with the primes from 5 up to
-    isqrt(hi - 1); its working arrays are freed before the caller reads it."""
+    in order, each equal to `salajan_period_formula` at every d.
+
+    In each block, one strided slice per prime power q^k holds exactly the
+    d that q^k divides, and is visited only while the block holds one. Each
+    slice divides q out of d; a slice of 3^k adds 1 to the pre-period's
+    exponent, and one of 2^k (4*delta holds 2^(k+2)) or of q^k, for each
+    prime q from 5 up to isqrt(hi - 1), folds that power's order of 9 into
+    an lcm that starts at ord_4(9). ord_{q^(k-1)}(9) divides ord_{q^k}(9),
+    so the lcm ends as the formula's lcm over the exact powers. What is
+    left of delta above 1 is one prime, folded the same way. A block's
+    working arrays are freed before the caller reads it.
+    """
     if lo >= hi:
         return
     if lo < 2:
         raise ValueError("modulus must be >= 2")
-    primes = primes_up_to(math.isqrt(hi - 1))[2:].tolist()
-    for start in range(lo, hi, _ROW_BLOCK):
-        yield _block_periods(start, min(start + _ROW_BLOCK, hi), primes)
-
-
-def _block_periods(start: int, stop: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(pre_period, period) of the period formula for every d in [start, stop).
-
-    Strided slices take out of d the factors 3, then 2, then each prime q
-    up to isqrt(stop - 1), so each slice holds exactly the d that q divides.
-    Each distinct q^e exactly dividing 4*delta gets ord_{q^e}(9) as in the
-    formula, through `_PRIME_POWER_ORDERS`, and np.lcm folds the orders
-    together. What is left of delta above 1 is one prime, whose order is
-    taken the same way.
-    """
     import numpy as np
 
-    rest = np.arange(start, stop, dtype=np.int64)
-    alpha = np.zeros_like(rest)
-    twos = np.full_like(rest, 2)   # the exponent of 2 in 4*delta
-    for q, count in ((3, alpha), (2, twos)):
-        power = q
-        while power < stop:
-            rest[-start % power :: power] //= q
-            count[-start % power :: power] += 1
-            power *= q
-    parts = [_PRIME_POWER_ORDERS.get(1 << e) or _prime_power_order(2, e)
-             for e in range(2, int(twos.max()) + 1)]
-    order = np.array(parts, dtype=np.int64)[twos - 2]
-    for q in primes:
-        if q * q >= stop:
-            break
-        s = -start % q
-        if s >= stop - start:
-            continue
-        # e[k] is the exponent of q in d = start + s + k*q
-        e = np.ones(len(range(s, stop - start, q)), dtype=np.int64)
-        rest[s::q] //= q
-        power = q * q
-        while power < stop:
-            e[(-start % power - s) // q :: power // q] += 1
-            rest[-start % power :: power] //= q
-            power *= q
-        parts = [_PRIME_POWER_ORDERS.get(q**k) or _prime_power_order(q, k)
-                 for k in range(1, int(e.max()) + 1)]
-        order[s::q] = np.lcm(order[s::q], np.array(parts, dtype=np.int64)[e - 1])
-    big = rest > 1
-    parts = [_PRIME_POWER_ORDERS.get(p) or _prime_power_order(p, 1) for p in rest[big].tolist()]
-    order[big] = np.lcm(order[big], np.array(parts, dtype=np.int64))
-    return np.maximum(alpha, 1), 2 * order
+    primes = primes_up_to(math.isqrt(hi - 1))[2:].tolist()
+    for start in range(lo, hi, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, hi)
+        rest = np.arange(start, stop, dtype=np.int64)
+        alpha = np.zeros_like(rest)
+        order = np.full_like(rest, _PRIME_POWER_ORDERS.get(4) or _prime_power_order(2, 2))
+        for q in (3, 2, *primes):
+            # q^e divides 4*delta just when `power` divides d
+            power, e = q, 3 if q == 2 else 1
+            while (s := -start % power) < stop - start:
+                rest[s::power] //= q
+                if q == 3:
+                    alpha[s::power] += 1
+                else:
+                    part = _PRIME_POWER_ORDERS.get(q**e) or _prime_power_order(q, e)
+                    order[s::power] = np.lcm(order[s::power], part)
+                power, e = power * q, e + 1
+        big = rest > 1
+        parts = [_PRIME_POWER_ORDERS.get(p) or _prime_power_order(p, 1) for p in rest[big].tolist()]
+        order[big] = np.lcm(order[big], np.array(parts, dtype=np.int64))
+        del rest, big, parts
+        order *= 2
+        yield np.maximum(alpha, 1, out=alpha), order
 
 
 def salajan_period_checked(d: int) -> PeriodInfo:

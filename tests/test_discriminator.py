@@ -1031,9 +1031,12 @@ def test_collision_checker_rejects_entries_that_are_not_ints():
             bad.append((first[:k].tolist() + [entry] + first[k + 1:].tolist(), second))
         for entry in (float(second[k]), None, -second[k]):
             bad.append((first, second[:k].tolist() + [entry] + second[k + 1:].tolist()))
+    # pair arrays with no length
+    bad += [(None, None), (first, 512), (None, second)]
     for f, g in bad:
         assert recheck_collision_certificate(row, f, g) is False
-    for bad_row in ((257, True, 512), (257, 512, None), (257, 512, -512), (257.0, 512, 512)):
+    for bad_row in ((257, True, 512), (257, 512, None), (257, 512, -512), (257.0, 512, 512),
+                    (257, 512), (257, 512, 512, 512), None):
         assert recheck_collision_certificate(bad_row, first, second) is False
 
 

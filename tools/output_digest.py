@@ -3,8 +3,10 @@ change leaves every output byte-identical.
 
 Each argv runs in its own `python -m discrim.cli` child, with this
 checkout's `src` on PYTHONPATH. For each one the script prints 16 hex digits
-of the sha256 of (exit code, stdout, stderr), then the argv. Run it in two
-checkouts and diff the results:
+of the sha256 of (exit code, stdout, stderr), then the argv. A last child
+prints the sha256 of the pairs of `collision_certificate(a, v)` for every
+row of `EXPECTED_TABLE` above 64, which no output shows: the checker
+accepts any valid pair. Run it in two checkouts and diff the results:
 
     python tools/output_digest.py > after.txt
 
@@ -56,10 +58,20 @@ ARGVS = [
 ]
 
 
-def digest(argv: list[str]) -> str:
+# the pairs as int lists, so that their digest does not depend on byte order
+PAIRS = """
+import hashlib, json
+from discrim.discriminator import collision_certificate
+from discrim.verify import EXPECTED_TABLE
+pairs = [[list(p) for p in collision_certificate(a, v)] for a, _, v in EXPECTED_TABLE if a > 64]
+print(hashlib.sha256(json.dumps(pairs).encode()).hexdigest())
+"""
+
+
+def digest(args: list[str]) -> str:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "discrim.cli", *argv], capture_output=True,
+        [sys.executable, *args], capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     blob = json.dumps([proc.returncode, proc.stdout.hex(), proc.stderr.hex()])
@@ -70,7 +82,8 @@ def main() -> None:
     if len(sys.argv) > 1:
         sys.exit("usage: python tools/output_digest.py (it takes no options)")
     for argv in ARGVS:
-        print(digest(argv), " ".join(argv), flush=True)
+        print(digest(["-m", "discrim.cli", *argv]), " ".join(argv), flush=True)
+    print(digest(["-c", PAIRS]), "collision_certificate pairs of EXPECTED_TABLE rows above 64")
 
 
 if __name__ == "__main__":
