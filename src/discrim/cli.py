@@ -2,19 +2,20 @@
 
 Exit codes: 0 success, 1 verification failure (a cross-checked pair of
 methods disagreed, a certificate failed its recheck, a bound failed, or a
-verify suite went red), 2 usage error. Output formats: human (default), csv,
-json (one object per line).
+verify suite went red) or a write failed, 2 usage error. Output formats:
+human (default), csv, json (one object per line).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
-import stat
 import sys
+from functools import partial
 
 from . import discriminator
 from .census import (
@@ -73,7 +74,7 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
             )
 
 
-# the most integers one `iota --range` or `screen --range` may hold: every row waits for `_emit`
+# the most integers one `iota --range` or `screen --range` may hold: every row is held until `run` writes it
 SPAN_ROWS = 1 << 18
 
 
@@ -166,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_discriminate(args, out) -> int:
+# each handler returns (exit code, writer) once its answer is checked; `run` calls the writer
+def _cmd_discriminate(args):
     spec = parse_spec(args.seq)
     method = args.method or ("both" if spec.kind == SALAJAN else "brute")
     if spec.kind != SALAJAN and method != "brute":
@@ -180,20 +182,18 @@ def _cmd_discriminate(args, out) -> int:
     else:
         rec = salajan_discriminator_checked(args.n, args.cap)
     _check_digits(rec.value, f"discriminator value of {rec.value.bit_length()} bits")
-    _emit([{"n": rec.n, "value": rec.value, "method": rec.method}], args.format, out)
-    return 0
+    return 0, partial(_emit, [{"n": rec.n, "value": rec.value, "method": rec.method}], args.format)
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args):
     ranges = table_ranges(args.max)
     value = ranges[-1][2]   # values grow from row to row
     _check_digits(value, f"table value of {value.bit_length()} bits")
     rows = [{"start": a, "end": b, "value": v} for a, b, v in ranges]
-    _emit(rows, args.format, out)
-    return 0
+    return 0, partial(_emit, rows, args.format)
 
 
-def _cmd_period(args, out) -> int:
+def _cmd_period(args):
     spec = parse_spec(args.seq)
     if args.method in ("formula", "both") and spec.kind != SALAJAN:
         raise ValueError("the period formula applies to the salajan sequence; use --method brute")
@@ -209,22 +209,20 @@ def _cmd_period(args, out) -> int:
         "period": info.period,
         "method": args.method,
     }
-    _emit([row], args.format, out)
-    return 0
+    return 0, partial(_emit, [row], args.format)
 
 
-def _cmd_iota(args, out) -> int:
+def _cmd_iota(args):
     targets = _span_targets(args.span, 1, "modulus m >= 1") if args.span else [args.m]
     seq, rows, spent = salajan(), [], 0
     for m in targets:
         iota = incongruence_index(seq, m)
         _check_spent(spent := spent + iota, args.span, "m", m)
         rows.append({"m": m, "iota": iota})
-    _emit(rows, args.format, out)
-    return 0
+    return 0, partial(_emit, rows, args.format)
 
 
-def _cmd_screen(args, out) -> int:
+def _cmd_screen(args):
     targets = _span_targets(args.span, 2, "d >= 2") if args.span else [args.d]
     rows, spent = [], 0
     for d in targets:
@@ -239,11 +237,10 @@ def _cmd_screen(args, out) -> int:
         rows.append(
             {"d": cert.d, "verdict": cert.verdict, "reason": cert.reason or "", "witness": witness}
         )
-    _emit(rows, args.format, out)
-    return 0
+    return 0, partial(_emit, rows, args.format)
 
 
-def _cmd_census(args, out) -> int:
+def _cmd_census(args):
     report = census_scan(args.x)
     rows = []
     for cls in ("P1", "P2", "P3"):
@@ -256,23 +253,26 @@ def _cmd_census(args, out) -> int:
                 "deviation": f"{report.deviation[cls]:+.6f}",
             }
         )
-    if args.format == "human":
-        out.write(f"x = {report.x}, primes classified = {report.pi_x}\n")
-    _emit(rows, args.format, out)
-    return 0
+
+    def write(out) -> None:
+        if args.format == "human":
+            out.write(f"x = {report.x}, primes classified = {report.pi_x}\n")
+        _emit(rows, args.format, out)
+
+    return 0, write
 
 
 def _check_digits(n: int, what: str) -> None:
     """Raise CapExceeded, naming n as `what`, when n has more digits than
     Python turns into text (`sys.get_int_max_str_digits()`; 0, or no such
     function, means no limit). Each subcommand that prints integers passes
-    the largest one it is about to print, before it writes anything."""
+    the largest one it will print, before it returns its writer."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and n >= 10**limit:
         raise CapExceeded(f"{what} has more than {limit} digits")
 
 
-def _cmd_fset(args, out) -> int:
+def _cmd_fset(args):
     if args.max < 1:
         raise ValueError("--max must be positive")
     check_fset_bound(args.max)
@@ -285,15 +285,11 @@ def _cmd_fset(args, out) -> int:
         last = next(r for r in reversed(records) if not r.member)
         _check_digits(last.witness, f"F-set witness 2^{last.k} at b={last.b}")
         rows = [(r.b, r.member, r.witness) for r in records]
-    _emit(
-        [{"b": b, "member": m, "witness": "" if w is None else w} for b, m, w in rows],
-        args.format,
-        out,
-    )
-    return 0
+    rows = [{"b": b, "member": m, "witness": "" if w is None else w} for b, m, w in rows]
+    return 0, partial(_emit, rows, args.format)
 
 
-def _cmd_charsum(args, out) -> int:
+def _cmd_charsum(args):
     report = char_sum_report(args.p, args.g)
     ok = (
         report.setA_size == args.p - 2
@@ -312,44 +308,34 @@ def _cmd_charsum(args, out) -> int:
             "verdict": "ok" if ok else "FAIL",
         }
     ]
-    _emit(rows, args.format, out)
-    return 0 if ok else 1
+    return 0 if ok else 1, partial(_emit, rows, args.format)
 
 
-def _cmd_artin(args, out) -> int:
+def _cmd_artin(args):
     value = artin_constant(args.prime_limit)
-    _emit([{"prime_limit": args.prime_limit, "artin_partial": f"{value:.12f}"}], args.format, out)
-    return 0
+    row = {"prime_limit": args.prime_limit, "artin_partial": f"{value:.12f}"}
+    return 0, partial(_emit, [row], args.format)
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     ok, results = run_suites(args.suite, n_max=args.nmax)
-    if args.format == "human":
-        for res in results:
-            flag = "PASS" if res.passed else "FAIL"
-            out.write(f"[{flag}] {res.suite}: {res.detail}\n")
-    else:
+    if args.format != "human":
         rows = [{"suite": r.suite, "passed": r.passed, "detail": r.detail} for r in results]
-        _emit(rows, args.format, out)
-    return 0 if ok else 1
+        return 0 if ok else 1, partial(_emit, rows, args.format)
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}: {r.detail}\n" for r in results]
+    return 0 if ok else 1, lambda out: out.writelines(lines)
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    sink = f"--output {args.output}" if args.output else "stdout"
     try:
-        if args.output:
-            # opened without truncating, and cut to what was written only once
-            # the handler returns, so a refused command leaves the file as it was
-            try:
-                fh = open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "w")
-            except OSError as exc:
-                raise ValueError(f"cannot open --output {args.output}: {exc.strerror}") from None
-            with fh:
-                code = args.handler(args, fh)
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate()
-                return code
-        return args.handler(args, sys.stdout)
+        code, write = args.handler(args)
+        # opened only once the handler has its answer, so a refused command leaves FILE as it was
+        try:
+            out = open(args.output, "w") if args.output else sys.stdout
+        except OSError as exc:
+            raise ValueError(f"cannot open {sink}: {exc.strerror}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -359,6 +345,18 @@ def run(argv=None) -> int:
     except MethodsDisagree as exc:
         print(exc, file=sys.stderr)
         return 1
+    try:
+        with out if args.output else contextlib.nullcontext():
+            write(out)
+            out.flush()
+    except OSError as exc:
+        if not args.output:
+            # what stdout still buffers goes to devnull at exit, not to a second traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):   # a reader that left early is no failure to report
+            print(f"failure: cannot write {sink}: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -784,6 +784,65 @@ def test_output_to_a_device_that_cannot_be_truncated(capsys):
     assert run_cli(capsys, "table", "--max", "8", "--output", os.devnull) == (0, "", "")
 
 
+def spawn_cli(argv, stdout):
+    """Run `python -m discrim.cli argv` in a child with this checkout's src, stdout
+    going to the file descriptor `stdout`; returns (exit code, stderr)."""
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "discrim.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["table", "--max", "8"], ["screen", "--range", "2:5000"]])
+def test_a_reader_that_left_gets_exit_1_and_no_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        assert spawn_cli(argv, write) == (1, "")
+    finally:
+        os.close(write)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_is_one_failure_line(capsys):
+    assert run_cli(capsys, "table", "--max", "8", "--output", "/dev/full") == (
+        1, "", "failure: cannot write --output /dev/full: No space left on device\n")
+    with open("/dev/full", "w") as full:
+        assert spawn_cli(["table", "--max", "8"], full) == (
+            1, "failure: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("fset", "--max", "0"), 2),
+        (("discriminate", "--seq", "linrec:1,2,1,3", "--n", "500", "--method", "brute"), 1),
+    ],
+)
+def test_a_failed_command_creates_no_output_file(tmp_path, capsys, argv, code):
+    target = tmp_path / "new.csv"
+    assert run_cli(capsys, *argv, "--output", str(target))[:2] == (code, "")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--x", "1000"),
+    ("verify", "--suite", "note"),
+    ("verify", "--suite", "table", "--format", "csv"),
+    ("charsum", "--p", "13", "--format", "json"),
+])
+def test_output_file_holds_what_stdout_would(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert code == 0 and target.read_bytes() == out.encode()
+
+
 def test_missing_subcommand_is_parser_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -3,7 +3,9 @@ change leaves every output byte-identical.
 
 Each argv runs in its own `python -m discrim.cli` child, with this
 checkout's `src` on PYTHONPATH. For each one the script prints 16 hex digits
-of the sha256 of (exit code, stdout, stderr), then the argv. A last child
+of the sha256 of (exit code, stdout, stderr), then the argv. Three argvs
+write through `--output /dev/stdout`, so the file sink is digested too.
+A last child
 prints the sha256 of the pairs of `collision_certificate(a, v)` for every
 row of `EXPECTED_TABLE` above 64, which no output shows: the checker
 accepts any valid pair. Run it in two checkouts and diff the results:
@@ -55,6 +57,12 @@ ARGVS = [
     ["charsum", "--p", "4099"],
     ["artin", "--prime-limit", "100000", "--format", "json"],
     ["artin", "--prime-limit", "1000", "--format", "csv"],
+    # the file sink: /dev/stdout reaches the same pipe as stdout
+    *([*argv, "--output", "/dev/stdout"] for argv in (
+        ["census", "--x", "40000"],
+        ["verify", "--suite", "table"],
+        ["screen", "--range", "10000:10099", "--format", "csv"],
+    )),
 ]
 
 
