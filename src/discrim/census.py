@@ -38,12 +38,13 @@ BETA = 3 - math.log2(5)
 
 # largest b an F-set pass may reach. The pass does constant work per b:
 # on a 2-core host `fset_count(2^18)`, Weyl check included, takes about
-# 0.35 s, and `fset_scan_interval(2^18)` about 0.4 s and 33 MB for its
+# 0.23 s, and `fset_scan_interval(2^18)` about 0.34 s and 33 MB for its
 # records. Counting much further calls for an exact Beatty count of
 # {b*log2(5)}, not a longer pass
 FSET_B_CAP = 1 << 18
 
-# width in bits of the integers bracketing 5^b in `_fset_pass`
+# width in bits of the integers bracketing 5^b in `_fset_pass` after each
+# trim; between trims they grow to twice that
 _BRACKET_BITS = 128
 
 CLASS_P1 = "P1"
@@ -100,26 +101,38 @@ def classify_prime(p: int) -> PrimeClassRecord:
 def _classify_batch(primes: np.ndarray) -> np.ndarray:
     """Index into _CLASSES for each prime of one sieve segment, 3 < p < 2^32.
 
+    By quadratic reciprocity 3 is a square mod a prime p > 3 iff p = +-1
+    mod 12, so p mod 12 stands in for 3^((p-1)/2). A prime p = 1 mod 12 has
+    p = 1 mod 4 and 3 a square, hence 3 no primitive root: class none, with
+    no power taken. Any other p is P1, P3 or P2 as p = 5, 7 or 11 mod 12,
+    exactly when 3^((p-1)/q) != 1 for every odd prime q | p - 1, and none
+    otherwise. For p = 5 or 7 mod 12, 3 is no square, so ord_3(p) does not
+    divide (p-1)/2, and 3 is a primitive root iff ord_3(p) divides (p-1)/q
+    for no odd q. For p = 11 mod 12, 3 is a square and (p-1)/2 is odd, so
+    ord_3(p) is odd; an odd order divides (p-1)/q iff it divides
+    (p-1)/(2q), hence ord_3(p) = (p-1)/2 iff it divides (p-1)/q for no odd q.
+
     p - 1 is factored by trial division over the primes up to sqrt(max p):
     a table maps each value of the segment to its prime's position, so the
     primes = 1 mod q^j are read off one slice per prime power q^j; what is
-    left of p - 1 after that is 1 or a single prime. One power
-    3^((p-1)/q) per prime q | p - 1 decides the class: 3 is a primitive root
-    iff none of them is 1. For p = 3 mod 4, (p-1)/2 is odd, so
-    3^((p-1)/2) = 1 makes ord_3(p) odd, and an odd order divides (p-1)/q
-    iff it divides (p-1)/(2q); hence ord_3(p) = (p-1)/2 iff 3^((p-1)/2) = 1
-    and 3^((p-1)/q) != 1 for every odd q.
+    left of p - 1 after that, its 2s taken out too, is 1 or a single odd
+    prime.
     """
     import numpy as np
 
-    n = len(primes)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
     p = primes.astype(np.int64)
-    lo, hi = int(p[0]), int(p[-1])
+    r12 = p % 12
+    none = _CLASSES.index(CLASS_NONE)
+    out = np.full(len(p), none, dtype=np.int64)
+    (live,) = np.nonzero(r12 != 1)
+    n = live.size
+    if n == 0:
+        return out
+    pl = p[live]
+    lo, hi = int(pl[0]), int(pl[-1])
     position = np.full(hi - lo + 1, -1, dtype=np.int32)
-    position[p - lo] = np.arange(n, dtype=np.int32)
-    cofactor = p - 1
+    position[pl - lo] = np.arange(n, dtype=np.int32)
+    cofactor = pl - 1
     idx_parts, q_parts = [], []
     for q in primes_up_to(math.isqrt(hi - 1)).tolist():
         qj = q
@@ -128,7 +141,7 @@ def _classify_batch(primes: np.ndarray) -> np.ndarray:
             hits = hits[hits >= 0]
             if hits.size == 0:
                 break
-            if qj == q:
+            if q > 2 and qj == q:
                 idx_parts.append(hits)
                 q_parts.append(np.full(hits.size, q, dtype=np.int64))
             cofactor[hits] //= q
@@ -136,15 +149,12 @@ def _classify_batch(primes: np.ndarray) -> np.ndarray:
     big = np.nonzero(cofactor > 1)[0]
     idx = np.concatenate(idx_parts + [big])
     qs = np.concatenate(q_parts + [cofactor[big]])
-    pp = p[idx]
+    pp = pl[idx]
     one = _pow_mod_u32(3, (pp - 1) // qs, pp) == 1
-    residue = np.bincount(idx[one & (qs == 2)], minlength=n) > 0
-    odd_one = np.bincount(idx[one & (qs != 2)], minlength=n) > 0
-    r4 = p % 4
-    out = np.full(n, _CLASSES.index(CLASS_NONE), dtype=np.int64)
-    out[~odd_one & ~residue & (r4 == 1)] = _CLASSES.index(CLASS_P1)
-    out[~odd_one & residue & (r4 == 3)] = _CLASSES.index(CLASS_P2)
-    out[~odd_one & ~residue & (r4 == 3)] = _CLASSES.index(CLASS_P3)
+    by_r12 = np.full(12, none, dtype=np.int64)
+    by_r12[[5, 7, 11]] = [_CLASSES.index(c) for c in (CLASS_P1, CLASS_P3, CLASS_P2)]
+    cut = np.bincount(idx[one], minlength=n) > 0
+    out[live] = np.where(cut, none, by_r12[r12[live]])
     return out
 
 
@@ -189,19 +199,21 @@ def fset_member_interval(b: int) -> FsetRecord:
 
 
 def _fset_pass(b_max: int):
-    """Yield (b, k, member) for b = 1..b_max, in constant work per b.
+    """Yield (b, k, member, bitlen(5^b)) for b = 1..b_max, in constant work
+    per b.
 
     k is minimal with 2^k >= 4*5^(b-1), and b is a member iff k >= bitlen(5^b),
     as in `fset_member_interval`. For b >= 2, 4*5^(b-1) is no power of 2, so
     k = bitlen(4*5^(b-1)) = bitlen(5^(b-1)) + 2; for b = 1, k = 2.
 
     bitlen(5^b) comes from a bracket lo*2^s <= 5^b <= hi*2^s: each step
-    multiplies lo and hi by 5, and past _BRACKET_BITS bits both drop the same
-    low bits, lo rounded down and hi up. When lo and hi have the same bit
-    length L, bitlen(5^b) = L + s exactly; otherwise 5^b is computed whole
-    and the bracket starts again from it. No value of log2(5) enters, so the
-    Weyl criterion stays an independent check. b_max past FSET_B_CAP
-    raises CapExceeded before the first record.
+    multiplies lo and hi by 5, and once hi passes 2*_BRACKET_BITS bits both
+    drop the same low bits, lo rounded down and hi up, back to _BRACKET_BITS
+    bits. When lo and hi have the same bit length L, bitlen(5^b) = L + s
+    exactly; otherwise 5^b is computed whole and the bracket starts again
+    from it. No value of log2(5) enters, so the Weyl criterion stays an
+    independent check. b_max past FSET_B_CAP raises CapExceeded before the
+    first record.
     """
     check_fset_bound(b_max)
     width = _BRACKET_BITS
@@ -211,8 +223,8 @@ def _fset_pass(b_max: int):
     for b in range(1, b_max + 1):
         lo *= 5
         hi *= 5
-        cut = hi.bit_length() - width
-        if cut > 0:
+        if hi.bit_length() > 2 * width:
+            cut = hi.bit_length() - width
             lo >>= cut
             hi = -(-hi >> cut)
             s += cut
@@ -224,7 +236,7 @@ def _fset_pass(b_max: int):
             bits = power.bit_length()
             s = max(bits - width, 0)
             lo, hi = power >> s, -(-power >> s)
-        yield b, k, k >= bits
+        yield b, k, k >= bits, bits
         k = bits + 2
 
 
@@ -242,7 +254,7 @@ def fset_scan_interval(b_max: int) -> list[FsetRecord]:
     """
     if b_max < 1:
         raise ValueError("b_max must be positive")
-    return [FsetRecord(b, member, None if member else k) for b, k, member in _fset_pass(b_max)]
+    return [FsetRecord(b, member, None if member else k) for b, k, member, _ in _fset_pass(b_max)]
 
 
 _FIX_BITS = 192
@@ -292,8 +304,18 @@ def fset_scan_checked(b_max: int) -> list[FsetRecord]:
 
 def fset_count(x: int) -> tuple[int, float, float]:
     """(count of b <= x in the F-set, count/x, expected density beta), from
-    one exact pass cross-checked against the Weyl criterion at every b."""
+    one exact pass cross-checked against the Weyl criterion at every b.
+
+    The count is checked a third way, against 3x - bitlen(5^x) with the bit
+    length the pass ends on: 5^b/5^(b-1) = 5 lies between 2^2 and 2^3, so
+    bitlen(5^b) - bitlen(5^(b-1)) is 2 for a member b and 3 otherwise, except
+    2 for the non-member b = 1.
+    """
     if x < 1:
         raise ValueError("x must be positive")
-    count = sum(_weyl_checked(b, member) for b, _, member in _fset_pass(x))
+    count = 0
+    for b, _, member, bits in _fset_pass(x):
+        count += _weyl_checked(b, member)
+    if count != 3 * x - bits:
+        raise MethodsDisagree(f"methods disagree at x={x}: count={count} 3x-bitlen(5^x)={3 * x - bits}")
     return count, count / x, BETA

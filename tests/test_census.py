@@ -192,6 +192,40 @@ def test_batch_handles_tiny_and_empty_input():
     assert batch_classes([5, 7, 11, 13]) == ["P1", "P3", "P2", "none"]
 
 
+def test_batch_reads_primes_1_mod_12_as_none():
+    # 3 is a square mod p = 1 mod 12, and p = 1 mod 4, so 3 is no primitive
+    # root; a batch of only such primes takes no power at all
+    assert batch_classes([13]) == ["none"]
+    assert batch_classes([13, 37, 61, 73, 97]) == ["none"] * 5
+
+
+def test_batch_mixes_every_residue_mod_12():
+    primes = list(sympy.primerange(10**6, 10**6 + 5000))
+    got = batch_classes(primes)
+    assert got == scalar_classes(primes)
+    seen = {}
+    for p, pclass in zip(primes, got):
+        seen.setdefault(p % 12, set()).add(pclass)
+    assert seen == {1: {"none"}, 5: {"P1", "none"}, 7: {"P3", "none"}, 11: {"P2", "none"}}
+
+
+def test_batch_takes_no_square_test_power(monkeypatch):
+    calls = []
+    real = census._pow_mod_u32
+
+    def spy(base, exps, mods):
+        calls.append((exps.copy(), mods.copy()))
+        return real(base, exps, mods)
+
+    monkeypatch.setattr(census, "_pow_mod_u32", spy)
+    batch_classes(primes_up_to(100_000)[2:])
+    batch_classes(list(sympy.primerange(2**32 - 3000, 2**32)))
+    assert calls
+    for exps, mods in calls:
+        assert not np.any(mods % 12 == 1)
+        assert not np.any(exps == (mods - 1) // 2)
+
+
 def test_census_scan_across_the_segment_edge():
     below, above = census_scan(2**20 - 20_000), census_scan(2**20 + 20_000)
     between = scalar_classes(sympy.primerange(2**20 - 20_000 + 1, 2**20 + 20_000 + 1))
@@ -324,6 +358,19 @@ def test_poisoned_weyl_reads_the_same_in_every_checked_pass(monkeypatch):
     for checked in (fset_count, census.fset_scan_checked):
         with pytest.raises(MethodsDisagree, match=f"^{message}$"):
             checked(100)
+    assert verify.check_fset() == verify.CheckResult("fset", False, message)
+
+
+def test_fset_count_checks_the_bit_length_identity(monkeypatch):
+    # a member flipped after the Weyl check still fails count = 3x - bitlen(5^x)
+    from discrim import verify
+
+    assert [3 * x - (5**x).bit_length() for x in (1, 2, 100, 1000)] == [0, 1, 67, 678]
+    real = census._weyl_checked
+    monkeypatch.setattr(census, "_weyl_checked", lambda b, member: real(b, member) != (b == 7))
+    with pytest.raises(MethodsDisagree, match=r"^methods disagree at x=100: count=68 3x-bitlen\(5\^x\)=67$"):
+        fset_count(100)
+    message = "methods disagree at x=100000: count=67808 3x-bitlen(5^x)=67807"
     assert verify.check_fset() == verify.CheckResult("fset", False, message)
 
 

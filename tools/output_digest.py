@@ -48,7 +48,11 @@ ARGVS = [
     ["screen", "--d", "4099", "--format", "human"],
     ["screen", "--range", "9:2"],
     ["census", "--x", "40000", "--format", "json"],
+    ["census", "--x", "1000000", "--format", "csv"],
+    # crosses the sieve segment edges at 2^20 and 2^21
+    ["census", "--x", "2100000"],
     ["fset", "--max", "40", "--format", "csv"],
+    ["fset", "--max", "3000", "--format", "json"],
     ["fset", "--max", "12", "--method", "weyl", "--format", "human"],
     ["charsum", "--p", "101", "--format", "json"],
     ["charsum", "--p", "61", "--g", "2", "--format", "csv"],
