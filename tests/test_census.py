@@ -194,7 +194,7 @@ def test_batch_handles_tiny_and_empty_input():
 
 def test_batch_reads_primes_1_mod_12_as_none():
     # 3 is a square mod p = 1 mod 12, and p = 1 mod 4, so 3 is no primitive
-    # root; a batch of only such primes takes no power at all
+    # root; a batch with no other prime is answered before any factoring
     assert batch_classes([13]) == ["none"]
     assert batch_classes([13, 37, 61, 73, 97]) == ["none"] * 5
 
