@@ -16,9 +16,10 @@ from discrim.charsum import (
     build_A,
     char_sum_report,
     max_nontrivial_char_sum,
+    max_nontrivial_char_sum_direct,
     pair_count_identity_check,
-    prime_lemma_bound,
 )
+from discrim.periods import prime_lemma_bound
 
 
 def the_set_for_p7() -> None:
@@ -44,8 +45,8 @@ def saturation_survey() -> None:
 
 def dft_vs_direct() -> None:
     pairs = build_A(23)
-    dft = max_nontrivial_char_sum(pairs, 22, method="dft")
-    direct = max_nontrivial_char_sum(pairs, 22, method="direct")
+    dft = max_nontrivial_char_sum(pairs, 22)
+    direct = max_nontrivial_char_sum_direct(pairs, 22)
     print(f"p = 23: DFT sweep {dft:.12f}  vs  direct evaluation {direct:.12f}")
     print()
 

@@ -31,7 +31,6 @@ from .charsum import (
     char_sum_report,
     max_nontrivial_char_sum,
     pair_count_identity_check,
-    prime_lemma_bound,
 )
 from .discriminator import (
     DiscriminatorRecord,
@@ -64,6 +63,7 @@ from .periods import (
     iota_equals_rho_scan,
     iota_prime_bound,
     period_brute,
+    prime_lemma_bound,
     salajan_period_checked,
     salajan_period_formula,
 )

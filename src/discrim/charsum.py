@@ -89,48 +89,50 @@ def _indicator_grid(pairs, n: int) -> np.ndarray:
     return grid
 
 
-def max_nontrivial_char_sum(pairs, group_order: int, method: str = "dft") -> float:
-    """max over (s,t) != (0,0) of |sum over (x,y) in A of e^(2pi*i(sx+ty)/n)|.
-
-    The DFT of the indicator grid evaluates every character at once; the
-    direct path multiplies out roots of unity and exists as an independent
-    cross-check for small orders.
-    """
+def max_nontrivial_char_sum(pairs, group_order: int) -> float:
+    """max over (s,t) != (0,0) of |sum over (x,y) in A of e^(2pi*i(sx+ty)/n)|,
+    every character evaluated at once by the DFT of the indicator grid."""
     import numpy as np
 
     n = group_order
     pairs = _check_pairs(pairs, n)
     if n < 2:
         raise ValueError("a group of order 1 has no nontrivial characters")
-    if method == "dft":
-        _check_dft_order(n)
-        grid = _indicator_grid(pairs, n)
-        spectrum = np.abs(np.fft.rfft2(grid))
-        spectrum[0, 0] = -1.0   # trivial character excluded
-        # real input: the missing half-plane mirrors the magnitudes present
-        return float(spectrum.max())
-    if method == "direct":
-        if n + 1 > MAX_DIRECT_PRIME:
-            raise ValueError(f"direct enumeration guarded at p <= {MAX_DIRECT_PRIME}")
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        xs = np.fromiter((x for x, _ in sorted(pairs)), dtype=np.int64, count=len(pairs))
-        ys = np.fromiter((y for _, y in sorted(pairs)), dtype=np.int64, count=len(pairs))
-        ss = np.arange(n).reshape(-1, 1)
-        ex = roots[(ss * xs) % n]   # (n, |A|) with entries e(s*x/n)
-        ey = roots[(ss * ys) % n]
-        sums = ex @ ey.T            # entry (s, t) = sum_k e((s*x_k + t*y_k)/n)
-        mags = np.abs(sums)
-        mags[0, 0] = -1.0
-        return float(mags.max())
-    raise ValueError(f"unknown method {method!r}")
+    _check_dft_order(n)
+    spectrum = np.abs(np.fft.rfft2(_indicator_grid(pairs, n)))
+    spectrum[0, 0] = -1.0   # trivial character excluded
+    # real input: the missing half-plane mirrors the magnitudes present
+    return float(spectrum.max())
+
+
+def max_nontrivial_char_sum_direct(pairs, group_order: int) -> float:
+    """The same maximum by multiplying out roots of unity, in O(n^2 |A|): an
+    independent cross-check of `max_nontrivial_char_sum` for small orders."""
+    import numpy as np
+
+    n = group_order
+    pairs = _check_pairs(pairs, n)
+    if n < 2:
+        raise ValueError("a group of order 1 has no nontrivial characters")
+    if n + 1 > MAX_DIRECT_PRIME:
+        raise ValueError(f"direct enumeration guarded at p <= {MAX_DIRECT_PRIME}")
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    xs, ys = np.array(sorted(pairs), dtype=np.int64).T
+    ss = np.arange(n).reshape(-1, 1)
+    ex = roots[(ss * xs) % n]   # (n, |A|) with entries e(s*x/n)
+    ey = roots[(ss * ys) % n]
+    sums = ex @ ey.T            # entry (s, t) = sum_k e((s*x_k + t*y_k)/n)
+    mags = np.abs(sums)
+    mags[0, 0] = -1.0
+    return float(mags.max())
 
 
 def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
     """(direct_count, charsum_count, residual) for N = #{(b,b') : b+b' in A}.
 
-    The direct count gathers the sums b + B, one b at a time, from a boolean
-    grid of A built here, so it shares nothing with the character side. That
-    side evaluates
+    One indicator grid of A serves both sides. The direct count gathers the
+    sums b + B, one b at a time, from its entries; the character side
+    transforms it and evaluates
     N = (1/|G|) * sum over all characters of B^(psi)^2 * A^(psi conjugate),
     main term included. The residual is the absolute difference and must sit
     within numeric tolerance of zero.
@@ -141,30 +143,30 @@ def pair_count_identity_check(pairs_a, pairs_b, group_order: int):
     _check_dft_order(n)
     a = _check_pairs(pairs_a, n)
     b = _check_pairs(pairs_b, n)
-    in_a = np.zeros(n * n, dtype=bool)   # (x, y) at x*n + y
-    for x, y in a:
-        in_a[x * n + y] = True
+    grid = _indicator_grid(a, n)
+    in_a = grid.ravel() != 0   # (x, y) at x*n + y
     bx = np.array([x for x, _ in b], dtype=np.int64)
     by = np.array([y for _, y in b], dtype=np.int64)
     direct = 0
     for x1, y1 in zip(bx.tolist(), by.tolist()):
         direct += int(np.count_nonzero(in_a[(bx + x1) % n * n + (by + y1) % n]))
     del in_a
-    fa = np.fft.fft2(_indicator_grid(a, n))
+    fa = np.fft.fft2(grid)
     fb = fa if b == a else np.fft.fft2(_indicator_grid(b, n))   # one transform when B = A
     charsum = np.sum(np.conj(fb) ** 2 * fa) / (n * n)
     residual = abs(direct - charsum)
     return direct, float(charsum.real), float(residual)
 
 
-def bplusb_bound_check(p: int, pairs_b, g: int | None = None) -> bool:
-    """Check |B| <= |A^|*|G|/(|A| + |A^|) for a B with (B+B) disjoint from A.
+def bplusb_bound_check(p: int, pairs_b) -> bool:
+    """Check |B| <= |A^|*|G|/(|A| + |A^|) for a B with (B+B) disjoint from A,
+    A built from the smallest primitive root mod p.
 
     Disjointness over ordered pairs is verified first and a violation is a
     rejection, not a False. A False return from the size bound itself flags a
     bug, the inequality being a theorem.
     """
-    a = build_A(p, g)   # first: it refuses an order past the DFT guard
+    a = build_A(p)   # first: it refuses an order past the DFT guard
     n = p - 1
     b = _check_pairs(pairs_b, n)
     blist = list(b)
@@ -178,13 +180,6 @@ def bplusb_bound_check(p: int, pairs_b, g: int | None = None) -> bool:
     ahat = max_nontrivial_char_sum(a, n)
     bound = ahat * (n * n) / (len(a) + ahat)
     return len(b) <= bound
-
-
-def prime_lemma_bound(n: int) -> float:
-    """floor(n/4)^(4/3): every prime discriminating u_1..u_n must exceed this."""
-    if n < 4:
-        raise ValueError("bound needs n >= 4")
-    return float(n // 4) ** (4.0 / 3.0)
 
 
 def char_sum_report(p: int, g: int | None = None) -> CharSumReport:

@@ -20,9 +20,8 @@ from collections.abc import Sized
 from typing import NamedTuple
 
 from .census import fset_member_interval
-from .charsum import prime_lemma_bound
 from .numtheory import is_prime
-from .periods import _row_periods, incongruence_index, salajan_period_formula
+from .periods import _row_periods, incongruence_index, prime_lemma_bound, salajan_period_formula
 from .sequences import (
     MARK_BOUND,
     POLYNOMIAL,
@@ -84,10 +83,7 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
     first. Each term is kept as a 16-byte digest, so memory does not grow
     with term size; a repeated digest counts once the exact terms agree, so
     only a 128-bit collision could hide a repeat."""
-    try:
-        from _blake2 import blake2b   # what hashlib hands out, without loading OpenSSL
-    except ImportError:
-        from hashlib import blake2b
+    from _blake2 import blake2b   # hashlib's own blake2b, without loading OpenSSL
     seen: dict[bytes, int] = {}
     for j, t in enumerate(exact_terms(spec, n), start=1):
         raw = t.to_bytes(t.bit_length() // 8 + 1, "little", signed=True)

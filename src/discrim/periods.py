@@ -253,3 +253,11 @@ def iota_prime_bound(p: int) -> float:
     if p <= 5 or not is_prime(p):
         raise ValueError("bound applies to primes p > 5")
     return min((p - 1) / 2, 4.0 * p**0.75)
+
+
+def prime_lemma_bound(n: int) -> float:
+    """floor(n/4)^(4/3): every prime discriminating u_1..u_n must exceed this.
+    It is `iota_prime_bound` read the other way: such a p has n <= iota(p) <= 4p^(3/4)."""
+    if n < 4:
+        raise ValueError("bound needs n >= 4")
+    return float(n // 4) ** (4.0 / 3.0)

@@ -331,7 +331,7 @@ def test_fset_passes_refuse_b_past_the_cap():
 @pytest.mark.parametrize("width", [1, 4, 8, 16])
 def test_fset_pass_reseeds_exactly_from_a_narrow_bracket(monkeypatch, width):
     # at widths 4, 8 and 16 the bracket around 5^b straddles a power of 2 at
-    # 966, 204 and 13 of the b <= 3000, at width 1 at nearly every b, and
+    # 888, 102 and 4 of the b <= 3000, at width 1 at nearly every b, and
     # each time starts again from 5^b computed whole
     monkeypatch.setattr(census, "_BRACKET_BITS", width)
     exact = [fset_member_interval(b) for b in range(1, 3001)]

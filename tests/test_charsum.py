@@ -14,8 +14,8 @@ from discrim.charsum import (
     build_A,
     char_sum_report,
     max_nontrivial_char_sum,
+    max_nontrivial_char_sum_direct,
     pair_count_identity_check,
-    prime_lemma_bound,
 )
 
 
@@ -73,8 +73,8 @@ def test_build_A_validation():
 def test_dft_and_direct_paths_agree(p):
     a = build_A(p)
     n = p - 1
-    dft = max_nontrivial_char_sum(a, n, method="dft")
-    direct = max_nontrivial_char_sum(a, n, method="direct")
+    dft = max_nontrivial_char_sum(a, n)
+    direct = max_nontrivial_char_sum_direct(a, n)
     assert dft == pytest.approx(direct, abs=1e-9)
 
 
@@ -96,25 +96,21 @@ def test_single_character_oracle_at_p7():
 
 def test_max_nontrivial_validation():
     with pytest.raises(ValueError):
-        max_nontrivial_char_sum(set(), 6)
-    with pytest.raises(ValueError):
-        max_nontrivial_char_sum({(0, 0)}, 1)
-    with pytest.raises(ValueError):
         max_nontrivial_char_sum({(0, 7)}, 6)          # outside the group
-    for method in ("dft", "direct"):                  # both methods check the same way
+    for method in (max_nontrivial_char_sum, max_nontrivial_char_sum_direct):   # both check the same way
         with pytest.raises(ValueError):
-            max_nontrivial_char_sum(set(), 6, method=method)
+            method(set(), 6)
+        with pytest.raises(ValueError):
+            method({(0, 0)}, 1)
         for pairs in ({(0, 1), (7, 2)}, {(-1, 3)}):
             with pytest.raises(ValueError, match="outside Z_6 x Z_6"):
-                max_nontrivial_char_sum(pairs, 6, method=method)
+                method(pairs, 6)
     with pytest.raises(ValueError):
         max_nontrivial_char_sum({(0, 0)}, 5000)       # beyond the DFT guard
     with pytest.raises(ValueError):
-        max_nontrivial_char_sum({(0, 0)}, 600, method="direct")
-    with pytest.raises(ValueError):
-        max_nontrivial_char_sum({(0, 0)}, 6, method="nope")
-    with pytest.raises(ValueError):
-        max_nontrivial_char_sum({(0, 0)}, 6, method="auto")   # no alias: "dft" is the default
+        max_nontrivial_char_sum_direct({(0, 0)}, 600)
+    with pytest.raises(TypeError):
+        max_nontrivial_char_sum({(0, 0)}, 6, method="direct")   # one method each
 
 
 def test_max_on_known_small_sets():
@@ -234,15 +230,15 @@ def test_bplusb_bound_on_disjoint_sets():
             if not (sums & a):
                 b = trial
     assert b
-    assert bplusb_bound_check(7, b, 3) is True
+    assert bplusb_bound_check(7, b) is True
 
 
 def test_bplusb_rejects_intersecting_sums():
     # (0,3) + (0,3) = (0,0) lies in A mod 7
     with pytest.raises(ValueError):
-        bplusb_bound_check(7, {(0, 3)}, 3)
+        bplusb_bound_check(7, {(0, 3)})
     with pytest.raises(ValueError):
-        bplusb_bound_check(7, set(), 3)
+        bplusb_bound_check(7, set())
     for b in ({(-1, 3)}, {(1, 6)}):
         with pytest.raises(ValueError, match="outside Z_6 x Z_6"):
             bplusb_bound_check(7, b)
@@ -267,17 +263,6 @@ def test_build_A_refuses_past_the_dft_guard_before_its_tables():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-# ------------------------------------------------------------------ the prime bound
-
-
-def test_prime_lemma_bound_values():
-    assert prime_lemma_bound(4) == pytest.approx(1.0)
-    assert prime_lemma_bound(8) == pytest.approx(2.0 ** (4.0 / 3.0))
-    assert prime_lemma_bound(2060) == pytest.approx(float(515) ** (4.0 / 3.0))
-    with pytest.raises(ValueError):
-        prime_lemma_bound(3)
 
 
 # ------------------------------------------------------------------ the report

@@ -848,16 +848,24 @@ def test_missing_subcommand_is_parser_error():
         build_parser().parse_args([])
 
 
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def _output_digest_tool():
+    """tools/output_digest.py as a module, its argvs not run."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("output_digest", os.path.join(TOOLS, "output_digest.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_output_digest_covers_every_subcommand():
     # the list is imported, not run: each argv names a subcommand and parses
     import argparse
-    import importlib.util
 
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "tools", "output_digest.py")
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _output_digest_tool()
     parser = build_parser()
     (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in tool.ARGVS} == set(commands)
@@ -866,3 +874,33 @@ def test_output_digest_covers_every_subcommand():
     assert {argv[argv.index("--format") + 1] for argv in tool.ARGVS if "--format" in argv} == {
         "human", "json", "csv"}
     assert {("--g" in argv) for argv in tool.ARGVS if argv[0] == "charsum"} == {True, False}
+
+
+def test_outputs_match_the_committed_digests(capsys):
+    # the output contract: each argv of tools/output_digest.py, run here
+    # through `run`, prints what the digest committed beside the tool says.
+    # Left out are the three `verify --suite all` runs and `iota --m 2^64`,
+    # which take 1 to 3 s each in process, and the `--output /dev/stdout` argvs,
+    # whose file sink is this process's own stdout
+    import platform
+
+    import numpy
+
+    tool = _output_digest_tool()
+    with open(os.path.join(TOOLS, "output_digest.txt")) as f:
+        header, *lines = f.read().splitlines()
+    made = tuple(header.split()[2::2])
+    here = (platform.python_version(), numpy.__version__)
+    if made != here:
+        pytest.skip("digests made with python {} and numpy {}; this is python {} and numpy {}"
+                    .format(*made, *here))
+    committed = dict(reversed(line.split(" ", 1)) for line in lines)
+    slow = (["verify", "--suite", "all"], ["iota", "--m", str(2**64)])
+    got = {}
+    for argv in tool.ARGVS:
+        if argv[:3] in slow or "--output" in argv:
+            continue
+        code, out, err = run_cli(capsys, *argv)
+        got[" ".join(argv)] = tool.digest_of(code, out.encode(), err.encode())
+    assert len(got) == len(tool.ARGVS) - 7
+    assert got == {key: committed.get(key) for key in got}

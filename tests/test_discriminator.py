@@ -35,11 +35,11 @@ from discrim.discriminator import (
     table_ranges,
     verify_discriminates,
 )
-from discrim.charsum import prime_lemma_bound
 from discrim.periods import (
     incongruence_index,
     iota_equals_rho_scan,
     period_brute,
+    prime_lemma_bound,
     salajan_period_formula,
 )
 from discrim.sequences import (

@@ -86,7 +86,44 @@ def test_unused_import_check_sees_annotations_and_unused_names():
     assert _unused_imports(ast.parse(source)) == ["BOUND (line 4)", "EXACT_TERM_BITS (line 4)"]
 
 
-LAZY_MODULES = {"numpy", "_blake2", "hashlib"}
+def _discrim_imports(tree: ast.Module) -> set[str]:
+    """The `discrim` modules that a module imports, anywhere in its body,
+    by relative or absolute name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["discrim" if node.level else "", node.module]))
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("discrim."))
+    return found
+
+
+def test_the_discriminator_and_the_character_sums_import_nothing_of_each_other():
+    # the prime lemma sits in periods beside iota_prime_bound, so the D(n)
+    # core needs no character sums, and these need no D(n) or period code
+    def imports(name):
+        return _discrim_imports(ast.parse((ROOT / "src" / "discrim" / name).read_text()))
+
+    assert "charsum" not in imports("discriminator.py")
+    assert imports("charsum.py") & {"discriminator", "periods"} == set()
+
+
+def test_discrim_import_check_sees_relative_absolute_and_local_imports():
+    source = ("from . import census as c\n"
+              "from .charsum import build_A\n"
+              "import discrim.periods, numpy\n"
+              "from discrim import verify\n"
+              "import discriminator\n"
+              "def f():\n"
+              "    from .sequences import salajan\n")
+    assert _discrim_imports(ast.parse(source)) == {"census", "charsum", "periods", "sequences", "verify"}
+
+
+LAZY_MODULES = {"numpy", "_blake2"}
 
 
 def _function_local_imports(node: ast.AST, func: str | None = None) -> list[str]:
@@ -121,14 +158,12 @@ def test_function_local_import_check_sees_nested_and_relative_imports():
               "def f():\n"
               "    import numpy as np\n"
               "    from array import array\n"
-              "    try:\n"
-              "        from _blake2 import blake2b\n"
-              "    except ImportError:\n"
-              "        from hashlib import blake2b\n"
+              "    from _blake2 import blake2b\n"
+              "    from hashlib import blake2b\n"
               "    def g():\n"
               "        from . import census\n"
               "        import os.path, numpy.fft\n")
-    assert _function_local_imports(ast.parse(source)) == ["f: array", "g: .", "g: os.path"]
+    assert _function_local_imports(ast.parse(source)) == ["f: array", "f: hashlib", "g: .", "g: os.path"]
 
 
 def test_importing_the_cli_builds_no_dataclasses():

@@ -15,6 +15,7 @@ from discrim.periods import (
     iota_equals_rho_scan,
     iota_prime_bound,
     period_brute,
+    prime_lemma_bound,
     salajan_period_formula,
 )
 from discrim.numtheory import U64_MAX, factorize, mult_order, padic_valuation
@@ -454,6 +455,14 @@ def test_iota_prime_bound_values():
     for p in (2, 3, 5, 9, 100):
         with pytest.raises(ValueError):
             iota_prime_bound(p)
+
+
+def test_prime_lemma_bound_values():
+    assert prime_lemma_bound(4) == pytest.approx(1.0)
+    assert prime_lemma_bound(8) == pytest.approx(2.0 ** (4.0 / 3.0))
+    assert prime_lemma_bound(2060) == pytest.approx(float(515) ** (4.0 / 3.0))
+    with pytest.raises(ValueError):
+        prime_lemma_bound(3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,10 @@ accepts any valid pair. Run it in two checkouts and diff the results:
 
     python tools/output_digest.py > after.txt
 
-It takes no options and finishes in a few seconds.
+It takes no options and finishes in a few seconds. `output_digest.txt`
+holds its lines for this checkout, under a first line naming the Python and
+numpy versions they were made with; `tests/test_cli.py` recomputes most of
+them in process and compares.
 """
 
 import hashlib
@@ -80,14 +83,19 @@ print(hashlib.sha256(json.dumps(pairs).encode()).hexdigest())
 """
 
 
+def digest_of(code: int, out: bytes, err: bytes) -> str:
+    """16 hex digits of the sha256 of (exit code, stdout, stderr)."""
+    blob = json.dumps([code, out.hex(), err.hex()])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def digest(args: list[str]) -> str:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *args], capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    blob = json.dumps([proc.returncode, proc.stdout.hex(), proc.stderr.hex()])
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return digest_of(proc.returncode, proc.stdout, proc.stderr)
 
 
 def main() -> None:
