@@ -1,12 +1,14 @@
 """Exact integer building blocks: primality, factoring, orders, valuations.
 
-Everything here is deterministic. Primality uses a Miller-Rabin witness set
-that is exhaustive for 64-bit inputs, factoring splits off 2^t, takes the
-primes up to 4093 out of a large odd part through one gcd with their product,
-reads an odd part from a smallest-prime-factor table as soon as it is below
-2^17 and splits a rest that stays larger by Pollard rho with Brent cycling,
-and multiplicative orders are computed by reducing the Carmichael exponent
-rather than by iteration.
+Everything here is deterministic. Primality takes one gcd with the product of
+the primes up to 37 and then strong probable-prime tests to the published
+minimal base set for n's range (Pomerance, Selfridge and Wagstaff, Math. Comp.
+35 (1980); Jaeschke, Math. Comp. 61 (1993)), exact for every 64-bit n.
+Factoring splits off 2^t, takes the primes up to 4093 out of a large odd part
+through one gcd with their product, reads an odd part from a smallest-prime-
+factor table as soon as it is below 2^17 and splits a rest that stays larger by
+Pollard rho with Brent cycling, and multiplicative orders are computed by
+reducing the Carmichael exponent rather than by iteration.
 """
 
 from __future__ import annotations
@@ -23,27 +25,33 @@ from .sequences import CapExceeded
 
 U64_MAX = 2**64 - 1
 
-# exhaustive witness set for n < 3.3e24, comfortably covers 64 bits
+# the primes up to 37: past the table below all 12 serve as bases, which is
+# exact for n < 3.3e24 and so for every 64-bit n, and n shares a factor with
+# their product exactly when one of them divides it
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
 
-# (bound, k): the first k witnesses decide every n below bound; each bound is
-# the least strong pseudoprime to those k bases (Jaeschke, Math. Comp. 61
-# (1993); Sorenson and Webster, Math. Comp. 86 (2017)), and past the last one
-# all 12 are used
-_MR_PREFIXES = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
+# (bound, bases): the bases decide every n from the previous row's bound up to
+# below this one, which is the least strong pseudoprime to all of them
+# (Pomerance, Selfridge and Wagstaff, Math. Comp. 35 (1980), for 2047 and
+# 1373653; Jaeschke, Math. Comp. 61 (1993), for the rows from 9080191 to
+# 341550071728321; Sorenson and Webster, Math. Comp. 86 (2017), for 2 to 23).
+# Every base is below the previous bound, so none is 0 mod n
+_MR_BASES = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (9080191, (31, 73)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _MR_WITNESSES[:5]),
+    (3474749660383, _MR_WITNESSES[:6]),
+    (341550071728321, _MR_WITNESSES[:7]),
+    (3825123056546413051, _MR_WITNESSES[:9]),
 )
 
 # every prime walk's segment: the census classifies one segment at a time, and
-# a 2^18 segment's batch peaks near 9 MB where a 2^20 one peaks near 32 MB, at
-# the same speed
+# under tracemalloc census_scan(2^21) peaks at 5.9 MiB with 2^18 segments and
+# at 21.9 MiB with 2^20 ones, at the same speed
 _SIEVE_BLOCK = 1 << 18
 
 # prime walks stop below this: the census batch classifier's uint64
@@ -60,18 +68,17 @@ def is_prime(n: int) -> bool:
         raise ValueError("is_prime expects 1 <= n <= 2^64 - 1")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    witnesses = _MR_WITNESSES
-    for bound, k in _MR_PREFIXES:
+    if math.gcd(n, _MR_WITNESS_PRODUCT) != 1:
+        return n in _MR_WITNESSES
+    for bound, bases in _MR_BASES:
         if n < bound:
-            witnesses = _MR_WITNESSES[:k]
             break
+    else:
+        bases = _MR_WITNESSES
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in witnesses:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -878,10 +878,12 @@ def test_output_digest_covers_every_subcommand():
 
 def test_outputs_match_the_committed_digests(capsys):
     # the output contract: each argv of tools/output_digest.py, run here
-    # through `run`, prints what the digest committed beside the tool says.
-    # Left out are the three `verify --suite all` runs and `iota --m 2^64`,
-    # which take 1 to 3 s each in process, and the `--output /dev/stdout` argvs,
-    # whose file sink is this process's own stdout
+    # through `run`, prints what the digest committed beside the tool says,
+    # and the tool's PAIRS code, run here too, prints the committed pairs
+    # line. Left out are the three `verify --suite all` runs and
+    # `iota --m 2^64`, which take 1 to 3 s each in process, and the
+    # `--output /dev/stdout` argvs, whose file sink is this process's own
+    # stdout
     import platform
 
     import numpy
@@ -903,4 +905,8 @@ def test_outputs_match_the_committed_digests(capsys):
         code, out, err = run_cli(capsys, *argv)
         got[" ".join(argv)] = tool.digest_of(code, out.encode(), err.encode())
     assert len(got) == len(tool.ARGVS) - 7
+    capsys.readouterr()
+    exec(tool.PAIRS, {})
+    pairs = capsys.readouterr().out
+    got["collision_certificate pairs of EXPECTED_TABLE rows above 64"] = tool.digest_of(0, pairs.encode(), b"")
     assert got == {key: committed.get(key) for key in got}

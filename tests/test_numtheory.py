@@ -47,11 +47,16 @@ def test_is_prime_matches_sieve_below_10000():
         (2**64 - 1, False),
         (561, False),           # Carmichael number
         (41041, False),         # Carmichael number
-        # the least strong pseudoprime to each prefix of the witness list,
-        # so a prefix one base shorter than is_prime's would call it prime
+        # each bound of is_prime's base table is the least strong pseudoprime
+        # to its row's bases, so a row that also covered its own bound would
+        # call it prime; 25326001 and 3215031751 are the least to the
+        # prefixes 2, 3, 5 and 2 to 7, which the table no longer uses
         (1373653, False),       # bases 2, 3
+        (9080191, False),       # bases 31, 73
         (25326001, False),      # bases 2, 3, 5
         (3215031751, False),    # strong pseudoprime to bases 2, 3, 5, 7
+        (4759123141, False),    # bases 2, 7, 61
+        (1122004669633, False),  # bases 2, 13, 23, 1662803
         (2152302898747, False),  # bases 2 to 11
         (3474749660383, False),  # bases 2 to 13
         (341550071728321, False),  # bases 2 to 17
@@ -77,11 +82,39 @@ def test_is_prime_agrees_with_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
 
 
+def _strong_probable_prime(n, a):
+    """n - 1 = 2^s d with d odd, and a^d = 1 or a^(2^r d) = -1 mod n for some
+    r < s: written out here, not taken from is_prime."""
+    s = 0
+    while (n - 1) % 2 ** (s + 1) == 0:
+        s += 1
+    powers = [pow(a, (n - 1) // 2**s * 2**r, n) for r in range(s)]
+    return powers[0] == 1 or n - 1 in powers
+
+
+def test_each_base_row_ends_at_a_strong_pseudoprime_to_its_bases():
+    # a bound set too high, or a base that is not the row's, leaves a bound
+    # that is not a strong pseudoprime to every base of its row
+    rows = numtheory._MR_BASES
+    assert [b for b, _ in rows] == sorted(b for b, _ in rows)
+    for (previous, _), (_, bases) in zip(rows, rows[1:]):
+        assert max(bases) < previous
+    for bound, bases in rows:
+        assert not sympy.isprime(bound)
+        assert all(_strong_probable_prime(bound, a) for a in bases), bound
+        # all 12 witnesses expose it, so the helper can also say no
+        assert not all(_strong_probable_prime(bound, a) for a in numtheory._MR_WITNESSES)
+        for n in range(bound - 2000, bound + 2001):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 # ------------------------------------------------------------------ sieving
 
 
 def test_primes_up_to_edges():
     assert primes_up_to(1).tolist() == []
+    assert list(iter_prime_blocks(1)) == []
+    assert list(iter_prime_blocks(0)) == []
     assert primes_up_to(2).tolist() == [2]
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
