@@ -59,7 +59,7 @@ def artin_partials() -> None:
 def fset_tour() -> None:
     print("F membership for b = 1..20 (interval test, Weyl cross-check):")
     marks = []
-    for rec in fset_scan_checked(20):   # raises if the two methods disagree
+    for rec in fset_scan_checked(20):   # raises if Weyl or the count identity disagrees
         marks.append("y" if rec.member else ".")
         if not rec.member and rec.b <= 6:
             print(f"  b = {rec.b}: excluded, 2^k = {rec.witness} lies in the interval")

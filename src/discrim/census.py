@@ -285,37 +285,36 @@ def fset_member_weyl(b: int) -> bool:
     return frac > _THRESHOLD
 
 
-def _weyl_checked(b: int, member: bool) -> bool:
-    """The exact membership `member` of b, once the Weyl criterion agrees
-    with it; MethodsDisagree otherwise."""
-    weyl = fset_member_weyl(b)
-    if weyl != member:
-        raise MethodsDisagree(f"methods disagree at b={b}: interval={member} weyl={weyl}")
-    return member
+def _fset_checked(b_max: int):
+    """`_fset_pass`'s items, the Weyl criterion checked at every b; after
+    the last, the member count is checked against 3x - bitlen(5^x), x = b_max,
+    with the bit length the pass ends on: 5^b/5^(b-1) = 5 lies between 2^2
+    and 2^3, so bitlen(5^b) - bitlen(5^(b-1)) is 2 for a member b and 3
+    otherwise, except 2 for the non-member b = 1. A mismatch raises
+    MethodsDisagree."""
+    count = 0
+    for item in _fset_pass(b_max):
+        b, _, member, bits = item
+        weyl = fset_member_weyl(b)
+        if weyl != member:
+            raise MethodsDisagree(f"methods disagree at b={b}: interval={member} weyl={weyl}")
+        count += member
+        yield item
+    if count != 3 * b_max - bits:
+        raise MethodsDisagree(f"methods disagree at x={b_max}: count={count} 3x-bitlen(5^x)={3 * b_max - bits}")
 
 
 def fset_scan_checked(b_max: int) -> list[FsetRecord]:
-    """`fset_scan_interval` cross-checked against the Weyl criterion at every b."""
-    records = fset_scan_interval(b_max)
-    for r in records:
-        _weyl_checked(r.b, r.member)
-    return records
+    """`fset_scan_interval`'s records, checked as `_fset_checked` does."""
+    if b_max < 1:
+        raise ValueError("b_max must be positive")
+    return [FsetRecord(b, member, None if member else k) for b, k, member, _ in _fset_checked(b_max)]
 
 
 def fset_count(x: int) -> tuple[int, float, float]:
     """(count of b <= x in the F-set, count/x, expected density beta), from
-    one exact pass cross-checked against the Weyl criterion at every b.
-
-    The count is checked a third way, against 3x - bitlen(5^x) with the bit
-    length the pass ends on: 5^b/5^(b-1) = 5 lies between 2^2 and 2^3, so
-    bitlen(5^b) - bitlen(5^(b-1)) is 2 for a member b and 3 otherwise, except
-    2 for the non-member b = 1.
-    """
+    the pass of `fset_scan_checked`, keeping no record."""
     if x < 1:
         raise ValueError("x must be positive")
-    count = 0
-    for b, _, member, bits in _fset_pass(x):
-        count += _weyl_checked(b, member)
-    if count != 3 * x - bits:
-        raise MethodsDisagree(f"methods disagree at x={x}: count={count} 3x-bitlen(5^x)={3 * x - bits}")
+    count = sum(member for _, _, member, _ in _fset_checked(x))
     return count, count / x, BETA

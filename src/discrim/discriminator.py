@@ -112,10 +112,11 @@ _PROVEN_RUNS: dict[SequenceSpec, array] = {}
 # (a proven D(n) reads none); each term of a k-coefficient polynomial counts
 # k times, one per Horner step, since a scan term of poly:1,2,...,301 costs
 # about 60 times one of poly:0,0,1. `verify --nmax 65536` reads 189,328,104
-# (18 s on 2 cores), and a bare `discriminate --n 2000000` stops after about
-# 26 s, where it would run for about 18 minutes. `iota --range` and `screen
-# --range` count their scans against it too. A worst case checked before any
-# work, about 1.5*n^2 terms a sweep, would refuse `--nmax 65536` outright
+# (about 27 s and 17 MB peak RSS on a 2-core host), and a bare
+# `discriminate --n 2000000` stops after about 32 s and 17 MB, where it would
+# run for about 18 minutes. `iota --range` and `screen --range` count their
+# scans against it too. A worst case checked before any work, about 1.5*n^2
+# terms a sweep, would refuse `--nmax 65536` outright
 SWEEP_TERM_BUDGET = 1 << 28
 
 

@@ -72,9 +72,10 @@ EXPECTED_TABLE = [
     (8193, 12500, 15625), (12501, 16384, 16384), (16385, 32768, 32768),
 ]
 
-# theorem1's brute-force table takes about 17 s and 30 MB at 2^16; past that
-# the sweep's term budget would refuse a --nmax typo only after about 25 s,
-# where this bound refuses it at once, with exit 2
+# theorem1's brute-force table takes about 27 s and 17 MB peak RSS at 2^16
+# on a 2-core host, numpy never imported; past that the sweep's term budget
+# would refuse a --nmax typo only after about 30 s, where this bound refuses
+# it at once, with exit 2
 THEOREM1_MAX_N = 1 << 16
 
 # reference prime-class listings up to 300

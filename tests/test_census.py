@@ -361,17 +361,36 @@ def test_poisoned_weyl_reads_the_same_in_every_checked_pass(monkeypatch):
     assert verify.check_fset() == verify.CheckResult("fset", False, message)
 
 
+def _flip_member_at_7(monkeypatch):
+    # the pass calls b = 7 a member, and the Weyl criterion agrees, so only
+    # count = 3x - bitlen(5^x) can catch it
+    real_pass, real_weyl = census._fset_pass, census.fset_member_weyl
+    monkeypatch.setattr(census, "_fset_pass", lambda b_max: (
+        (b, k, member != (b == 7), bits) for b, k, member, bits in real_pass(b_max)))
+    monkeypatch.setattr(census, "fset_member_weyl", lambda b: real_weyl(b) != (b == 7))
+
+
 def test_fset_count_checks_the_bit_length_identity(monkeypatch):
-    # a member flipped after the Weyl check still fails count = 3x - bitlen(5^x)
     from discrim import verify
 
     assert [3 * x - (5**x).bit_length() for x in (1, 2, 100, 1000)] == [0, 1, 67, 678]
-    real = census._weyl_checked
-    monkeypatch.setattr(census, "_weyl_checked", lambda b, member: real(b, member) != (b == 7))
+    _flip_member_at_7(monkeypatch)
     with pytest.raises(MethodsDisagree, match=r"^methods disagree at x=100: count=68 3x-bitlen\(5\^x\)=67$"):
         fset_count(100)
     message = "methods disagree at x=100000: count=67808 3x-bitlen(5^x)=67807"
     assert verify.check_fset() == verify.CheckResult("fset", False, message)
+
+
+def test_fset_scan_checked_checks_the_bit_length_identity(monkeypatch, capsys):
+    # `fset --method both` runs the count check of the fset suite too
+    from discrim import cli
+
+    _flip_member_at_7(monkeypatch)
+    with pytest.raises(MethodsDisagree, match=r"^methods disagree at x=100: count=68 3x-bitlen\(5\^x\)=67$"):
+        census.fset_scan_checked(100)
+    capsys.readouterr()
+    assert cli.run(["fset", "--max", "40"]) == 1
+    assert capsys.readouterr() == ("", "methods disagree at x=40: count=28 3x-bitlen(5^x)=27\n")
 
 
 def test_fset_count_tracks_beta():

@@ -14,8 +14,8 @@ accepts any valid pair. Run it in two checkouts and diff the results:
 
 It takes no options and finishes in a few seconds. `output_digest.txt`
 holds its lines for this checkout, under a first line naming the Python and
-numpy versions they were made with; `tests/test_cli.py` recomputes most of
-them in process and compares.
+numpy versions they were made with; `tests/test_cli.py` recomputes all of
+them but `iota --m 2^64` in process and compares.
 """
 
 import hashlib
