@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 verification failure (a cross-checked pair of
 methods disagreed, a certificate failed its recheck, a bound failed, or a
 verify suite went red) or a write failed, 2 usage error. Output formats:
 human (default), csv, json (one object per line).
+
+The module imports no engine: each handler reaches the engines it calls
+through the package's names, which load their module on first use.
 """
 
 from __future__ import annotations
@@ -17,39 +20,7 @@ import os
 import sys
 from functools import partial
 
-from . import discriminator
-from .census import (
-    census_scan,
-    check_fset_bound,
-    fset_member_weyl,
-    fset_scan_checked,
-    fset_scan_interval,
-)
-from .charsum import char_sum_report
-from .discriminator import (
-    discriminator_brute,
-    nonvalue_screen,
-    recheck_certificate,
-    salajan_discriminator_checked,
-    salajan_discriminator_closed,
-    table_ranges,
-)
-from .numtheory import artin_constant
-from .periods import (
-    incongruence_index,
-    period_brute,
-    salajan_period_checked,
-    salajan_period_formula,
-)
-from .sequences import (
-    SALAJAN,
-    SCAN_TERM_CAP,
-    CapExceeded,
-    MethodsDisagree,
-    parse_spec,
-    salajan,
-)
-from .verify import SUITES, charsum_bounds_hold, identity_residual_holds, run_suites
+import discrim
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -96,16 +67,18 @@ def _span_targets(span: str, least: int, what: str) -> range:
     if not targets:
         raise ValueError(f"range {span} holds no {what}")
     if hi_i - targets[0] >= SPAN_ROWS:
-        raise CapExceeded(f"range {span} holds more than {SPAN_ROWS} integers")
-    if hi_i > SCAN_TERM_CAP:
-        raise CapExceeded(f"range {span} reaches past {SCAN_TERM_CAP}, the largest modulus scanned")
+        raise discrim.CapExceeded(f"range {span} holds more than {SPAN_ROWS} integers")
+    cap = discrim.sequences.SCAN_TERM_CAP
+    if hi_i > cap:
+        raise discrim.CapExceeded(f"range {span} reaches past {cap}, the largest modulus scanned")
     return targets
 
 
 def _check_spent(spent: int, span: str, name: str, n: int) -> None:
     """Raise CapExceeded at n once the scans of `span` have read more than SWEEP_TERM_BUDGET terms."""
-    if spent > discriminator.SWEEP_TERM_BUDGET:
-        raise CapExceeded(f"range {span} scans read more than {discriminator.SWEEP_TERM_BUDGET} terms by {name} = {n}")
+    budget = discrim.discriminator.SWEEP_TERM_BUDGET
+    if spent > budget:
+        raise discrim.CapExceeded(f"range {span} scans read more than {budget} terms by {name} = {n}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-limit", type=int, required=True)
 
     p = add("verify", "run verification suites", _cmd_verify)
-    p.add_argument("--suite", default="all", help="|".join(SUITES) + " or all")
+    p.add_argument("--suite", default="all", help="|".join(discrim._SUITE_NAMES) + " or all")
     p.add_argument("--nmax", type=int, default=None, help="range cap for the theorem1 suite")
 
     return parser
@@ -169,24 +142,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 # each handler returns (exit code, writer) once its answer is checked; `run` calls the writer
 def _cmd_discriminate(args):
-    spec = parse_spec(args.seq)
-    method = args.method or ("both" if spec.kind == SALAJAN else "brute")
-    if spec.kind != SALAJAN and method != "brute":
+    spec = discrim.parse_spec(args.seq)
+    salajan_kind = spec.kind == discrim.sequences.SALAJAN
+    method = args.method or ("both" if salajan_kind else "brute")
+    if not salajan_kind and method != "brute":
         raise ValueError("closed form exists only for the salajan sequence; use --method brute")
     if method == "closed" and args.cap is not None:
         raise ValueError("--cap applies only to --method brute or both")
     if method == "closed":
-        rec = salajan_discriminator_closed(args.n)
+        rec = discrim.salajan_discriminator_closed(args.n)
     elif method == "brute":
-        rec = discriminator_brute(spec, args.n, args.cap)
+        rec = discrim.discriminator_brute(spec, args.n, args.cap)
     else:
-        rec = salajan_discriminator_checked(args.n, args.cap)
+        rec = discrim.salajan_discriminator_checked(args.n, args.cap)
     _check_digits(rec.value, f"discriminator value of {rec.value.bit_length()} bits")
     return 0, partial(_emit, [{"n": rec.n, "value": rec.value, "method": rec.method}], args.format)
 
 
 def _cmd_table(args):
-    ranges = table_ranges(args.max)
+    ranges = discrim.table_ranges(args.max)
     value = ranges[-1][2]   # values grow from row to row
     _check_digits(value, f"table value of {value.bit_length()} bits")
     rows = [{"start": a, "end": b, "value": v} for a, b, v in ranges]
@@ -194,15 +168,15 @@ def _cmd_table(args):
 
 
 def _cmd_period(args):
-    spec = parse_spec(args.seq)
-    if args.method in ("formula", "both") and spec.kind != SALAJAN:
+    spec = discrim.parse_spec(args.seq)
+    if args.method in ("formula", "both") and spec.kind != discrim.sequences.SALAJAN:
         raise ValueError("the period formula applies to the salajan sequence; use --method brute")
     if args.method == "formula":
-        info = salajan_period_formula(args.d)
+        info = discrim.salajan_period_formula(args.d)
     elif args.method == "brute":
-        info = period_brute(spec, args.d)
+        info = discrim.period_brute(spec, args.d)
     else:
-        info = salajan_period_checked(args.d)
+        info = discrim.salajan_period_checked(args.d)
     row = {
         "modulus": info.modulus,
         "pre_period": info.pre_period,
@@ -214,9 +188,9 @@ def _cmd_period(args):
 
 def _cmd_iota(args):
     targets = _span_targets(args.span, 1, "modulus m >= 1") if args.span else [args.m]
-    seq, rows, spent = salajan(), [], 0
+    seq, rows, spent = discrim.salajan(), [], 0
     for m in targets:
-        iota = incongruence_index(seq, m)
+        iota = discrim.incongruence_index(seq, m)
         _check_spent(spent := spent + iota, args.span, "m", m)
         rows.append({"m": m, "iota": iota})
     return 0, partial(_emit, rows, args.format)
@@ -226,12 +200,12 @@ def _cmd_screen(args):
     targets = _span_targets(args.span, 2, "d >= 2") if args.span else [args.d]
     rows, spent = [], 0
     for d in targets:
-        cert = nonvalue_screen(d)
+        cert = discrim.nonvalue_screen(d)
         # the 3 | d and period screens decide without a scan
         _check_spent(spent := spent + cert.witness.get("iota", 0), args.span, "d", d)
         witness = json.dumps(cert.witness, sort_keys=True)
-        if not recheck_certificate(cert):
-            raise MethodsDisagree(
+        if not discrim.recheck_certificate(cert):
+            raise discrim.MethodsDisagree(
                 f"certificate fails its recheck at d={d}: reason={cert.reason} witness={witness}"
             )
         rows.append(
@@ -241,7 +215,7 @@ def _cmd_screen(args):
 
 
 def _cmd_census(args):
-    report = census_scan(args.x)
+    report = discrim.census_scan(args.x)
     rows = []
     for cls in ("P1", "P2", "P3"):
         rows.append(
@@ -269,17 +243,17 @@ def _check_digits(n: int, what: str) -> None:
     the largest one it will print, before it returns its writer."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and n >= 10**limit:
-        raise CapExceeded(f"{what} has more than {limit} digits")
+        raise discrim.CapExceeded(f"{what} has more than {limit} digits")
 
 
 def _cmd_fset(args):
     if args.max < 1:
         raise ValueError("--max must be positive")
-    check_fset_bound(args.max)
+    discrim.census.check_fset_bound(args.max)
     if args.method == "weyl":
-        rows = [(b, fset_member_weyl(b), None) for b in range(1, args.max + 1)]
+        rows = [(b, discrim.fset_member_weyl(b), None) for b in range(1, args.max + 1)]
     else:
-        scan = fset_scan_interval if args.method == "interval" else fset_scan_checked
+        scan = discrim.fset_scan_interval if args.method == "interval" else discrim.fset_scan_checked
         records = scan(args.max)
         # witnesses grow with b, so the last non-member's (b = 1 is one) is the longest
         last = next(r for r in reversed(records) if not r.member)
@@ -290,11 +264,11 @@ def _cmd_fset(args):
 
 
 def _cmd_charsum(args):
-    report = char_sum_report(args.p, args.g)
+    report = discrim.char_sum_report(args.p, args.g)
     ok = (
         report.setA_size == args.p - 2
-        and charsum_bounds_hold(args.p, report.max_nontrivial_sum)
-        and identity_residual_holds(report.identity_residual, args.p - 1)
+        and discrim.verify.charsum_bounds_hold(args.p, report.max_nontrivial_sum)
+        and discrim.verify.identity_residual_holds(report.identity_residual, args.p - 1)
     )
     rows = [
         {
@@ -312,13 +286,13 @@ def _cmd_charsum(args):
 
 
 def _cmd_artin(args):
-    value = artin_constant(args.prime_limit)
+    value = discrim.artin_constant(args.prime_limit)
     row = {"prime_limit": args.prime_limit, "artin_partial": f"{value:.12f}"}
     return 0, partial(_emit, [row], args.format)
 
 
 def _cmd_verify(args):
-    ok, results = run_suites(args.suite, n_max=args.nmax)
+    ok, results = discrim.run_suites(args.suite, n_max=args.nmax)
     if args.format != "human":
         rows = [{"suite": r.suite, "passed": r.passed, "detail": r.detail} for r in results]
         return 0 if ok else 1, partial(_emit, rows, args.format)
@@ -339,10 +313,10 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
+    except discrim.CapExceeded as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
-    except MethodsDisagree as exc:
+    except discrim.MethodsDisagree as exc:
         print(exc, file=sys.stderr)
         return 1
     try:

@@ -12,6 +12,7 @@ import math
 import random
 from typing import NamedTuple
 
+from . import _SUITE_NAMES
 from . import census as census_mod
 from . import charsum as charsum_mod
 from .discriminator import (
@@ -468,20 +469,8 @@ def check_note() -> CheckResult:
 
 # ---------------------------------------------------------------- runner
 
-SUITES = {
-    "table": check_table,
-    "theorem1": check_theorem1,
-    "periods": check_periods,
-    "iota-anchors": check_iota_anchors,
-    "iota-bounds": check_iota_bounds,
-    "valuation": check_valuation,
-    "screen": check_screen,
-    "census": check_census,
-    "artin": check_artin,
-    "fset": check_fset,
-    "charsum": check_charsum,
-    "note": check_note,
-}
+# suite name -> its check, named check_<suite> with "-" read as "_"
+SUITES = {name: globals()["check_" + name.replace("-", "_")] for name in _SUITE_NAMES}
 
 
 def run_suites(names, n_max: int | None = None):

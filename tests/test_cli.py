@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 
 import pytest
 
+import discrim
 from discrim import census, charsum, cli, discriminator, periods, sequences
 from discrim.cli import build_parser, run
 from discrim.census import fset_member_interval
@@ -66,7 +68,7 @@ def test_discriminate_rejects_closed_for_generic(capsys):
 def test_discriminate_refuses_a_cap_with_the_closed_form(capsys, monkeypatch):
     # the closed form tries no modulus, so a cap there is a usage error, as
     # the same cap is for the brute-force methods
-    monkeypatch.setattr(cli, "salajan_discriminator_closed", None)
+    monkeypatch.setattr(discrim, "salajan_discriminator_closed", None)
     assert run_cli(capsys, "discriminate", "--n", "5", "--method", "closed", "--cap", "3") == (
         2, "", "error: --cap applies only to --method brute or both\n")
     for method in ("brute", "both"):
@@ -602,7 +604,7 @@ def test_fset_witness_past_the_digit_limit_fails_before_any_row(capsys, int_digi
     # the witness comes from the pass's own records, with no second walk
     def refuse(b):
         raise AssertionError(f"fset_member_interval({b}) called by the CLI")
-    monkeypatch.setattr(cli, "fset_member_interval", refuse, raising=False)
+    monkeypatch.setattr(discrim, "fset_member_interval", refuse)
     code, out, err = run_cli(capsys, "fset", "--max", "6154")
     assert (code, out, err) == (
         1, "", "failure: F-set witness 2^14289 at b=6154 has more than 4300 digits\n")
@@ -681,6 +683,16 @@ def test_verify_machine_formats(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2 and "unknown suite" in err
+
+
+def test_verify_help_names_every_suite_in_order(capsys, monkeypatch):
+    # the help text and the suites read one tuple of names; a wide terminal
+    # keeps argparse from breaking the list at a hyphen
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    text = capsys.readouterr().out
+    assert re.search(r"--suite SUITE +(\S+) or all\n", text).group(1).split("|") == list(SUITES)
 
 
 def test_run_suites_python_api():
@@ -911,7 +923,7 @@ def test_outputs_match_the_committed_digests(capsys, monkeypatch):
             continue
         with monkeypatch.context() as m:
             if argv[:3] == ["verify", "--suite", "all"]:
-                m.setattr(cli, "run_suites", lambda names, n_max: suites)
+                m.setattr(discrim, "run_suites", lambda names, n_max: suites)
             code, out, err = run_cli(capsys, *argv)
         got[" ".join(argv)] = tool.digest_of(code, out.encode(), err.encode())
     assert len(got) == len(tool.ARGVS) - 4

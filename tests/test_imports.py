@@ -1,8 +1,9 @@
-"""The import-light runtime: the package and the CLI load neither numpy nor
-mpmath, commands that never reach a numpy kernel stay free of it however
-long their first-collision scans run, no module imports a name it never
-uses, and the constants that used to come from those libraries are checked
-against them."""
+"""The import-light runtime: `import discrim` loads no submodule yet keeps
+every public name, each subcommand loads only its own engines, the package
+and the CLI load neither numpy nor mpmath, commands that never reach a numpy
+kernel stay free of it however long their first-collision scans run, no
+module imports a name it never uses, and the constants that used to come
+from those libraries are checked against them."""
 
 import ast
 import json
@@ -43,6 +44,67 @@ def run_checked(body: str) -> tuple[str, list[str]]:
 
 def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
     assert run_checked("import discrim, discrim.cli")[0] == ""
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('discrim.'))))"
+
+# the names the package exported when `import discrim` loaded every module,
+# by the module that defines them
+PUBLIC = {
+    "census": ["ARTIN_CONSTANT", "BETA", "DensityReport", "FsetRecord", "PrimeClassRecord",
+               "census_scan", "classify_prime", "fset_count", "fset_member_interval",
+               "fset_member_weyl", "fset_scan_checked", "fset_scan_interval"],
+    "charsum": ["CharSumReport", "bplusb_bound_check", "build_A", "char_sum_report",
+                "max_nontrivial_char_sum", "pair_count_identity_check"],
+    "discriminator": ["DiscriminatorRecord", "NonValueCertificate", "collision_certificate",
+                      "discriminator_brute", "discriminator_table", "image_of_discriminator",
+                      "nonvalue_screen", "recheck_certificate", "recheck_collision_certificate",
+                      "salajan_discriminator_checked", "salajan_discriminator_closed",
+                      "table_ranges", "verify_discriminates"],
+    "numtheory": ["artin_constant", "factorize", "is_prime", "lte_valuation", "mult_order",
+                  "padic_valuation", "primes_up_to", "smallest_primitive_root"],
+    "periods": ["PeriodInfo", "incongruence_index", "iota_equals_rho_scan", "iota_prime_bound",
+                "period_brute", "prime_lemma_bound", "salajan_period_checked",
+                "salajan_period_formula"],
+    "sequences": ["CapExceeded", "MethodsDisagree", "SequenceNotAdmissible", "SequenceSpec",
+                  "linear_recurrence", "parse_spec", "polynomial", "salajan", "salajan_term_mod",
+                  "term_exact"],
+    "verify": ["CheckResult", "run_suites"],
+}
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert run_checked("import json, discrim\n" + LOADED) == ("", ["[]"])
+
+
+def test_every_public_name_is_listed_and_is_its_modules_object():
+    # dir() lists the names without loading a module; each name then loads
+    # its module and is that module's object, as is each module's own name
+    assert sum(map(len, PUBLIC.values())) == 59
+    body = (f"public = {PUBLIC!r}\n"
+            "import importlib, json, discrim\n"
+            "listed = set(dir(discrim))\n" + LOADED + "\n"
+            "print(sorted(n for names in public.values() for n in names if n not in listed))\n"
+            "home = lambda module: importlib.import_module('discrim.' + module)\n"
+            "print(sorted(n for module, names in public.items() for n in names\n"
+            "             if getattr(discrim, n) is not getattr(home(module), n)))\n"
+            "print(sorted(m for m in public if getattr(discrim, m) is not home(m)))")
+    assert run_checked(body)[1] == ["[]", "[]", "[]", "[]"]
+
+
+def test_a_loaded_module_binds_its_names_as_plain_attributes():
+    # bound as the module loads, not on first lookup, so that a lookup is a
+    # dict hit and no name appears later (perfbench's tracer snapshots them);
+    # once all are bound the package is a plain module without __getattr__,
+    # whose attribute loads CPython specializes
+    body = (f"public = {PUBLIC!r}\n"
+            "import types, discrim\n"
+            "print('nonvalue_screen' in vars(discrim), type(discrim) is types.ModuleType)\n"
+            "from discrim import verify\n"
+            "print('nonvalue_screen' in vars(discrim), type(discrim) is types.ModuleType)\n"
+            "print(sorted(n for names in public.values() for n in names if n not in vars(discrim)))\n"
+            "print('__getattr__' in vars(discrim), len(dir(discrim)) > 59)")
+    assert run_checked(body)[1] == ["False False", "True True", "[]", "False True"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -209,6 +271,17 @@ def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     captured = capsys.readouterr()
     assert json.loads(printed[-1]) == [code, captured.out, captured.err]
     assert code == (1 if "linrec:1,2,1,3" in argv else 0)
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["period", "--d", "5119"], {"census", "charsum", "discriminator", "verify"}),
+    (["table", "--max", "100"], {"charsum", "verify"}),
+    (["screen", "--d", "307"], {"charsum", "verify"}),
+], ids=["period", "table", "screen"])
+def test_a_subcommand_loads_only_its_own_engines(argv, unloaded):
+    printed = run_checked(CLI_RUN.format(argv=argv) + LOADED)[1]
+    assert json.loads(printed[-2])[0] == 0
+    assert {m.removeprefix("discrim.") for m in json.loads(printed[-1])} & unloaded == set()
 
 
 def test_a_lone_period_formula_builds_one_fixed_table():
