@@ -23,6 +23,11 @@ MAX_DIRECT_PRIME = 500     # O(p^3) enumeration guard
 # O(p) tables, which would take about 8 GB at p near 10^9
 MAX_DFT_ORDER = 4096
 
+# float margins of the report's checks
+CHARSUM_LOWER_SLACK = 1e-6    # sqrt(|A|) lower bound, numeric slack
+CHARSUM_UPPER_MARGIN = 1e-9   # |A^| <= sqrt(p) holds with equality; fp margin
+IDENTITY_RELATIVE = 1e-6      # pair-count residual, relative to |G|
+
 
 class CharSumReport(NamedTuple):
     p: int
@@ -196,3 +201,14 @@ def char_sum_report(p: int, g: int | None = None) -> CharSumReport:
         sqrt_p=math.sqrt(p),
         identity_residual=residual,
     )
+
+
+def charsum_bounds_hold(p: int, ahat: float) -> bool:
+    """sqrt(p-2) <= |A^| <= sqrt(p), with the float margins above; the
+    maximum is a Jacobi-sum modulus, so the upper bound holds with equality."""
+    return math.sqrt(p - 2) - CHARSUM_LOWER_SLACK <= ahat <= math.sqrt(p) + CHARSUM_UPPER_MARGIN
+
+
+def identity_residual_holds(residual: float, group_order: int) -> bool:
+    """The pair-count identity's residual is float noise, relative to |G|."""
+    return residual <= IDENTITY_RELATIVE * group_order**2

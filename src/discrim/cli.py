@@ -74,13 +74,6 @@ def _span_targets(span: str, least: int, what: str) -> range:
     return targets
 
 
-def _check_spent(spent: int, span: str, name: str, n: int) -> None:
-    """Raise CapExceeded at n once the scans of `span` have read more than SWEEP_TERM_BUDGET terms."""
-    budget = discrim.discriminator.SWEEP_TERM_BUDGET
-    if spent > budget:
-        raise discrim.CapExceeded(f"range {span} scans read more than {budget} terms by {name} = {n}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discrim",
@@ -191,7 +184,7 @@ def _cmd_iota(args):
     seq, rows, spent = discrim.salajan(), [], 0
     for m in targets:
         iota = discrim.incongruence_index(seq, m)
-        _check_spent(spent := spent + iota, args.span, "m", m)
+        discrim.sequences.check_term_budget(spent := spent + iota, f"range {args.span}", "m", m)
         rows.append({"m": m, "iota": iota})
     return 0, partial(_emit, rows, args.format)
 
@@ -202,7 +195,8 @@ def _cmd_screen(args):
     for d in targets:
         cert = discrim.nonvalue_screen(d)
         # the 3 | d and period screens decide without a scan
-        _check_spent(spent := spent + cert.witness.get("iota", 0), args.span, "d", d)
+        discrim.sequences.check_term_budget(
+            spent := spent + cert.witness.get("iota", 0), f"range {args.span}", "d", d)
         witness = json.dumps(cert.witness, sort_keys=True)
         if not discrim.recheck_certificate(cert):
             raise discrim.MethodsDisagree(
@@ -267,8 +261,8 @@ def _cmd_charsum(args):
     report = discrim.char_sum_report(args.p, args.g)
     ok = (
         report.setA_size == args.p - 2
-        and discrim.verify.charsum_bounds_hold(args.p, report.max_nontrivial_sum)
-        and discrim.verify.identity_residual_holds(report.identity_residual, args.p - 1)
+        and discrim.charsum.charsum_bounds_hold(args.p, report.max_nontrivial_sum)
+        and discrim.charsum.identity_residual_holds(report.identity_residual, args.p - 1)
     )
     rows = [
         {

@@ -31,6 +31,7 @@ from .sequences import (
     MethodsDisagree,
     SequenceNotAdmissible,
     SequenceSpec,
+    check_term_budget,
     distinct_prefix_length,
     exact_terms,
     salajan,
@@ -108,17 +109,6 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 # iota(m) <= m, so a spec's array holds at most 2^22 + 1 entries (16 MB).
 _PROVEN_RUNS: dict[SequenceSpec, array] = {}
 
-# the most terms the scans of one sweep may read, counted as each scan ends
-# (a proven D(n) reads none); each term of a k-coefficient polynomial counts
-# k times, one per Horner step, since a scan term of poly:1,2,...,301 costs
-# about 60 times one of poly:0,0,1. `verify --nmax 65536` reads 189,328,104
-# (about 27 s and 17 MB peak RSS on a 2-core host), and a bare
-# `discriminate --n 2000000` stops after about 32 s and 17 MB, where it would
-# run for about 18 minutes. `iota --range` and `screen --range` count their
-# scans against it too. A worst case checked before any work, about 1.5*n^2
-# terms a sweep, would refuse `--nmax 65536` outright
-SWEEP_TERM_BUDGET = 1 << 28
-
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
     """[D(lo), ..., D(hi)] by brute force over moduli up to
@@ -156,8 +146,7 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
                     raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
                 k = distinct_prefix_length(spec, m, m)
                 spent += k * weight
-                if spent > SWEEP_TERM_BUDGET:
-                    raise CapExceeded(f"sweep scans read more than {SWEEP_TERM_BUDGET} terms by n = {n}")
+                check_term_budget(spent, "sweep", "n", n)
             if k >= len(runs):
                 runs.frombytes(bytes(runs.itemsize * (k + 1 - len(runs))))
             runs[n:k + 1] = array("I", (m,)) * (k + 1 - n)

@@ -36,6 +36,25 @@ def scan_term_limit(m: int) -> int:
     return (SCAN_TERM_CAP + 1) * 64 // max(m.bit_length(), 64)
 
 
+# the most terms the scans of one sweep may read, counted as each scan ends
+# (a proven D(n) reads none); each term of a k-coefficient polynomial counts
+# k times, one per Horner step, since a scan term of poly:1,2,...,301 costs
+# about 60 times one of poly:0,0,1. `verify --nmax 65536` reads 189,328,104
+# (about 27 s and 17 MB peak RSS on a 2-core host), and a bare
+# `discriminate --n 2000000` stops after about 32 s and 17 MB, where it would
+# run for about 18 minutes. `iota --range` and `screen --range` count their
+# scans against it too. A worst case checked before any work, about 1.5*n^2
+# terms a sweep, would refuse `--nmax 65536` outright
+SWEEP_TERM_BUDGET = 1 << 28
+
+
+def check_term_budget(spent: int, who: str, name: str, n: int) -> None:
+    """Raise CapExceeded at `name` = n once the scans of `who` have read more
+    than SWEEP_TERM_BUDGET terms; the budget is read at each call."""
+    if spent > SWEEP_TERM_BUDGET:
+        raise CapExceeded(f"{who} scans read more than {SWEEP_TERM_BUDGET} terms by {name} = {n}")
+
+
 # a scan mod m <= MARK_BOUND marks residues in a bytearray(m), one byte each.
 # CPython zero-fills every byte of it up front (bytearray(2**26) took 37 ms
 # where bytes(2**26) took 31 us), so a short scan at a huge m would pay for

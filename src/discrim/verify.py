@@ -43,25 +43,7 @@ TOLERANCES = {
     "density_relative": 0.05,      # census at x = 10^6 vs predicted densities
     "artin_abs": 1e-6,             # partial product at prime_limit = 10^6
     "fset_ratio_abs": 0.01,        # F-set count ratio at x = 10^5 vs beta
-    "charsum_lower_slack": 1e-6,   # sqrt(|A|) lower bound, numeric slack
-    "charsum_upper_margin": 1e-9,  # |A^| <= sqrt(p) holds with equality; fp margin
-    "identity_relative": 1e-6,     # pair-count residual, relative to |G|
 }
-
-
-def charsum_bounds_hold(p: int, ahat: float) -> bool:
-    """sqrt(p-2) <= |A^| <= sqrt(p), with the float margins above; the
-    maximum is a Jacobi-sum modulus, so the upper bound holds with equality."""
-    return (
-        math.sqrt(p - 2) - TOLERANCES["charsum_lower_slack"]
-        <= ahat
-        <= math.sqrt(p) + TOLERANCES["charsum_upper_margin"]
-    )
-
-
-def identity_residual_holds(residual: float, group_order: int) -> bool:
-    """The pair-count identity's residual is float noise, relative to |G|."""
-    return residual <= TOLERANCES["identity_relative"] * group_order**2
 
 
 # the 20 reference rows reproduced by table_ranges(32768)
@@ -388,7 +370,7 @@ def check_charsum() -> CheckResult:
     so its modulus is exactly sqrt(p); the check is sqrt(p-2) <= |A^| <= sqrt(p)
     with float margins, and it additionally confirms the saturation."""
     prime_limit = 300
-    margin = TOLERANCES["charsum_upper_margin"]
+    margin = charsum_mod.CHARSUM_UPPER_MARGIN
     bad = []
     saturated = 0
     n_primes = 0
@@ -400,7 +382,7 @@ def check_charsum() -> CheckResult:
         ahat = charsum_mod.max_nontrivial_char_sum(a, p - 1)
         if len(a) != p - 2:
             bad.append((p, "size", len(a)))
-        if not charsum_bounds_hold(p, ahat):
+        if not charsum_mod.charsum_bounds_hold(p, ahat):
             bad.append((p, "bounds", ahat))
         if abs(ahat - math.sqrt(p)) <= margin:
             saturated += 1
@@ -416,7 +398,7 @@ def check_charsum() -> CheckResult:
             b = {(rng.randrange(n), rng.randrange(n)) for _ in range(size)}
             _, _, residual = charsum_mod.pair_count_identity_check(a, b, n)
             instances += 1
-            if not identity_residual_holds(residual, n):
+            if not charsum_mod.identity_residual_holds(residual, n):
                 residual_bad.append((p, residual))
 
     # consistency with the incongruence index: iota(p) < 3 + 4p^(3/4) on P

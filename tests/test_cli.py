@@ -135,10 +135,10 @@ def test_discriminate_past_the_sweep_budget_is_failure(capsys, monkeypatch, seq,
     # 200 <= m <= 256 sums to 2628, for the squares' 100 <= m <= 202 to
     # 3753 (3 * 3753 = 11259) and for the fourth powers' 100 <= m <= 206 to
     # 2341 (5 * 2341 = 11705)
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", budget)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", budget)
     code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
     assert (code, out, err) == (1, "", f"failure: sweep scans read more than {budget} terms by n = {n}\n")
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", budget + 1)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", budget + 1)
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
     code, out, err = run_cli(capsys, "discriminate", "--seq", seq, "--n", str(n), "--method", "brute")
     assert code == 0 and not err
@@ -175,7 +175,8 @@ def test_both_methods_disagreeing_exits_1(capsys, monkeypatch):
      "set/bound failures: [(7, 'bounds', "),
     ("pair_count_identity_check", lambda real: lambda a, b, n: (0, 0.0, 2e-6 * n * n),
      "; identity residuals too big: [(7, "),
-], ids=["sqrt-bounds", "identity-residual"])
+    ("CHARSUM_UPPER_MARGIN", lambda real: -1e-3, "set/bound failures: [(7, 'bounds', "),
+], ids=["sqrt-bounds", "identity-residual", "upper-margin"])
 def test_charsum_bound_failing_fails_the_cli_and_its_suite(capsys, monkeypatch, name, fake, red):
     monkeypatch.setattr(charsum, name, fake(getattr(charsum, name)))
     code, out, _ = run_cli(capsys, "charsum", "--p", "7", "--format", "csv")
@@ -404,10 +405,10 @@ def test_span_past_the_sweep_budget_is_failure(capsys, monkeypatch, argv, at, te
         assert sum(periods.incongruence_index(seq, m) for m in targets) == terms
     else:
         assert sum(discriminator.nonvalue_screen(d).witness.get("iota", 0) for d in targets) == terms
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", terms - 1)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", terms - 1)
     assert run_cli(capsys, *argv) == (
         1, "", f"failure: range {argv[2]} scans read more than {terms - 1} terms by {at}\n")
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", terms)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", terms)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and not err
 
@@ -777,7 +778,7 @@ def test_output_survives_a_failing_command(tmp_path, capsys, argv, code):
 
 def test_range_refused_partway_leaves_the_output_file(tmp_path, capsys, monkeypatch):
     # the term budget refuses 2:89 at d = 89, after 87 rows were made
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 309)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 309)
     target = tmp_path / "keep.csv"
     target.write_bytes(b"123456789")
     assert run_cli(capsys, "screen", "--range", "2:89", "--format", "csv", "--output", str(target)) == (

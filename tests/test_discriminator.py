@@ -392,7 +392,7 @@ def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
         return scan(spec, m, limit)
 
     monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 0)   # a hit reads no terms
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 0)   # a hit reads no terms
     for n in range(1036, 2049):
         assert discriminator_brute(SEQ, n).value == 2048, n
         assert salajan_discriminator_checked(n).value == 2048, n
@@ -403,7 +403,7 @@ def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
         discriminator_brute(SEQ, 1500, search_cap=2047)
     assert scanned == []
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 1 << 28)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 1 << 28)
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(SEQ, 1500, search_cap=2047)
     assert scanned == list(range(1500, 2048))
@@ -490,31 +490,31 @@ def test_sweep_refuses_past_its_term_budget(monkeypatch):
     # on an empty store the scans behind D(1..200) read iota(m) for every
     # m <= D(200) = 256, 7189 terms in all, the last of them while n = 129
     closed = [salajan_discriminator_closed(n).value for n in range(1, 201)]
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 7188)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 7188)
     with pytest.raises(CapExceeded, match="^sweep scans read more than 7188 terms by n = 129$"):
         discriminator_table(SEQ, 200)
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 7189)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 7189)
     assert discriminator_table(SEQ, 200) == closed
     # proven values read nothing
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 0)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 0)
     assert discriminator_table(SEQ, 200) == closed
     assert discriminator_brute(SEQ, 17).value == 25
     # each call counts only its own scans: 2050 terms up to D(100) = 125,
     # then 5139 more
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 5139)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 5139)
     assert discriminator_table(SEQ, 100) == closed[:100]
     assert discriminator_table(SEQ, 200) == closed
     # a polynomial's terms count once per coefficient, one per Horner step:
     # the squares' scans behind D(1..30) read 599 terms, counted 3 * 599
     squares = polynomial(0, 0, 1)
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 3 * 599 - 1)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 3 * 599 - 1)
     with pytest.raises(CapExceeded, match="^sweep scans read more than 1796 terms by n = "):
         discriminator_table(squares, 30)
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(discriminator, "SWEEP_TERM_BUDGET", 3 * 599)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 3 * 599)
     assert discriminator_table(squares, 30) == [naive_discriminator(squares, n) for n in range(1, 31)]
 
 

@@ -277,7 +277,9 @@ def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     (["period", "--d", "5119"], {"census", "charsum", "discriminator", "verify"}),
     (["table", "--max", "100"], {"charsum", "verify"}),
     (["screen", "--d", "307"], {"charsum", "verify"}),
-], ids=["period", "table", "screen"])
+    (["iota", "--m", "29"], {"census", "charsum", "discriminator", "verify"}),
+    (["charsum", "--p", "13"], {"census", "discriminator", "periods", "verify"}),
+], ids=["period", "table", "screen", "iota", "charsum"])
 def test_a_subcommand_loads_only_its_own_engines(argv, unloaded):
     printed = run_checked(CLI_RUN.format(argv=argv) + LOADED)[1]
     assert json.loads(printed[-2])[0] == 0
