@@ -381,7 +381,9 @@ def collision_certificate(start: int, value: int) -> tuple[array, array]:
     pair is (pre-period, pre-period + period) from the period formula, taken
     for the whole row by `_row_periods`, when that fits below start, else the
     first collision of a walk over u_1..u_start, or (0, start + 1) if there
-    is none. It claims nothing: `recheck_collision_certificate` decides."""
+    is none. It claims nothing: `recheck_collision_certificate` decides.
+    For the reference rows, tools/theorem1_pairs.py commits its pairs as
+    the data that the theorem1 suite rechecks."""
     first, second = array("I"), array("I")
     m = start
     for pre, period in _row_periods(start, value):

@@ -9,8 +9,12 @@ used by both the CLI and the acceptance tests.
 from __future__ import annotations
 
 import math
+import os
 import random
-from typing import NamedTuple
+import sys
+import zlib
+from array import array
+from typing import Iterator, NamedTuple
 
 from . import _SUITE_NAMES
 from . import census as census_mod
@@ -18,7 +22,6 @@ from . import charsum as charsum_mod
 from .discriminator import (
     VERDICT_NON_VALUE,
     VERDICT_UNDECIDED,
-    collision_certificate,
     discriminator_table,
     nonvalue_screen,
     recheck_certificate,
@@ -54,6 +57,32 @@ EXPECTED_TABLE = [
     (2049, 2500, 3125), (2501, 4096, 4096), (4097, 8192, 8192),
     (8193, 12500, 15625), (12501, 16384, 16384), (16385, 32768, 32768),
 ]
+
+# the collision certificate of every EXPECTED_TABLE row, in order: the `first`
+# then the `second` array of `collision_certificate(a, v)` as little-endian
+# uint16, zlib-compressed. tools/theorem1_pairs.py writes it from the search
+_PAIRS_FILE = os.path.join(os.path.dirname(__file__), "theorem1_pairs.bin")
+
+
+def _committed_certificates() -> Iterator[tuple[tuple[int, int, int], array, array]]:
+    """Each EXPECTED_TABLE row (a, b, v) with the `first` and `second` pair
+    arrays that the committed file holds for its moduli [a, v). A file that
+    is missing or does not decompress holds no pairs, and one cut short
+    leaves its later rows short arrays; `recheck_collision_certificate`
+    rejects either, so neither raises."""
+    try:
+        with open(_PAIRS_FILE, "rb") as f:
+            raw = zlib.decompress(f.read())
+    except (OSError, zlib.error):
+        raw = b""
+    pairs = array("H", raw[:len(raw) // 2 * 2])
+    if sys.byteorder == "big":
+        pairs.byteswap()
+    k = 0
+    for a, b, v in EXPECTED_TABLE:
+        n = v - a
+        yield (a, b, v), pairs[k:k + n], pairs[k + n:k + 2 * n]
+        k += 2 * n
 
 # theorem1's brute-force table takes about 27 s and 17 MB peak RSS at 2^16
 # on a 2-core host, numpy never imported; past that the sweep's term budget
@@ -94,8 +123,10 @@ def check_table() -> CheckResult:
 def check_theorem1(n_max: int = 4096) -> CheckResult:
     """Brute force equals the closed form for n <= n_max (one table sweep) and
     at the start and end of every reference row. Above n_max a row counts only
-    when `recheck_collision_certificate` accepts its collision certificate; a
-    row it rejects turns the suite red and is named, with the command that
+    when `recheck_collision_certificate` accepts its committed collision
+    certificate, read from the file that `collision_certificate` only writes
+    (tools/theorem1_pairs.py), so the search never runs here; a row it
+    rejects turns the suite red and is named, with the command that
     reproduces the failure."""
     if n_max > THEOREM1_MAX_N:
         raise ValueError(f"n_max must be at most {THEOREM1_MAX_N}")
@@ -108,8 +139,8 @@ def check_theorem1(n_max: int = 4096) -> CheckResult:
     bad_bounds = []
     rejected = []
     failing_moduli = 0
-    for a, b, v in EXPECTED_TABLE:
-        if b > n_max and not recheck_collision_certificate((a, b, v), *collision_certificate(a, v)):
+    for (a, b, v), first, second in _committed_certificates():
+        if b > n_max and not recheck_collision_certificate((a, b, v), first, second):
             rejected.append((a, b, v))
             continue
         for n in sorted({a, b}):

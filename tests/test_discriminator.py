@@ -3,8 +3,10 @@
 import random
 import time
 import tracemalloc
+import zlib
 from array import array
 from collections import defaultdict
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -58,6 +60,7 @@ from discrim.sequences import (
 from discrim.verify import EXPECTED_TABLE
 
 SEQ = salajan()
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def naive_discriminator(spec, n):
@@ -250,20 +253,32 @@ def test_table_matches_brute_at_boundaries_and_a_sample():
         assert table[n - 1] == discriminator_brute(SEQ, n).value, n
 
 
-def test_theorem1_goes_red_on_a_rejected_certificate(monkeypatch):
-    # above n_max a row counts only when its certificate passes the check; a
-    # row that fails it is named, and no sweep above n_max settles it instead
+def _write_pairs(path, certificates):
+    """Write (first, second) pair arrays, one per EXPECTED_TABLE row from the
+    first, to path in the format of verify's committed file, by the encoder
+    of tools/theorem1_pairs.py."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("theorem1_pairs", TOOLS / "theorem1_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path.write_bytes(tool.encode(certificates))
+    return str(path)
+
+
+def test_theorem1_goes_red_on_a_rejected_certificate(monkeypatch, tmp_path):
+    # above n_max a row counts only when its committed certificate passes the
+    # check; a row that fails it is named, and no sweep above n_max settles
+    # it instead
     from discrim import verify
 
-    search = verify.collision_certificate
     sweep = discriminator._least_moduli
     swept = []
-
-    def bad_search(start, value):
-        first, second = search(start, value)
-        if start == 2049:
-            second[0] = start + 1   # a pair past the row's start proves nothing
-        return first, second
+    certificates = []
+    for (a, _, _), first, second in verify._committed_certificates():
+        if a == 2049:
+            second[0] = a + 1   # a pair past the row's start proves nothing
+        certificates.append((first, second))
 
     def recording_sweep(spec, lo, hi, search_cap):
         swept.append(hi)
@@ -272,7 +287,7 @@ def test_theorem1_goes_red_on_a_rejected_certificate(monkeypatch):
     monkeypatch.setattr(discriminator, "_least_moduli", recording_sweep)
     assert verify.check_theorem1(64).passed
     assert swept == [64]
-    monkeypatch.setattr(verify, "collision_certificate", bad_search)
+    monkeypatch.setattr(verify, "_PAIRS_FILE", _write_pairs(tmp_path / "forged.bin", certificates))
     result = verify.check_theorem1(64)
     assert swept == [64, 64]
     assert not result.passed
@@ -956,6 +971,24 @@ def test_certificates_prove_every_row_to_65536():
         assert recheck_collision_certificate((a, b, v), first, second), (a, b, v)
 
 
+def test_committed_certificates_are_the_searchs_pairs():
+    # the file that theorem1 rechecks holds, row by row, exactly the pairs the
+    # search proposes, and the checker accepts each row. Decompressed arrays
+    # are compared, not the file's bytes, which another zlib may compress
+    # differently
+    from discrim import verify
+
+    with open(verify._PAIRS_FILE, "rb") as f:
+        raw = zlib.decompress(f.read())
+    assert len(raw) == 4 * sum(v - a for a, _, v in EXPECTED_TABLE)
+    rows = []
+    for (a, b, v), first, second in verify._committed_certificates():
+        assert (first, second) == collision_certificate(a, v), (a, b, v)
+        assert recheck_collision_certificate((a, b, v), first, second), (a, b, v)
+        rows.append((a, b, v))
+    assert rows == EXPECTED_TABLE
+
+
 def test_collision_checker_rejects_exactly_the_false_tampers():
     row = (2049, 2500, 3125)
     first, second = collision_certificate(2049, 3125)
@@ -1177,7 +1210,7 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
     assert all(recheck_collision_certificate(*cert) for cert in certs)
 
 
-def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
+def test_poisoned_period_tables_reach_no_oracle(monkeypatch, tmp_path):
     # a smallest-prime-factor table that makes every delta a power of 2, and
     # order 7 for every power of 2: the formula then gives period 14 throughout.
     # The row pass sieves delta itself, so the order 1 recorded for every odd
@@ -1205,6 +1238,12 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
         bad_certs = [nonvalue_screen(d) for d in ds]
         bad_pairs = [collision_certificate(a, v) for a, _, v in rows]
         poisoned = oracles(certs + bad_certs, pairs + bad_pairs)
+        # the suite reads the committed pairs, so the poisoned search
+        # cannot move its verdict
+        on_file = verify.check_theorem1(64)
+        # the poisoned pairs reach it only through that file
+        below = [(first, second) for _, first, second in verify._committed_certificates()][:8]
+        mp.setattr(verify, "_PAIRS_FILE", _write_pairs(tmp_path / "poisoned.bin", below + bad_pairs))
         result = verify.check_theorem1(64)
     assert poisoned == oracles(certs + bad_certs, pairs + bad_pairs)
     # the checkers keep every true certificate and reject every false period
@@ -1215,9 +1254,9 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch):
              if cert.reason == REASON_PERIOD and cert.witness["rho"] % brute.period]
     assert len(false) > 300 and not any(rechecked[len(ds) + k] for k in false)
     assert rows_checked == [True] * len(rows) + [False] * len(rows)
-    # theorem1 passes on the honest search and goes red on the poisoned one,
-    # naming the rows above n_max, whose poisoned pairs were all rejected
-    assert honest.passed and not result.passed
+    # theorem1 passes on the true file, poisoned tables or not, and goes red
+    # on the poisoned pairs, naming the rows above n_max, all rejected
+    assert honest.passed and on_file == honest and not result.passed
     assert result.detail.endswith(
         f"; collision certificate rejected on {len(rows)} row(s) (start, end, value): "
         f"{rows[:5]}; reproduce: discrim verify --suite theorem1 --nmax 64")

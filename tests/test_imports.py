@@ -260,9 +260,11 @@ print(json.dumps([code, out.getvalue(), err.getvalue()]))
     ["iota", "--range", "2361:2410", "--format", "json"],
     ["screen", "--range", "10000:10099", "--format", "csv"],
     ["iota", "--m", "1048576"],
+    # rows above n_max are rechecked from committed pairs, with no row sieve
+    ["verify", "--suite", "theorem1", "--nmax", "64"],
 ], ids=["discriminate", "table", "period", "fset", "discriminate-poly", "discriminate-both",
         "discriminate-linrec-2321", "discriminate-linrec-1213", "iota-range", "screen-range",
-        "iota-long"])
+        "iota-long", "verify-theorem1"])
 def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     # the same exit code and output as the command gives in this process
     heavy, printed = run_checked(CLI_RUN.format(argv=argv))

@@ -1,6 +1,8 @@
 """Red paths of the verify suites: each suite, fed one wrong answer, fails and
 says what went wrong."""
 
+import zlib
+
 import pytest
 
 from discrim import census, charsum, verify
@@ -70,3 +72,28 @@ def test_suite_goes_red_and_says_why(monkeypatch, suite, module, name, fake, red
     ok, (result,) = verify.run_suites(suite)
     assert not ok and result.suite == suite and result.passed is False
     assert red in result.detail
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "undecodable", "short"])
+def test_theorem1_goes_red_on_a_broken_pairs_file(monkeypatch, tmp_path, damage):
+    # a committed-pairs file that is gone, cut, not zlib, or that decompresses
+    # to too few pairs is a rejected certificate on each row it cannot
+    # prove, never a traceback
+    with open(verify._PAIRS_FILE, "rb") as f:
+        committed = f.read()
+    path = tmp_path / "theorem1_pairs.bin"
+    if damage == "truncated":
+        path.write_bytes(committed[:len(committed) // 2])
+    elif damage == "undecodable":
+        path.write_bytes(b"not zlib" + committed)
+    elif damage == "short":   # the last row's last `second` entry is missing
+        path.write_bytes(zlib.compress(zlib.decompress(committed)[:-2]))
+    monkeypatch.setattr(verify, "_PAIRS_FILE", str(path))
+    rows = [row for row in verify.EXPECTED_TABLE if row[1] > 64]
+    if damage == "short":
+        rows = rows[-1:]
+    ok, (result,) = verify.run_suites("theorem1", n_max=64)
+    assert not ok and not result.passed
+    assert result.detail.endswith(
+        f"; collision certificate rejected on {len(rows)} row(s) (start, end, value): "
+        f"{rows[:5]}; reproduce: discrim verify --suite theorem1 --nmax 64")
