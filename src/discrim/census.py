@@ -20,7 +20,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .numtheory import (
+    SMALL_SIEVE_LIMIT,
     _pow_mod_u32,
+    _small_sieve,
+    check_prime_limit,
     is_prime,
     iter_prime_blocks,
     mult_order,
@@ -161,20 +164,32 @@ def _classify_batch(primes: np.ndarray) -> np.ndarray:
 def census_scan(x: int) -> DensityReport:
     """Classify every prime 3 < p <= x and tally densities against predictions.
 
-    One sieve segment at a time goes through the batch classifier; x from
-    2^32 up, beyond its exact range, is refused by `iter_prime_blocks` before
-    any work.
+    Below SMALL_SIEVE_LIMIT = 2^17 the primes come from one `_small_sieve`
+    list and `classify_prime` classifies each, with no numpy; from there on
+    one sieve segment at a time goes through the batch classifier. x from
+    2^32 up, beyond the batch classifier's exact range, is refused by the
+    prime walk's cap check before any work.
     """
-    import numpy as np
-
     if x < 5:
         raise ValueError("scan limit must be >= 5")
+    if x < SMALL_SIEVE_LIMIT:
+        check_prime_limit(x)
+        primes = _small_sieve(x)
+        counts = dict.fromkeys(_CLASSES, 0)
+        for p in primes[2:]:
+            counts[classify_prime(p).pclass] += 1
+        return _density_report(x, len(primes), counts)
+    import numpy as np
+
     tally = np.zeros(len(_CLASSES), dtype=np.int64)
     pi_x = 0
     for block in iter_prime_blocks(x):
         pi_x += len(block)
         tally += np.bincount(_classify_batch(block[block > 3]), minlength=len(_CLASSES))
-    counts = dict(zip(_CLASSES, tally.tolist()))
+    return _density_report(x, pi_x, dict(zip(_CLASSES, tally.tolist())))
+
+
+def _density_report(x: int, pi_x: int, counts: dict) -> DensityReport:
     predicted = {CLASS_P1: DENSITY_P1, CLASS_P2: DENSITY_P2, CLASS_P3: DENSITY_P3}
     empirical = {c: counts[c] / pi_x for c in predicted}
     deviation = {c: empirical[c] / predicted[c] - 1 for c in predicted}

@@ -23,7 +23,7 @@ from discrim.census import (
     fset_member_weyl,
     fset_scan_interval,
 )
-from discrim.numtheory import factorize, mult_order, primes_up_to
+from discrim.numtheory import artin_constant, factorize, iter_prime_blocks, mult_order, primes_up_to
 from discrim.sequences import CapExceeded, MethodsDisagree
 from discrim.verify import LISTED_P1, LISTED_P2, LISTED_P3
 
@@ -242,14 +242,34 @@ def test_census_scan_10_6_counts():
     assert all(type(v) is int for v in report.counts.values())
 
 
+@pytest.mark.parametrize("x", [numtheory.SMALL_SIEVE_LIMIT - 1, numtheory.SMALL_SIEVE_LIMIT])
+def test_census_scan_counts_equal_the_batch_on_both_sides_of_the_list_path(x, monkeypatch):
+    # below SMALL_SIEVE_LIMIT every prime p > 3 goes through classify_prime,
+    # from it on none does
+    tally, pi_x = np.zeros(len(census._CLASSES), dtype=np.int64), 0
+    for block in iter_prime_blocks(x):
+        pi_x += len(block)
+        tally += np.bincount(census._classify_batch(block[block > 3]), minlength=len(census._CLASSES))
+    calls = []
+    monkeypatch.setattr(census, "classify_prime", lambda p: calls.append(p) or classify_prime(p))
+    report = census_scan(x)
+    assert report.pi_x == pi_x
+    assert report.counts == dict(zip(census._CLASSES, tally.tolist()))
+    assert all(type(v) is int for v in report.counts.values())
+    assert len(calls) == (pi_x - 2 if x < numtheory.SMALL_SIEVE_LIMIT else 0)
+
+
 def test_census_scan_stops_at_the_batch_range(monkeypatch):
     # x below the batch classifier's exact range is counted as before; from
-    # it on the prime walk refuses the scan before any work
-    want = census_scan(49_999)
+    # it on the prime walk's cap check refuses the scan before any work, on
+    # the list path below SMALL_SIEVE_LIMIT too, and so the Artin product
+    walks = (census_scan, artin_constant)
+    want = [walk(49_999) for walk in walks]
     monkeypatch.setattr(numtheory, "PRIME_LIMIT_CAP", 50_000)
-    assert census_scan(49_999) == want
-    with pytest.raises(CapExceeded, match=r"^prime limit 50000 exceeds cap 49999$"):
-        census_scan(50_000)
+    assert [walk(49_999) for walk in walks] == want
+    for walk in walks:
+        with pytest.raises(CapExceeded, match=r"^prime limit 50000 exceeds cap 49999$"):
+            walk(50_000)
 
 
 def test_census_tracks_predictions_loosely_at_10_5():

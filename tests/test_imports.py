@@ -262,9 +262,12 @@ print(json.dumps([code, out.getvalue(), err.getvalue()]))
     ["iota", "--m", "1048576"],
     # rows above n_max are rechecked from committed pairs, with no row sieve
     ["verify", "--suite", "theorem1", "--nmax", "64"],
+    # below SMALL_SIEVE_LIMIT the census and the Artin product sieve one list
+    ["census", "--x", "40000", "--format", "json"],
+    ["artin", "--prime-limit", "100000", "--format", "json"],
 ], ids=["discriminate", "table", "period", "fset", "discriminate-poly", "discriminate-both",
         "discriminate-linrec-2321", "discriminate-linrec-1213", "iota-range", "screen-range",
-        "iota-long", "verify-theorem1"])
+        "iota-long", "verify-theorem1", "census", "artin"])
 def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     # the same exit code and output as the command gives in this process
     heavy, printed = run_checked(CLI_RUN.format(argv=argv))
@@ -281,7 +284,8 @@ def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     (["screen", "--d", "307"], {"charsum", "verify"}),
     (["iota", "--m", "29"], {"census", "charsum", "discriminator", "verify"}),
     (["charsum", "--p", "13"], {"census", "discriminator", "periods", "verify"}),
-], ids=["period", "table", "screen", "iota", "charsum"])
+    (["census", "--x", "40000"], {"charsum", "discriminator", "periods", "verify"}),
+], ids=["period", "table", "screen", "iota", "charsum", "census"])
 def test_a_subcommand_loads_only_its_own_engines(argv, unloaded):
     printed = run_checked(CLI_RUN.format(argv=argv) + LOADED)[1]
     assert json.loads(printed[-2])[0] == 0

@@ -477,8 +477,20 @@ def test_artin_constant_refuses_the_cap_before_any_work(monkeypatch):
             walk(numtheory.PRIME_LIMIT_CAP - 1)
 
 
+def test_artin_constant_list_path_matches_the_numpy_sum():
+    # below SMALL_SIEVE_LIMIT the terms are math.log1p's, which differ from
+    # np.log1p's in the last bit at 10 of the 12,251 primes below 2^17
+    x = numtheory.SMALL_SIEVE_LIMIT - 1
+    p = primes_up_to(x).astype(np.float64)
+    want = math.exp(math.fsum(np.log1p(-1.0 / (p * (p - 1.0))).tolist()))
+    assert artin_constant(x) == pytest.approx(want, rel=0, abs=1e-12)
+    assert f"{artin_constant(x):.12f}" == f"{want:.12f}"
+
+
 def test_artin_constant_monotone_nonincreasing():
-    values = [artin_constant(x) for x in (10, 100, 1000, 10_000)]
+    # the last two limits hold the same primes, one on each path
+    limits = (10, 100, 1000, 10_000, numtheory.SMALL_SIEVE_LIMIT - 1, numtheory.SMALL_SIEVE_LIMIT)
+    values = [artin_constant(x) for x in limits]
     assert all(a >= b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         artin_constant(1)
