@@ -404,11 +404,14 @@ def recheck_collision_certificate(row: tuple[int, int, int], first: array, secon
     i < j <= a <= n with u_i = u_j mod m, so D(n) >= v. The moduli are
     listed here from the row, never read from the pairs. A row that is not
     three ints, a pair array with no length and a pair entry that is not an
-    int each fail."""
+    int each fail, and so does a row whose b exceeds scan_term_limit(v),
+    true or not, since the final scan cannot read b terms mod v."""
     if not (isinstance(row, (tuple, list)) and len(row) == 3 and all(type(x) is int for x in row)):
         return False
     a, b, v = row
-    if not 1 <= a <= b <= v or not isinstance(first, Sized) or not isinstance(second, Sized):
+    if not 1 <= a <= b <= v or b > scan_term_limit(v):
+        return False
+    if not isinstance(first, Sized) or not isinstance(second, Sized):
         return False
     moduli = range(a, v)
     if not len(first) == len(second) == len(moduli):

@@ -7,6 +7,7 @@ recurrences and polynomial sequences feed the same discriminator engine.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 SALAJAN = "salajan"
@@ -207,15 +208,23 @@ def exact_terms(spec: SequenceSpec, n: int):
         yield t
 
 
-def _poly_residues(coeffs: tuple[int, ...], m: int, steps: int):
-    """Yield p(1), ..., p(steps) mod m by Horner mod m, over the coefficients
-    reduced once, so that no term is ever evaluated exactly."""
-    top = [a % m for a in reversed(coeffs)]
-    for j in range(1, steps + 1):
-        acc = 0
-        for a in top:
-            acc = (acc * j + a) % m
-        yield acc
+def _residues(spec: SequenceSpec, m: int):
+    """Yield v_1, v_2, ... mod m without end, so that no term is ever
+    evaluated exactly: a polynomial by Horner mod m over its coefficients
+    reduced once, a recurrence by its second-order step mod m."""
+    if spec.kind == POLYNOMIAL:
+        top = [a % m for a in reversed(spec.coeffs)]
+        for j in count(1):
+            acc = 0
+            for a in top:
+                acc = (acc * j + a) % m
+            yield acc
+    else:
+        c1, c2, x, y = spec.as_recurrence()
+        x, y = x % m, y % m
+        while True:
+            yield x
+            x, y = y, (c1 * y + c2 * x) % m
 
 
 def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:
@@ -225,15 +234,10 @@ def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:
     The flagship walks its odd- and even-indexed terms as two first-order
     streams, two terms a step: 4u_{j+2} = 9 * 4u_j + 40(-1)^j by the
     definition, so u_{j+2} = 9u_j - 10 from u_1 = 2 and u_{j+2} = 9u_j + 10
-    from u_2 = 1. Any other recurrence takes the generic second-order loop,
-    which the tests hold the stride to."""
+    from u_2 = 1. Any other spec reads `_residues`, whose second-order
+    step the tests hold the stride to."""
     seen = bytearray(m)
-    if spec.kind == POLYNOMIAL:
-        for k, r in enumerate(_poly_residues(spec.coeffs, m, steps)):
-            if seen[r]:
-                return k
-            seen[r] = 1
-    elif spec.kind == SALAJAN:
+    if spec.kind == SALAJAN:
         odd, even = 2 % m, 1 % m
         for k in range(0, steps - 1, 2):
             if seen[odd]:
@@ -246,14 +250,11 @@ def _mark_scan(spec: SequenceSpec, m: int, steps: int) -> int:
             even = (9 * even + 10) % m
         if steps % 2 and seen[odd]:
             return steps - 1
-    else:
-        c1, c2, x, y = spec.as_recurrence()
-        x, y = x % m, y % m
-        for k in range(steps):
-            if seen[x]:
-                return k
-            seen[x] = 1
-            x, y = y, (c1 * y + c2 * x) % m
+        return steps
+    for k, r in zip(range(steps), _residues(spec, m)):
+        if seen[r]:
+            return k
+        seen[r] = 1
     return steps
 
 
@@ -261,19 +262,10 @@ def _set_scan(spec: SequenceSpec, m: int, steps: int) -> int:
     """`_mark_scan` for any m: seen residues are kept in a set."""
     seen = set()
     add = seen.add
-    if spec.kind == POLYNOMIAL:
-        for k, r in enumerate(_poly_residues(spec.coeffs, m, steps)):
-            if r in seen:
-                return k
-            add(r)
-    else:
-        c1, c2, x, y = spec.as_recurrence()
-        x, y = x % m, y % m
-        for k in range(steps):
-            if x in seen:
-                return k
-            add(x)
-            x, y = y, (c1 * y + c2 * x) % m
+    for k, r in zip(range(steps), _residues(spec, m)):
+        if r in seen:
+            return k
+        add(r)
     return steps
 
 

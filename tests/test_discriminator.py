@@ -920,7 +920,7 @@ def test_recheck_needs_no_screen_engine(monkeypatch):
         raise AssertionError("recheck called into the screen's engines")
 
     names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
-             "_mark_scan", "_set_scan", "mult_order", "factorize", "_PRIME_POWER_ORDERS")
+             "_mark_scan", "_set_scan", "_residues", "mult_order", "factorize", "_PRIME_POWER_ORDERS")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
             if hasattr(module, name):
@@ -935,7 +935,7 @@ def test_recheck_walks_neither_the_screen_nor_the_collision_search(monkeypatch):
         raise AssertionError("recheck called into another walk")
 
     names = ("salajan_period_formula", "incongruence_index", "distinct_prefix_length",
-             "_mark_scan", "_set_scan", "mult_order", "factorize", "_PRIME_POWER_ORDERS",
+             "_mark_scan", "_set_scan", "_residues", "mult_order", "factorize", "_PRIME_POWER_ORDERS",
              "_first_collision")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
@@ -1050,6 +1050,12 @@ def test_collision_checker_rejects_bad_pairs_on_the_largest_rows():
                 start = time.perf_counter()
                 assert not recheck_collision_certificate((a, b, v), f, g), ((a, b, v), k, ti, tj)
                 took += time.perf_counter() - start
+    # a true row with the search's pair, but the final scan mod 2^23 reads at
+    # most scan_term_limit(2^23) = 2^22 + 1 of its 2^23 - 1 terms
+    row, first, second = (2**23 - 1, 2**23 - 1, 2**23), array("I", [4803]), array("I", [6540])
+    start = time.perf_counter()
+    assert recheck_collision_certificate(row, first, second) is False
+    took += time.perf_counter() - start
     assert took < 1.0
 
 

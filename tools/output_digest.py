@@ -12,9 +12,10 @@ accepts any valid pair. Run it in two checkouts and diff the results:
 
     python tools/output_digest.py > after.txt
 
-It takes no options and finishes in a few seconds. `output_digest.txt`
-holds its lines for this checkout, under a first line naming the Python and
-numpy versions they were made with; `tests/test_cli.py` recomputes all of
+It takes no options; three runs took 8.6–8.9 s on a 2-core host (Python
+3.11.7, numpy 2.4.6). `output_digest.txt` holds its lines for this
+checkout, under a first line naming the Python and numpy versions they
+were made with; `tests/test_cli.py` recomputes all of
 them but `iota --m 2^64` in process and compares.
 """
 
