@@ -88,6 +88,12 @@ def classify_prime(p: int) -> PrimeClassRecord:
     """Class of a prime p > 3 from p mod 4 and ord_3(p)."""
     if p <= 3 or not is_prime(p):
         raise ValueError("classification needs a prime p > 3")
+    return _classify(p)
+
+
+def _classify(p: int) -> PrimeClassRecord:
+    """`classify_prime` for a p > 3 that its caller knows to be prime, with
+    no primality test."""
     ord3 = mult_order(3, p, ((p, 1),))
     r4 = p % 4
     if r4 == 1 and ord3 == p - 1:
@@ -165,8 +171,9 @@ def census_scan(x: int) -> DensityReport:
     """Classify every prime 3 < p <= x and tally densities against predictions.
 
     Below SMALL_SIEVE_LIMIT = 2^17 the primes come from one `_small_sieve`
-    list and `classify_prime` classifies each, with no numpy; from there on
-    one sieve segment at a time goes through the batch classifier. x from
+    list and `_classify` classifies each, with no numpy and no second
+    primality test; from there on one sieve segment at a time goes through
+    the batch classifier. x from
     2^32 up, beyond the batch classifier's exact range, is refused by the
     prime walk's cap check before any work.
     """
@@ -177,7 +184,7 @@ def census_scan(x: int) -> DensityReport:
         primes = _small_sieve(x)
         counts = dict.fromkeys(_CLASSES, 0)
         for p in primes[2:]:
-            counts[classify_prime(p).pclass] += 1
+            counts[_classify(p).pclass] += 1
         return _density_report(x, len(primes), counts)
     import numpy as np
 

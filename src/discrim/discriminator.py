@@ -35,6 +35,7 @@ from .sequences import (
     distinct_prefix_length,
     exact_terms,
     salajan,
+    salajan_term_mod,
     scan_term_limit,
     term_exact,
 )
@@ -107,7 +108,22 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 # and never see it, and the closed form never enters it. The sweep tries no
 # modulus above SCAN_TERM_CAP = 2^22, the longest first-collision scan, and
 # iota(m) <= m, so a spec's array holds at most 2^22 + 1 entries (16 MB).
+# The flagship's sweep rules out most moduli by checked period pairs and
+# scans the rest, so the modulus that proves a run is always scanned.
 _PROVEN_RUNS: dict[SequenceSpec, array] = {}
+
+
+def _period_pair_collides(m: int, n: int) -> bool:
+    """True iff u_i = u_j mod m for the pair (i, j) = (pre-period,
+    pre-period + period) that the period formula proposes for m >= 2, and
+    j <= n, so that m fails n. The check reads the two terms from the
+    definition mod 4m (`salajan_term_mod`), so a wrong proposal is only
+    rejected, never believed."""
+    if m < 2:
+        return False
+    info = salajan_period_formula(m)
+    i, j = info.pre_period, info.pre_period + info.period
+    return j <= n and salajan_term_mod(i, m) == salajan_term_mod(j, m)
 
 
 def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) -> list[int]:
@@ -115,15 +131,19 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
     min(search_cap, SCAN_TERM_CAP) (search_cap None: 4*hi). An n that the
     store covers is read from it, and one past the cap raises the walk's own
     CapExceeded; otherwise m walks up, one scan to the first collision each
-    (limit m, since iota(m) <= m), until iota(m) >= n. The walk raises
-    CapExceeded once the scanned lengths of one call, a polynomial's times
-    its coefficient count, pass SWEEP_TERM_BUDGET. Every query on a generic
-    spec, warm or cold, first walks its first hi exact terms for a repeat,
-    before the store is read. The default cap ignores the closed form, whose
-    D(n) < 2n for the flagship: the sweep stops at the first modulus that
-    separates the terms, so a cap above 2n changes no correct answer.
+    (limit m, since iota(m) <= m), until iota(m) >= n. For the flagship, an
+    m >= 2 whose period pair collides among the first n terms
+    (`_period_pair_collides`) fails n with no scan; every other m, and so
+    every D(n), is scanned. The walk raises CapExceeded once the scanned
+    lengths of one call, a polynomial's times its coefficient count, pass
+    SWEEP_TERM_BUDGET. Every query on a generic spec, warm or cold, first
+    walks its first hi exact terms for a repeat, before the store is read.
+    The default cap ignores the closed form, whose D(n) < 2n for the
+    flagship: the sweep stops at the first modulus that separates the terms,
+    so a cap above 2n changes no correct answer.
     """
-    if spec.kind != SALAJAN:
+    flagship = spec.kind == SALAJAN
+    if not flagship:
         _check_admissible(spec, hi)
     cap = min(4 * hi if search_cap is None else search_cap, SCAN_TERM_CAP)
     weight = len(spec.coeffs) if spec.kind == POLYNOMIAL else 1
@@ -144,6 +164,8 @@ def _least_moduli(spec: SequenceSpec, lo: int, hi: int, search_cap: int | None) 
                 m += 1
                 if m > cap:
                     raise CapExceeded(f"no modulus <= {cap} separates the first {n} terms")
+                if flagship and _period_pair_collides(m, n):
+                    continue   # m fails n unscanned, and k stays below n
                 k = distinct_prefix_length(spec, m, m)
                 spent += k * weight
                 check_term_budget(spent, "sweep", "n", n)
@@ -160,7 +182,9 @@ def discriminator_brute(
     """Least m with v_1..v_n pairwise distinct mod m, by the increasing-m
     sweep that every brute-force D(n) shares, from m = n (pigeonhole) or
     above the largest D proven below n; a D(n) that an earlier sweep proved
-    is read from its store, with no candidate tried. The default cap is 4n
+    is read from its store, with no candidate tried. The flagship's sweep
+    rules out a modulus by a checked period pair where one fits below n,
+    and scans the rest, D(n) among them. The default cap is 4n
     for every sequence; raise it for sequences whose discriminator grows
     faster. No cap reaches past SCAN_TERM_CAP = 2^22: a D(n) above it would
     take more than 2^21 scans, so the sweep raises CapExceeded instead."""

@@ -38,14 +38,17 @@ def scan_term_limit(m: int) -> int:
 
 
 # the most terms the scans of one sweep may read, counted as each scan ends
-# (a proven D(n) reads none); each term of a k-coefficient polynomial counts
-# k times, one per Horner step, since a scan term of poly:1,2,...,301 costs
-# about 60 times one of poly:0,0,1. `verify --nmax 65536` reads 189,328,104
-# (about 27 s and 17 MB peak RSS on a 2-core host), and a bare
-# `discriminate --n 2000000` stops after about 32 s and 17 MB, where it would
-# run for about 18 minutes. `iota --range` and `screen --range` count their
-# scans against it too. A worst case checked before any work, about 1.5*n^2
-# terms a sweep, would refuse `--nmax 65536` outright
+# (a proven D(n) reads none, nor does a modulus that the flagship's sweep
+# rules out by a checked period pair); each term of a k-coefficient
+# polynomial counts k times, one per Horner step, since a scan term of
+# poly:1,2,...,301 costs about 60 times one of poly:0,0,1. `verify --nmax
+# 65536` scans 1,292,987 terms (0.6 s and 19 MB peak RSS on a 2-core host).
+# The flagship's longest cold sweep, `discriminate --n 2097153` over 2.1
+# million moduli, scans 266,760,483 terms and answers in 60 s at 46 MB; the
+# 2^22 modulus cap, not this budget, bounds its pair checks. `iota --range`
+# and `screen --range` count their scans against it too. A worst case
+# checked before any work, about 1.5*n^2 terms a sweep, would refuse
+# `--nmax 65536` outright
 SWEEP_TERM_BUDGET = 1 << 28
 
 

@@ -84,10 +84,10 @@ def _committed_certificates() -> Iterator[tuple[tuple[int, int, int], array, arr
         yield (a, b, v), pairs[k:k + n], pairs[k + n:k + 2 * n]
         k += 2 * n
 
-# theorem1's brute-force table takes about 27 s and 17 MB peak RSS at 2^16
-# on a 2-core host, numpy never imported; past that the sweep's term budget
-# would refuse a --nmax typo only after about 30 s, where this bound refuses
-# it at once, with exit 2
+# theorem1's brute-force table takes about 0.6 s and 19 MB peak RSS at 2^16
+# on a 2-core host, numpy never imported; past that a --nmax typo would run
+# a sweep of up to 2^22 moduli, where this bound refuses it at once, with
+# exit 2
 THEOREM1_MAX_N = 1 << 16
 
 # reference prime-class listings up to 300

@@ -244,19 +244,24 @@ def test_census_scan_10_6_counts():
 
 @pytest.mark.parametrize("x", [numtheory.SMALL_SIEVE_LIMIT - 1, numtheory.SMALL_SIEVE_LIMIT])
 def test_census_scan_counts_equal_the_batch_on_both_sides_of_the_list_path(x, monkeypatch):
-    # below SMALL_SIEVE_LIMIT every prime p > 3 goes through classify_prime,
-    # from it on none does
+    # below SMALL_SIEVE_LIMIT every sieved prime p > 3 goes through the
+    # classifier behind classify_prime, with no second primality test; from
+    # it on none does
     tally, pi_x = np.zeros(len(census._CLASSES), dtype=np.int64), 0
     for block in iter_prime_blocks(x):
         pi_x += len(block)
         tally += np.bincount(census._classify_batch(block[block > 3]), minlength=len(census._CLASSES))
-    calls = []
-    monkeypatch.setattr(census, "classify_prime", lambda p: calls.append(p) or classify_prime(p))
+    calls, proofs = [], []
+    classify, prove = census._classify, numtheory.is_prime
+    monkeypatch.setattr(census, "_classify", lambda p: calls.append(p) or classify(p))
+    for module in (census, numtheory):
+        monkeypatch.setattr(module, "is_prime", lambda n: proofs.append(n) or prove(n))
     report = census_scan(x)
     assert report.pi_x == pi_x
     assert report.counts == dict(zip(census._CLASSES, tally.tolist()))
     assert all(type(v) is int for v in report.counts.values())
     assert len(calls) == (pi_x - 2 if x < numtheory.SMALL_SIEVE_LIMIT else 0)
+    assert proofs == []
 
 
 def test_census_scan_stops_at_the_batch_range(monkeypatch):

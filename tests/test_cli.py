@@ -128,11 +128,14 @@ def test_discriminate_past_the_memo_limit_fails_at_once(capsys, method):
 
 
 @pytest.mark.parametrize("seq,n,budget", [
-    ("salajan", 200, 2627), ("poly:0,0,1", 100, 11258), ("poly:0,0,0,0,1", 100, 11704)])
+    ("salajan", 200, 369), ("poly:0,0,1", 100, 11258), ("poly:0,0,0,0,1", 100, 11704)])
 def test_discriminate_past_the_sweep_budget_is_failure(capsys, monkeypatch, seq, n, budget):
     # the scans from n up to D(n) read one term more than the budget, a
-    # polynomial's terms counted once per coefficient: iota(m) for
-    # 200 <= m <= 256 sums to 2628, for the squares' 100 <= m <= 202 to
+    # polynomial's terms counted once per coefficient: the flagship scans
+    # only the 200 <= m <= 256 whose period pair (pre-period, pre-period +
+    # period) from period_brute does not fit below 200, namely 211, 223,
+    # 227, 233, 239, 251 and 256, and their iota(m) sum to 370; for the
+    # squares' 100 <= m <= 202, every one scanned, iota(m) sums to
     # 3753 (3 * 3753 = 11259) and for the fourth powers' 100 <= m <= 206 to
     # 2341 (5 * 2341 = 11705)
     monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", budget)

@@ -370,43 +370,92 @@ def test_family_q107_leaves_min_of_powers_at_65():
     assert _family_closed(107, 65) == 109
 
 
-def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
+def _pair_fits(m, n):
+    """Whether m >= 2 has its true collision pair (pre-period, pre-period +
+    period), from `period_brute`, among the first n terms: the moduli the
+    flagship's sweep rules out without a scan, given a true period formula."""
+    info = period_brute(SEQ, m)
+    return info.pre_period + info.period <= n
+
+
+def _naive_iota(m):
+    """iota(m) by reading u_1, u_2, ... mod m from `salajan_term_mod` until one repeats."""
+    seen = set()
+    for j in range(1, m + 2):
+        r = salajan_term_mod(j, m)
+        if r in seen:
+            return j - 1
+        seen.add(r)
+    raise AssertionError("more than m distinct residues")
+
+
+def _reference_table_scans(n_max):
+    """(m, iota(m)) for each modulus that `discriminator_table(SEQ, n_max)`
+    scans on an empty store, with no call into the sweep: m is tried while
+    n = 1 + max(iota(m') for m' < m) is unproven, up to n_max, and scanned
+    unless its pair fits below that n."""
+    scans, longest, m = [], 0, 0
+    while longest < n_max:
+        m += 1
+        k = _naive_iota(m)
+        if m == 1 or not _pair_fits(m, longest + 1):
+            scans.append((m, k))
+        longest = max(longest, k)
+    return scans
+
+
+def _counting_scans(monkeypatch):
+    """Record each (m, scanned length) of the sweep's scans."""
     scanned = []
     scan = discriminator.distinct_prefix_length
 
     def counting(spec, m, limit):
-        scanned.append(m)
-        return scan(spec, m, limit)
+        k = scan(spec, m, limit)
+        scanned.append((m, k))
+        return k
 
     monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
+    return scanned
+
+
+def test_sweep_scans_each_modulus_once_up_to_the_last_value(monkeypatch):
+    # a modulus whose period pair collides below n fails n unscanned; by
+    # _reference_table_scans (period_brute and a naive walk), 76 of the 512
+    # moduli up to D(512) = 512 are scanned, the values of D among them,
+    # reading 2642 terms
+    scanned = _counting_scans(monkeypatch)
     table = discriminator_table(SEQ, 512)
     assert table[-1] == salajan_discriminator_closed(512).value == 512
-    assert scanned == list(range(1, 513))    # each modulus once, none above D(512)
+    moduli = [m for m, _ in scanned]
+    assert moduli == [
+        1, 2, 4, 7, 8, 11, 16, 19, 23, 25, 29, 31, 32, 43, 47, 49, 53, 59, 64, 71, 79, 83, 89,
+        101, 107, 113, 125, 127, 128, 131, 137, 139, 149, 163, 167, 173, 179, 191, 197, 199, 211,
+        223, 227, 233, 239, 251, 256, 263, 269, 281, 283, 289, 293, 311, 317, 331, 343, 347, 353,
+        359, 361, 379, 383, 389, 401, 419, 443, 449, 461, 463, 467, 479, 487, 503, 509, 512,
+    ]
+    assert scanned == _reference_table_scans(512)
+    assert len(set(moduli)) == len(moduli)             # no modulus twice
+    assert set(table) <= set(moduli)                   # every value D(n) scanned
+    assert sum(k for _, k in scanned) == 2642
     # the store now proves D(n) for every n <= 512, iota(512) = 512 ending
     # the last run
     scanned.clear()
     assert discriminator_brute(SEQ, 17).value == 25
     assert discriminator_table(SEQ, 512) == table
     assert scanned == []
-    # on an empty store: from n up to D(n), nothing else
+    # on an empty store: from n up to D(n), the moduli whose pair does not
+    # fit below 17, with iota(19) = 7, iota(23) = 6 and iota(25) = 20
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    scanned.clear()
     assert discriminator_brute(SEQ, 17).value == 25
-    assert scanned == list(range(17, 26))
+    assert scanned == [(19, 7), (23, 6), (25, 20)]
+    assert [m for m in range(17, 26) if not _pair_fits(m, 17)] == [19, 23, 25]
 
 
 def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
     # D(1036) = 2048 separates iota(2048) = 2048 terms, so D(n) = 2048 for
     # every n from 1036 to 2048, and each of those n is answered with no scan
     assert discriminator_brute(SEQ, 1036).value == 2048
-    scanned = []
-    scan = discriminator.distinct_prefix_length
-
-    def counting(spec, m, limit):
-        scanned.append(m)
-        return scan(spec, m, limit)
-
-    monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
+    scanned = _counting_scans(monkeypatch)
     monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 0)   # a hit reads no terms
     for n in range(1036, 2049):
         assert discriminator_brute(SEQ, n).value == 2048, n
@@ -421,25 +470,71 @@ def test_brute_answers_a_proven_run_without_a_scan(monkeypatch):
     monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 1 << 28)
     with pytest.raises(CapExceeded, match=message):
         discriminator_brute(SEQ, 1500, search_cap=2047)
-    assert scanned == list(range(1500, 2048))
+    # of the 548 moduli from 1500 to 2047, the 43 whose period pair from
+    # period_brute does not fit below 1500 are scanned, and every one fails
+    moduli = [m for m, _ in scanned]
+    assert moduli == [
+        1523, 1553, 1559, 1567, 1571, 1579, 1601, 1607, 1613, 1619, 1627, 1637, 1663, 1667, 1697,
+        1699, 1709, 1721, 1723, 1733, 1747, 1787, 1811, 1823, 1831, 1847, 1849, 1889, 1901, 1907,
+        1913, 1931, 1949, 1951, 1973, 1979, 1987, 1997, 1999, 2003, 2011, 2027, 2039,
+    ]
+    assert moduli == [m for m in range(1500, 2048) if not _pair_fits(m, 1500)]
+    assert all(k < 1500 for _, k in scanned)
 
 
 def test_walk_starts_above_the_largest_value_proven_below_n(monkeypatch):
     # D(2064) = 3125 separates iota(3125) = 2500 terms, so 3125 fails every
-    # n > 2500 and the walk for 2512 starts at 3126, as an ascending sweep does
-    scanned = []
-    scan = discriminator.distinct_prefix_length
-
-    def counting(spec, m, limit):
-        scanned.append(m)
-        return scan(spec, m, limit)
-
-    monkeypatch.setattr(discriminator, "distinct_prefix_length", counting)
+    # n > 2500 and the walk for 2512 starts at 3126, as an ascending sweep
+    # does. Each walk scans the moduli whose period pair (period_brute) does
+    # not fit below its n: 82 from 2069 up to 3125, then 74 from 3137 up to
+    # 4096, none of them twice
+    scanned = _counting_scans(monkeypatch)
     assert discriminator_brute(SEQ, 2064).value == 3125
-    assert scanned == list(range(2064, 3126))
+    moduli = [m for m, _ in scanned]
+    assert moduli == [m for m in range(2064, 3126) if not _pair_fits(m, 2064)]
+    assert (len(moduli), moduli[0], moduli[-1]) == (82, 2069, 3125)
     scanned.clear()
     assert discriminator_brute(SEQ, 2512).value == 4096
-    assert scanned == list(range(3126, 4097))
+    moduli = [m for m, _ in scanned]
+    assert moduli == [m for m in range(3126, 4097) if not _pair_fits(m, 2512)]
+    assert (len(moduli), moduli[0], moduli[-1]) == (74, 3137, 4096)
+
+
+def test_a_lying_period_formula_cannot_move_an_answer(monkeypatch):
+    # the sweep believes no proposed pair: each one is checked against the
+    # definition mod 4m, so a false pair only costs the scan it would have
+    # saved. Every pair (1, 3) holds only mod 2, 3 and 6; the true period
+    # plus 1 pairs u_i with u_(i+1) after a period, rarely a collision
+    closed = [salajan_discriminator_closed(n).value for n in range(1, 2049)]
+    formula = discriminator.salajan_period_formula
+    proposers = {
+        "honest": formula,
+        "every pair (1, 3)": lambda m: periods.PeriodInfo(m, 1, 2),
+        "period plus 1": lambda m: formula(m)._replace(period=formula(m).period + 1),
+    }
+    scanned = _counting_scans(monkeypatch)
+    counts = {}
+    for name, proposer in proposers.items():
+        monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
+        monkeypatch.setattr(discriminator, "salajan_period_formula", proposer)
+        scanned.clear()
+        assert discriminator_table(SEQ, 2048) == closed, name
+        moduli = [m for m, _ in scanned]
+        assert len(set(moduli)) == len(moduli) and set(closed) <= set(moduli), name
+        counts[name] = len(moduli)
+    assert counts["every pair (1, 3)"] > counts["honest"] < counts["period plus 1"]
+
+
+def test_theorem1_holds_for_every_n_up_to_its_largest_n_max():
+    # brute equals closed at every n <= THEOREM1_MAX_N = 2^16, in one sweep
+    # on an empty store; the 20 reference rows give 38 boundaries, and
+    # summing v - n over them gives 40308
+    from discrim import verify
+
+    assert verify.THEOREM1_MAX_N == 65536
+    assert verify.check_theorem1(65536) == verify.CheckResult(
+        "theorem1", True,
+        "brute=closed for n<=n_max (65536), 38 boundaries tight (40308 smaller moduli all fail)")
 
 
 def test_warm_generic_query_walks_its_exact_terms_again(monkeypatch):
@@ -502,25 +597,43 @@ def test_memo_keeps_no_modulus_above_its_limit(monkeypatch):
 
 
 def test_sweep_refuses_past_its_term_budget(monkeypatch):
-    # on an empty store the scans behind D(1..200) read iota(m) for every
-    # m <= D(200) = 256, 7189 terms in all, the last of them while n = 129
+    # on an empty store the scans behind D(1..200) read iota(m) for the 47
+    # moduli m <= D(200) = 256 that _reference_table_scans keeps, 1213 terms
+    # in all, the last of them (iota(256) = 256) while n = 129
+    assert sum(k for _, k in _reference_table_scans(200)) == 1213
     closed = [salajan_discriminator_closed(n).value for n in range(1, 201)]
-    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 7188)
-    with pytest.raises(CapExceeded, match="^sweep scans read more than 7188 terms by n = 129$"):
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 1212)
+    with pytest.raises(CapExceeded, match="^sweep scans read more than 1212 terms by n = 129$"):
         discriminator_table(SEQ, 200)
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 7189)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 1213)
     assert discriminator_table(SEQ, 200) == closed
     # proven values read nothing
     monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 0)
     assert discriminator_table(SEQ, 200) == closed
     assert discriminator_brute(SEQ, 17).value == 25
-    # each call counts only its own scans: 2050 terms up to D(100) = 125,
-    # then 5139 more
+    # each call counts only its own scans: 464 terms up to D(100) = 125,
+    # then 749 more
+    assert sum(k for _, k in _reference_table_scans(100)) == 464
     monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
-    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 5139)
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 749)
     assert discriminator_table(SEQ, 100) == closed[:100]
     assert discriminator_table(SEQ, 200) == closed
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 748)
+    assert discriminator_table(SEQ, 100) == closed[:100]
+    with pytest.raises(CapExceeded, match="^sweep scans read more than 748 terms by n = 129$"):
+        discriminator_table(SEQ, 200)
+    # the same sequence as a generic spec scans every modulus: iota(m) summed
+    # over m <= 256 is 7189
+    assert sum(_naive_iota(m) for m in range(1, 257)) == 7189
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 7188)
+    with pytest.raises(CapExceeded, match="^sweep scans read more than 7188 terms by n = 129$"):
+        discriminator_table(parse_spec("linrec:2,3,2,1"), 200)
+    monkeypatch.setattr(discriminator, "_PROVEN_RUNS", {})
+    monkeypatch.setattr(sequences, "SWEEP_TERM_BUDGET", 7189)
+    assert discriminator_table(parse_spec("linrec:2,3,2,1"), 200) == closed
     # a polynomial's terms count once per coefficient, one per Horner step:
     # the squares' scans behind D(1..30) read 599 terms, counted 3 * 599
     squares = polynomial(0, 0, 1)
