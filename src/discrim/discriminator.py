@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .census import fset_member_interval
 from .numtheory import is_prime
-from .periods import _row_periods, incongruence_index, prime_lemma_bound, salajan_period_formula
+from .periods import incongruence_index, prime_lemma_bound, salajan_period_formula
 from .sequences import (
     MARK_BOUND,
     POLYNOMIAL,
@@ -113,16 +113,23 @@ def _check_admissible(spec: SequenceSpec, n: int) -> None:
 _PROVEN_RUNS: dict[SequenceSpec, array] = {}
 
 
+def _period_pair(m: int) -> tuple[int, int]:
+    """The collision pair (i, j) = (pre-period, pre-period + period) that
+    the period formula proposes for m >= 2: u_i = u_j mod m if the formula
+    is right. Both the sweep and `collision_certificate` take their pair
+    from here, and neither believes it unchecked."""
+    info = salajan_period_formula(m)
+    return info.pre_period, info.pre_period + info.period
+
+
 def _period_pair_collides(m: int, n: int) -> bool:
-    """True iff u_i = u_j mod m for the pair (i, j) = (pre-period,
-    pre-period + period) that the period formula proposes for m >= 2, and
-    j <= n, so that m fails n. The check reads the two terms from the
-    definition mod 4m (`salajan_term_mod`), so a wrong proposal is only
-    rejected, never believed."""
+    """True iff u_i = u_j mod m for the pair (i, j) that `_period_pair`
+    proposes for m >= 2, and j <= n, so that m fails n. The check reads the
+    two terms from the definition mod 4m (`salajan_term_mod`), so a wrong
+    proposal is only rejected, never believed."""
     if m < 2:
         return False
-    info = salajan_period_formula(m)
-    i, j = info.pre_period, info.pre_period + info.period
+    i, j = _period_pair(m)
     return j <= n and salajan_term_mod(i, m) == salajan_term_mod(j, m)
 
 
@@ -402,21 +409,19 @@ def collision_certificate(start: int, value: int) -> tuple[array, array]:
     """Propose the pairs of a collision certificate for the moduli m in
     [start, value): arrays `first` and `second` with u_i = u_j mod m for
     (i, j) = (first[m - start], second[m - start]) and i < j <= start. The
-    pair is (pre-period, pre-period + period) from the period formula, taken
-    for the whole row by `_row_periods`, when that fits below start, else the
-    first collision of a walk over u_1..u_start, or (0, start + 1) if there
-    is none. It claims nothing: `recheck_collision_certificate` decides.
-    For the reference rows, tools/theorem1_pairs.py commits its pairs as
-    the data that the theorem1 suite rechecks."""
+    pair is `_period_pair(m)`, the proposal the sweep checks, when it fits
+    below start, else the first collision of a walk over u_1..u_start, or
+    (0, start + 1) if there is none. A modulus below 2 raises ValueError.
+    It claims nothing: `recheck_collision_certificate` decides. For the
+    reference rows, tools/theorem1_pairs.py commits its pairs as the data
+    that the theorem1 suite rechecks."""
     first, second = array("I"), array("I")
-    m = start
-    for pre, period in _row_periods(start, value):
-        for i, j in zip(pre.tolist(), (pre + period).tolist()):
-            if j > start:
-                i, j = _first_collision(m, start)
-            first.append(i)
-            second.append(j)
-            m += 1
+    for m in range(start, value):
+        i, j = _period_pair(m)
+        if j > start:
+            i, j = _first_collision(m, start)
+        first.append(i)
+        second.append(j)
     return first, second
 
 

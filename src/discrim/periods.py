@@ -10,10 +10,7 @@ mod m; always iota(m) <= m.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 from .numtheory import factorize, is_prime, mult_order, primes_up_to
 from .sequences import (
@@ -36,13 +33,6 @@ PERIOD_STATE_CAP = 1 << 20
 # primes below 2^20.
 ORDER_MEMO_BOUND = 1 << 20
 _PRIME_POWER_ORDERS: dict[int, int] = {}
-
-# `_row_periods` sieves at most this many moduli at a time, so that no row
-# holds whole-row int64 arrays (the row below 2^22 has 2^21 moduli). Over the
-# rows of table_ranges(2^20) above 4096, with the order memo already full, a
-# pass in blocks of 2^16 left 5.6 MB more resident and one in blocks of 2^14
-# 1.6 MB, in 0.53 and 0.57 s
-_ROW_BLOCK = 1 << 14
 
 
 class PeriodInfo(NamedTuple):
@@ -159,52 +149,6 @@ def _prime_power_order(q: int, e: int) -> int:
     if power < ORDER_MEMO_BOUND:
         _PRIME_POWER_ORDERS[power] = part
     return part
-
-
-def _row_periods(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The period formula for every d in [lo, hi): int64 arrays
-    (pre_period, period), one pair per block of at most _ROW_BLOCK moduli,
-    in order, each equal to `salajan_period_formula` at every d.
-
-    In each block, one strided slice per prime power q^k holds exactly the
-    d that q^k divides, and is visited only while the block holds one. Each
-    slice divides q out of d; a slice of 3^k adds 1 to the pre-period's
-    exponent, and one of 2^k (4*delta holds 2^(k+2)) or of q^k, for each
-    prime q from 5 up to isqrt(hi - 1), folds that power's order of 9 into
-    an lcm that starts at ord_4(9). ord_{q^(k-1)}(9) divides ord_{q^k}(9),
-    so the lcm ends as the formula's lcm over the exact powers. What is
-    left of delta above 1 is one prime, folded the same way. A block's
-    working arrays are freed before the caller reads it.
-    """
-    if lo >= hi:
-        return
-    if lo < 2:
-        raise ValueError("modulus must be >= 2")
-    import numpy as np
-
-    primes = primes_up_to(math.isqrt(hi - 1))[2:].tolist()
-    for start in range(lo, hi, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, hi)
-        rest = np.arange(start, stop, dtype=np.int64)
-        alpha = np.zeros_like(rest)
-        order = np.full_like(rest, _PRIME_POWER_ORDERS.get(4) or _prime_power_order(2, 2))
-        for q in (3, 2, *primes):
-            # q^e divides 4*delta just when `power` divides d
-            power, e = q, 3 if q == 2 else 1
-            while (s := -start % power) < stop - start:
-                rest[s::power] //= q
-                if q == 3:
-                    alpha[s::power] += 1
-                else:
-                    part = _PRIME_POWER_ORDERS.get(q**e) or _prime_power_order(q, e)
-                    order[s::power] = np.lcm(order[s::power], part)
-                power, e = power * q, e + 1
-        big = rest > 1
-        parts = [_PRIME_POWER_ORDERS.get(p) or _prime_power_order(p, 1) for p in rest[big].tolist()]
-        order[big] = np.lcm(order[big], np.array(parts, dtype=np.int64))
-        del rest, big, parts
-        order *= 2
-        yield np.maximum(alpha, 1, out=alpha), order
 
 
 def salajan_period_checked(d: int) -> PeriodInfo:

@@ -525,16 +525,26 @@ def test_a_lying_period_formula_cannot_move_an_answer(monkeypatch):
     assert counts["every pair (1, 3)"] > counts["honest"] < counts["period plus 1"]
 
 
-def test_theorem1_holds_for_every_n_up_to_its_largest_n_max():
+def test_theorem1_holds_for_every_n_up_to_its_largest_n_max(monkeypatch):
     # brute equals closed at every n <= THEOREM1_MAX_N = 2^16, in one sweep
     # on an empty store; the 20 reference rows give 38 boundaries, and
-    # summing v - n over them gives 40308
+    # summing v - n over them gives 40308. The sweep checks its budget once
+    # per scan with the running total, so the scans and the terms they read
+    # are pinned: a proposer that rules out fewer moduli scans more
     from discrim import verify
 
+    totals, budget = [], discriminator.check_term_budget
+
+    def counting_budget(spent, *args):
+        totals.append(spent)
+        return budget(spent, *args)
+
+    monkeypatch.setattr(discriminator, "check_term_budget", counting_budget)
     assert verify.THEOREM1_MAX_N == 65536
     assert verify.check_theorem1(65536) == verify.CheckResult(
         "theorem1", True,
         "brute=closed for n<=n_max (65536), 38 boundaries tight (40308 smaller moduli all fail)")
+    assert (len(totals), totals[-1]) == (4002, 1292987)
 
 
 def test_warm_generic_query_walks_its_exact_terms_again(monkeypatch):
@@ -1271,6 +1281,10 @@ def test_collision_search_walks_no_further_than_the_row_start():
     first, second = collision_certificate(3, 5)
     assert (list(first), list(second)) == ([1, 0], [3, 4])
     assert not recheck_collision_certificate((3, 3, 5), first, second)
+    # a row that starts below modulus 2 is refused; an empty row proposes nothing
+    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+        collision_certificate(1, 5)
+    assert collision_certificate(1, 1) == collision_certificate(9, 4) == (array("I"), array("I"))
 
 
 def _rejected_in_bounds(cert, peak_bytes):
@@ -1320,7 +1334,7 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the checker called into the search's engines")
 
-    names = ("salajan_period_formula", "_row_periods", "incongruence_index", "mult_order", "factorize",
+    names = ("salajan_period_formula", "_period_pair", "incongruence_index", "mult_order", "factorize",
              "_PRIME_POWER_ORDERS", "_first_collision", "discriminator_brute", "_least_moduli")
     for module in (census, charsum, discriminator, numtheory, periods, sequences):
         for name in names:
@@ -1331,9 +1345,7 @@ def test_collision_checker_needs_no_search_engine(monkeypatch):
 
 def test_poisoned_period_tables_reach_no_oracle(monkeypatch, tmp_path):
     # a smallest-prime-factor table that makes every delta a power of 2, and
-    # order 7 for every power of 2: the formula then gives period 14 throughout.
-    # The row pass sieves delta itself, so the order 1 recorded for every odd
-    # number below the rows' values gives it period 14 throughout too
+    # order 7 for every power of 2: the formula then gives period 14 throughout
     from discrim import verify
 
     ds = range(2, 601)
@@ -1350,10 +1362,9 @@ def test_poisoned_period_tables_reach_no_oracle(monkeypatch, tmp_path):
     honest = verify.check_theorem1(64)
     with monkeypatch.context() as mp:
         mp.setattr(numtheory, "_spf", array("H", [2]) * numtheory.SPF_ENTRIES)
-        mp.setattr(periods, "_PRIME_POWER_ORDERS",
-                   {**{2**e: 7 for e in range(1, 64)}, **{q: 1 for q in range(3, rows[-1][2], 2)}})
+        mp.setattr(periods, "_PRIME_POWER_ORDERS", {2**e: 7 for e in range(1, 64)})
         assert salajan_period_formula(5) == periods.PeriodInfo(5, 1, 14)   # truly 4
-        assert all((period == 14).all() for _, period in periods._row_periods(2, rows[-1][2]))
+        assert all(salajan_period_formula(d).period == 14 for d in range(2, rows[-1][2]))
         bad_certs = [nonvalue_screen(d) for d in ds]
         bad_pairs = [collision_certificate(a, v) for a, _, v in rows]
         poisoned = oracles(certs + bad_certs, pairs + bad_pairs)

@@ -278,6 +278,14 @@ def test_commands_without_a_numpy_kernel_stay_free_of_it(argv, capsys):
     assert code == (1 if "linrec:1,2,1,3" in argv else 0)
 
 
+def test_the_collision_search_loads_no_numpy():
+    # it reads each modulus's pair from the period formula, as the sweep does
+    body = ("from discrim.discriminator import collision_certificate\n"
+            "first, second = collision_certificate(2049, 3125)\n"
+            "print(len(first), len(second))")
+    assert run_checked(body) == ("", ["1076 1076"])
+
+
 @pytest.mark.parametrize("argv, unloaded", [
     (["period", "--d", "5119"], {"census", "charsum", "discriminator", "verify"}),
     (["table", "--max", "100"], {"charsum", "verify"}),

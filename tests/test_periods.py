@@ -91,90 +91,6 @@ def test_order_memo_records_only_powers_below_its_bound():
     assert powers and big not in powers and max(powers) < periods.ORDER_MEMO_BOUND
 
 
-def _row_pass(lo, hi):
-    """The row pass over [lo, hi) as (pre_period, period) pairs, with the
-    length of each block it yields."""
-    pairs, lengths = [], []
-    for pre, period in periods._row_periods(lo, hi):
-        lengths.append(len(pre))
-        pairs += zip(pre.tolist(), period.tolist())
-    return pairs, lengths
-
-
-def test_row_pass_equals_the_formula_to_2e5():
-    block = periods._ROW_BLOCK
-    pairs, lengths = _row_pass(2, 200_001)
-    assert lengths == [block] * (199_999 // block) + [199_999 % block]
-    assert pairs == [salajan_period_formula(d)[1:] for d in range(2, 200_001)]
-
-
-class _MemoOf(dict):
-    """An order memo that fails at once on a key outside `allowed`."""
-
-    def __init__(self, allowed):
-        super().__init__()
-        self.allowed = allowed
-
-    def __setitem__(self, key, value):
-        assert key in self.allowed, key
-        super().__setitem__(key, value)
-
-
-def _memo_of_row(monkeypatch, lo, hi):
-    """Empty the order memo and let it take only the powers of 4*delta below
-    its bound that the formula reads for some d in [lo, hi); return them. A
-    pass that took an order for every power of every prime up to
-    isqrt(hi - 1) would run for minutes on a row near 2^40, and fails at its
-    first stray power instead."""
-    powers = set()
-    for d in range(lo, hi):
-        for q, e in factorize(4 * (d // 3 ** padic_valuation(3, d))):
-            powers.update(q**k for k in range(2 if q == 2 else 1, e + 1) if q**k < periods.ORDER_MEMO_BOUND)
-    monkeypatch.setattr(periods, "_PRIME_POWER_ORDERS", _MemoOf(powers))
-    return powers
-
-
-@pytest.mark.parametrize("lo, hi", [
-    (numtheory.SPF_ENTRIES - 500, numtheory.SPF_ENTRIES + 500),
-    (periods.ORDER_MEMO_BOUND - 500, periods.ORDER_MEMO_BOUND + 500),
-    (2**21 - 7, 2**21 - 7 + 2 * periods._ROW_BLOCK + 3),   # three blocks, the last of 3 moduli
-    (2**22 - 300, 2**22 + 1),
-    (2**40 - 100, 2**40 + 100),
-    (2, 3), (7, 7), (3**12, 3**12 + 1),
-])
-def test_row_pass_equals_the_formula_across_its_edges(lo, hi, monkeypatch):
-    powers = _memo_of_row(monkeypatch, lo, hi)
-    started = time.perf_counter()
-    pairs, lengths = _row_pass(lo, hi)
-    assert time.perf_counter() - started < 1.0
-    assert set(periods._PRIME_POWER_ORDERS) == powers
-    assert sum(lengths) == hi - lo and all(0 < k <= periods._ROW_BLOCK for k in lengths)
-    assert pairs == [salajan_period_formula(d)[1:] for d in range(lo, hi)]
-    assert max(periods._PRIME_POWER_ORDERS, default=0) < periods.ORDER_MEMO_BOUND
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
-def test_row_pass_equals_the_formula_on_prime_powers_times_delta(q, monkeypatch):
-    # the moduli around d = q^k * delta for every q^k < 2^40 and delta = 1,
-    # 2 and 2^9 - 1; only a power of 3 moves the pre-period off 1
-    k = 1
-    while q**k < 2**40:
-        for delta in (1, 2, 2**9 - 1):
-            d = q**k * delta
-            lo = max(2, d - 1)
-            _memo_of_row(monkeypatch, lo, d + 3)
-            pairs, _ = _row_pass(lo, d + 3)
-            assert pairs == [salajan_period_formula(c)[1:] for c in range(lo, d + 3)], d
-            assert pairs[d - lo][0] == (k if q == 3 else 1)
-        k += 1
-
-
-def test_row_pass_refuses_a_modulus_below_2():
-    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
-        next(periods._row_periods(1, 5))
-    assert list(periods._row_periods(1, 1)) == list(periods._row_periods(9, 4)) == []
-
-
 def test_formula_equals_the_order_mod_4_delta_to_30000():
     assert all(salajan_period_formula(d) == formula_reference(d) for d in range(2, 30001))
     # every delta here lies inside the one smallest-prime-factor table
