@@ -1281,10 +1281,6 @@ def test_collision_search_walks_no_further_than_the_row_start():
     first, second = collision_certificate(3, 5)
     assert (list(first), list(second)) == ([1, 0], [3, 4])
     assert not recheck_collision_certificate((3, 3, 5), first, second)
-    # a row that starts below modulus 2 is refused; an empty row proposes nothing
-    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
-        collision_certificate(1, 5)
-    assert collision_certificate(1, 1) == collision_certificate(9, 4) == (array("I"), array("I"))
 
 
 def _rejected_in_bounds(cert, peak_bytes):

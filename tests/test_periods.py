@@ -3,12 +3,14 @@
 import math
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrim import numtheory, periods
+from discrim.discriminator import collision_certificate
 from discrim.periods import (
     PeriodInfo,
     incongruence_index,
@@ -89,6 +91,14 @@ def test_order_memo_records_only_powers_below_its_bound():
     assert salajan_period_formula(big - 4) == formula_reference(big - 4)
     powers = set(periods._PRIME_POWER_ORDERS)
     assert powers and big not in powers and max(powers) < periods.ORDER_MEMO_BOUND
+
+
+def test_row_pass_refuses_a_modulus_below_2():
+    # the collision search reads each row's pairs from the period formula,
+    # which has none below modulus 2; an empty row proposes nothing
+    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+        collision_certificate(1, 5)
+    assert collision_certificate(1, 1) == collision_certificate(9, 4) == (array("I"), array("I"))
 
 
 def test_formula_equals_the_order_mod_4_delta_to_30000():
